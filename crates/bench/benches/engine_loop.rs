@@ -2,11 +2,10 @@
 //! retired heap queue, and the full event loop (load + run, no metrics
 //! derivation) per algorithm family.
 //!
-//! The queue benches replay the simulation's exact traffic shape — a
-//! burst of arrival pushes, then an interleaved drain-and-push phase as
-//! completions are scheduled — rather than uniform random churn, because
-//! the calendar queue's rebuild policy is tuned for precisely this
-//! fill-then-drain profile.
+//! The queue benches replay a fill-then-drain traffic shape — a burst
+//! of pushes at the workload's arrival times, then an interleaved
+//! drain-and-push phase — rather than uniform random churn, because the
+//! calendar queue's rebuild policy is tuned for that profile.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use elastisched::prelude::*;
@@ -21,8 +20,7 @@ fn batch_workload() -> Workload {
     w
 }
 
-/// Arrival times of the batch workload: the real push pattern the engine
-/// feeds the queue during `load`.
+/// Arrival times of the batch workload: the fill-phase push times.
 fn arrival_times(w: &Workload) -> Vec<SimTime> {
     w.jobs.iter().map(|j| j.submit).collect()
 }
@@ -55,13 +53,13 @@ impl Queue for HeapEventQueue {
 /// Replay the engine's traffic shape against a queue.
 fn replay<Q: Queue>(arrivals: &[SimTime], q: &mut Q) {
     for (i, &at) in arrivals.iter().enumerate() {
-        q.push(at, Event::Arrival(JobId(i as u64)));
+        q.push(at, Event::Completion { job: JobId(i as u64), epoch: 0 });
     }
     let mut out = Vec::new();
     let mut i = 0u64;
     while let Some(at) = q.drain(&mut out) {
         for ev in out.drain(..) {
-            if matches!(ev, Event::Arrival(_)) {
+            if matches!(ev, Event::Completion { .. }) {
                 // Stand-in completion: a deterministic pseudo-runtime.
                 i += 1;
                 q.push(

@@ -491,7 +491,9 @@ mod tests {
         assert_eq!(c.jobs, 40);
         assert!(c.engine_events >= 80, "≥ one arrival + completion per job");
         assert!(c.engine_cycles <= c.engine_events);
-        assert!(c.queue_ops >= 2 * c.engine_events);
+        // Arrivals are admitted straight from the workload; every
+        // completion is one queue push plus one pop.
+        assert!(c.queue_ops >= 2 * c.jobs as u64);
         assert!(c.events_per_sec > 0.0);
     }
 }

@@ -197,67 +197,40 @@ fn print_metrics(m: &RunMetrics) {
 
 fn cmd_run(args: &Args) -> Result<(), String> {
     let trace = args.get("trace").ok_or("--trace is required")?;
-    let name = args.get("algo").ok_or("--algo is required")?;
-    let cs: u32 = args.get_parsed("cs", 7)?;
-    let machine = parse_machine(args)?;
+    let exp = Experiment {
+        attribution: args.has("attribution"),
+        ..experiment(args)?
+    };
     let w = load_trace(trace)?;
-    let params = SchedParams::with_cs(cs);
-    // A registry name ("Hybrid-LOS") or a stack spec ("delayed-los+d"):
-    // the spec syntax also reaches compositions outside Table III, e.g.
-    // "fcfs+d", "conservative+d+e", or the malleable "hybrid-los+m".
-    let attribution = args.has("attribution");
-    let m = match name.parse::<Algorithm>() {
-        Ok(algo) => Experiment {
-            algorithm: algo,
-            params,
-            machine,
-            timeline: None,
-            attribution,
-            reconfig_cost: None,
-        }
-        .run(&w),
-        Err(algo_err) => {
-            let spec: StackSpec = name
-                .parse()
-                .map_err(|spec_err| format!("{algo_err}; {spec_err}"))?;
-            StackExperiment {
-                spec,
-                params,
-                machine,
-                timeline: None,
-                attribution,
-                reconfig_cost: None,
-            }
-            .run(&w)
-        }
-    }
-    .map_err(|e| e.to_string())?;
+    let m = exp.run(&w).map_err(|e| e.to_string())?;
     print_metrics(&m);
-    if attribution {
+    if exp.attribution {
         println!("wait attribution:");
         print!("{}", elastisched::render_attribution(&m.attribution));
     }
     Ok(())
 }
 
-/// Resolve an algorithm name *or* stack spec to a [`StackSpec`] — the
-/// diff path runs everything through [`StackExperiment`].
-fn parse_spec(name: &str) -> Result<StackSpec, String> {
-    match name.parse::<Algorithm>() {
-        Ok(algo) => Ok(algo.stack_spec()),
-        Err(algo_err) => name
-            .parse::<StackSpec>()
-            .map_err(|spec_err| format!("{algo_err}; {spec_err}")),
-    }
+/// The experiment for `name` — a registry name ("Hybrid-LOS") or a
+/// stack spec ("delayed-los+d", "fcfs+d", "hybrid-los+m") — with the
+/// shared `--cs` and `--machine` flags applied.
+fn experiment_for(name: &str, args: &Args) -> Result<Experiment, String> {
+    Ok(Experiment {
+        params: SchedParams::with_cs(args.get_parsed("cs", 7)?),
+        machine: parse_machine(args)?,
+        ..Experiment::new(name.trim().parse::<StackSpec>()?)
+    })
+}
+
+/// [`experiment_for`] the required `--algo` flag.
+fn experiment(args: &Args) -> Result<Experiment, String> {
+    experiment_for(args.get("algo").ok_or("--algo is required")?, args)
 }
 
 fn cmd_diff(args: &Args) -> Result<(), String> {
     let [a, b] = args.pos.as_slice() else {
         return Err("diff needs exactly two algorithms: escli diff <algo-a> <algo-b>".to_string());
     };
-    let cs: u32 = args.get_parsed("cs", 7)?;
-    let machine = parse_machine(args)?;
-    let params = SchedParams::with_cs(cs);
     let w = match args.get("trace") {
         Some(path) => load_trace(path)?,
         None => {
@@ -276,13 +249,7 @@ fn cmd_diff(args: &Args) -> Result<(), String> {
             generate(&cfg)
         }
     };
-    let mk = |spec: StackSpec| {
-        let mut exp = StackExperiment::new(spec);
-        exp.params = params;
-        exp.machine = machine;
-        exp
-    };
-    let d = elastisched::diff_runs(&mk(parse_spec(a)?), &mk(parse_spec(b)?), &w)
+    let d = elastisched::diff_runs(&experiment_for(a, args)?, &experiment_for(b, args)?, &w)
         .map_err(|e| e.to_string())?;
     print!("{}", elastisched::render_diff(&d));
     Ok(())
@@ -290,22 +257,17 @@ fn cmd_diff(args: &Args) -> Result<(), String> {
 
 fn cmd_compare(args: &Args) -> Result<(), String> {
     let trace = args.get("trace").ok_or("--trace is required")?;
-    let cs: u32 = args.get_parsed("cs", 7)?;
     let machine = parse_machine(args)?;
     let w = load_trace(trace)?;
-    let algos: Vec<Algorithm> = match args.get("algos") {
-        Some(list) => list
-            .split(',')
-            .map(|s| s.trim().parse::<Algorithm>())
-            .collect::<Result<_, _>>()?,
-        None => {
-            if w.dedicated_count() > 0 {
-                vec![Algorithm::EasyD, Algorithm::LosD, Algorithm::HybridLos]
-            } else {
-                vec![Algorithm::Easy, Algorithm::Los, Algorithm::DelayedLos]
-            }
-        }
+    let names = match args.get("algos") {
+        Some(list) => list.split(',').collect(),
+        None if w.dedicated_count() > 0 => vec!["EASY-D", "LOS-D", "Hybrid-LOS"],
+        None => vec!["EASY", "LOS", "Delayed-LOS"],
     };
+    let exps = names
+        .into_iter()
+        .map(|name| experiment_for(name, args))
+        .collect::<Result<Vec<_>, _>>()?;
     println!(
         "trace: {} jobs ({} dedicated), {} ECCs, load {:.3}",
         w.len(),
@@ -313,17 +275,7 @@ fn cmd_compare(args: &Args) -> Result<(), String> {
         w.eccs.len(),
         w.offered_load(machine.total)
     );
-    let results = elastisched::parallel_map(algos, |algo| {
-        let exp = Experiment {
-            algorithm: algo,
-            params: SchedParams::with_cs(cs),
-            machine,
-            timeline: None,
-            attribution: false,
-            reconfig_cost: None,
-        };
-        exp.run(&w).map_err(|e| e.to_string())
-    });
+    let results = elastisched::parallel_map(exps, |exp| exp.run(&w).map_err(|e| e.to_string()));
     for r in results {
         print_metrics(&r?);
     }
@@ -332,24 +284,11 @@ fn cmd_compare(args: &Args) -> Result<(), String> {
 
 fn cmd_gantt(args: &Args) -> Result<(), String> {
     let trace = args.get("trace").ok_or("--trace is required")?;
-    let algo: Algorithm = args
-        .get("algo")
-        .ok_or("--algo is required")?
-        .parse()
-        .map_err(|e: String| e)?;
-    let cs: u32 = args.get_parsed("cs", 7)?;
+    let exp = experiment(args)?;
     let width: usize = args.get_parsed("width", 100)?;
     let rows: usize = args.get_parsed("rows", 40)?;
-    let machine = parse_machine(args)?;
+    let machine = exp.machine;
     let w = load_trace(trace)?;
-    let exp = Experiment {
-        algorithm: algo,
-        params: SchedParams::with_cs(cs),
-        machine,
-        timeline: None,
-        attribution: false,
-        reconfig_cost: None,
-    };
     let r = exp.run_raw(&w).map_err(|e| e.to_string())?;
     println!("{}", elastisched_metrics::gantt(&r.outcomes, width, rows));
     let profile = elastisched_metrics::utilization_profile(
@@ -368,46 +307,21 @@ fn cmd_gantt(args: &Args) -> Result<(), String> {
 
 fn cmd_timeline(args: &Args) -> Result<(), String> {
     let trace = args.get("trace").ok_or("--trace is required")?;
-    let name = args.get("algo").ok_or("--algo is required")?;
-    let cs: u32 = args.get_parsed("cs", 7)?;
+    let exp = experiment(args)?;
     let stride: u64 = args.get_parsed("stride", 1)?;
     let budget: u32 = args.get_parsed("budget", elastisched_sim::DEFAULT_TIMELINE_BUDGET)?;
     if stride == 0 {
         return Err("--stride must be at least 1 second".to_string());
     }
-    let machine = parse_machine(args)?;
     let w = load_trace(trace)?;
     let cfg = elastisched_sim::TimelineConfig {
         stride: Duration::from_secs(stride),
         budget,
     };
-    let params = SchedParams::with_cs(cs);
-    let r = match name.parse::<Algorithm>() {
-        Ok(algo) => Experiment {
-            algorithm: algo,
-            params,
-            machine,
-            timeline: Some(cfg),
-            attribution: false,
-            reconfig_cost: None,
-        }
-        .run_raw(&w),
-        Err(algo_err) => {
-            let spec: StackSpec = name
-                .parse()
-                .map_err(|spec_err| format!("{algo_err}; {spec_err}"))?;
-            StackExperiment {
-                spec,
-                params,
-                machine,
-                timeline: Some(cfg),
-                attribution: false,
-                reconfig_cost: None,
-            }
-            .run_raw(&w)
-        }
-    }
-    .map_err(|e| e.to_string())?;
+    let r = exp
+        .with_timeline(cfg)
+        .run_raw(&w)
+        .map_err(|e| e.to_string())?;
     print!("{}", elastisched::render_timeline(&r.timeline));
     if let Some(path) = args.get("jsonl") {
         std::fs::write(path, r.timeline.to_jsonl())
@@ -435,21 +349,14 @@ fn cmd_explain(args: &Args) -> Result<(), String> {
         return Ok(());
     }
     let trace = args.get("trace").ok_or("--trace is required")?;
-    let spec = parse_spec(args.get("algo").ok_or("--algo is required")?)?;
-    let cs: u32 = args.get_parsed("cs", 7)?;
-    let machine = parse_machine(args)?;
+    let exp = experiment(args)?;
     let w = load_trace(trace)?;
     if let Some(id) = args.get("why-wait") {
         let job: u64 = id.parse().map_err(|_| "bad --why-wait id".to_string())?;
-        let exp = StackExperiment {
-            spec,
-            params: SchedParams::with_cs(cs),
-            machine,
-            timeline: None,
-            attribution: true,
-            reconfig_cost: None,
-        };
-        let r = exp.run_raw(&w).map_err(|e| e.to_string())?;
+        let r = exp
+            .with_attribution()
+            .run_raw(&w)
+            .map_err(|e| e.to_string())?;
         let o = r
             .outcomes
             .iter()
@@ -463,14 +370,6 @@ fn cmd_explain(args: &Args) -> Result<(), String> {
         .ok_or("--job is required")?
         .parse()
         .map_err(|_| "bad --job id".to_string())?;
-    let exp = StackExperiment {
-        spec,
-        params: SchedParams::with_cs(cs),
-        machine,
-        timeline: None,
-        attribution: false,
-        reconfig_cost: None,
-    };
     let r = exp
         .run_traced(&w, elastisched_trace::TraceSink::new())
         .map_err(|e| e.to_string())?;

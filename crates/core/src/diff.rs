@@ -22,7 +22,7 @@
 //! performance detail: a cached and an uncached solve that choose the
 //! same jobs are the *same* decision).
 
-use crate::experiment::StackExperiment;
+use crate::experiment::Experiment;
 use elastisched_metrics::RunMetrics;
 use elastisched_sim::{
     AttributionProfile, JobOutcome, SimError, TraceEvent, TraceSink, WaitAttribution,
@@ -124,11 +124,11 @@ pub fn first_divergence(a: &[Decision], b: &[Decision]) -> Option<FirstDivergenc
 /// Run both experiments over `workload` — attribution and tracing
 /// forced on — and assemble the full comparison.
 pub fn diff_runs(
-    a: &StackExperiment,
-    b: &StackExperiment,
+    a: &Experiment,
+    b: &Experiment,
     workload: &Workload,
 ) -> Result<RunDiff, SimError> {
-    let run = |exp: &StackExperiment| -> Result<(RunMetrics, Vec<Decision>), SimError> {
+    let run = |exp: &Experiment| -> Result<(RunMetrics, Vec<Decision>), SimError> {
         let mut exp = exp.clone();
         exp.attribution = true;
         let result = exp.run_traced(workload, TraceSink::new())?;
@@ -311,7 +311,7 @@ pub fn render_diff(d: &RunDiff) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::experiment::StackExperiment;
+    use crate::experiment::Experiment;
     use elastisched_sched::{Algorithm, StackSpec};
     use elastisched_workload::{generate, GeneratorConfig};
 
@@ -319,14 +319,11 @@ mod tests {
         generate(&GeneratorConfig::paper_batch(0.5).with_jobs(120).with_seed(7))
     }
 
-    fn exp(algo: Algorithm) -> StackExperiment {
-        StackExperiment::new(algo.stack_spec())
-    }
-
     #[test]
     fn identical_runs_have_no_divergence() {
         let w = workload();
-        let d = diff_runs(&exp(Algorithm::Easy), &exp(Algorithm::Easy), &w).unwrap();
+        let easy = Experiment::new(Algorithm::Easy);
+        let d = diff_runs(&easy, &easy, &w).unwrap();
         assert!(d.divergence.is_none());
         assert_eq!(d.a_decisions, d.b_decisions);
         assert_eq!(d.a.attribution, d.b.attribution);
@@ -337,7 +334,12 @@ mod tests {
     #[test]
     fn different_policies_report_a_concrete_first_divergence() {
         let w = workload();
-        let d = diff_runs(&exp(Algorithm::Easy), &exp(Algorithm::DelayedLos), &w).unwrap();
+        let d = diff_runs(
+            &Experiment::new(Algorithm::Easy),
+            &Experiment::new(Algorithm::DelayedLos),
+            &w,
+        )
+        .unwrap();
         let div = d.divergence.clone().expect("EASY and Delayed-LOS must diverge");
         // The divergence names at least one concrete decision.
         assert!(div.a.is_some() || div.b.is_some());
@@ -383,7 +385,7 @@ mod tests {
         );
         let a: StackSpec = "fcfs+d".parse().unwrap();
         let b: StackSpec = "easy+d".parse().unwrap();
-        let d = diff_runs(&StackExperiment::new(a), &StackExperiment::new(b), &w).unwrap();
+        let d = diff_runs(&Experiment::new(a), &Experiment::new(b), &w).unwrap();
         assert_eq!(d.a.scheduler, "FCFS-D");
         assert_eq!(d.b.scheduler, "EASY-D");
         assert!(d.divergence.is_some());

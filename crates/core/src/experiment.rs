@@ -1,7 +1,7 @@
 //! Running one scheduling experiment end to end.
 
 use elastisched_metrics::{RunAccumulator, RunMetrics};
-use elastisched_sched::{Algorithm, SchedParams, StackSpec};
+use elastisched_sched::{SchedParams, StackSpec};
 use elastisched_sim::{
     Engine, JobSource, Machine, ReconfigCost, SimError, SimResult, TimelineConfig, TraceSink,
 };
@@ -36,12 +36,15 @@ impl MachineSpec {
     }
 }
 
-/// One experiment: an algorithm (with tunables) against a workload on a
-/// machine.
+/// One experiment: a scheduler stack (with tunables) against a workload
+/// on a machine. Name the stack by a registry
+/// [`Algorithm`](elastisched_sched::Algorithm) or by any
+/// [`StackSpec`] composition (e.g. `"fcfs+d"`, `"hybrid-los+m"`),
+/// including stacks outside the paper's Table III.
 #[derive(Debug, Clone)]
 pub struct Experiment {
-    /// Which scheduling algorithm.
-    pub algorithm: Algorithm,
+    /// Which scheduler stack.
+    pub spec: StackSpec,
     /// `C_s` and lookahead for the LOS family.
     pub params: SchedParams,
     /// Machine dimensions.
@@ -57,11 +60,15 @@ pub struct Experiment {
     pub reconfig_cost: Option<ReconfigCost>,
 }
 
+/// The former name of [`Experiment`] over a [`StackSpec`], kept so the
+/// repository benchmark (`benchmark/`) builds unchanged.
+pub type StackExperiment = Experiment;
+
 impl Experiment {
     /// An experiment on the paper's BlueGene/P with default tunables.
-    pub fn new(algorithm: Algorithm) -> Self {
+    pub fn new(spec: impl Into<StackSpec>) -> Self {
         Experiment {
-            algorithm,
+            spec: spec.into(),
             params: SchedParams::default(),
             machine: MachineSpec::BLUEGENE_P,
             timeline: None,
@@ -101,8 +108,8 @@ impl Experiment {
     }
 
     fn build_engine(&self) -> Engine<Box<dyn elastisched_sim::Scheduler + Send>> {
-        let scheduler = self.algorithm.build(self.params);
-        let mut engine = Engine::new(self.machine.build(), scheduler, self.algorithm.ecc_policy());
+        let scheduler = self.spec.build(self.params);
+        let mut engine = Engine::new(self.machine.build(), scheduler, self.spec.ecc_policy());
         if let Some(cfg) = self.timeline {
             engine.enable_timeline(cfg);
         }
@@ -116,8 +123,8 @@ impl Experiment {
     }
 
     /// Run against a workload, returning the raw simulation result.
-    /// The ECC policy is chosen by the algorithm (`-E` variants process
-    /// ECCs; others drop them).
+    /// The ECC policy is chosen by the spec's `+e` flag (`-E` registry
+    /// variants process ECCs; others drop them).
     pub fn run_raw(&self, workload: &Workload) -> Result<SimResult, SimError> {
         let mut engine = self.build_engine();
         engine.load(&workload.jobs, &workload.eccs)?;
@@ -182,137 +189,10 @@ impl Experiment {
     }
 }
 
-/// One experiment over an arbitrary policy stack: where [`Experiment`]
-/// is limited to the registry's named [`Algorithm`]s, this runs any
-/// [`StackSpec`] composition (e.g. `"fcfs+d"` or `"conservative+d+e"`),
-/// including stacks outside the paper's Table III.
-#[derive(Debug, Clone)]
-pub struct StackExperiment {
-    /// Which scheduler stack.
-    pub spec: StackSpec,
-    /// `C_s` and lookahead for the LOS family.
-    pub params: SchedParams,
-    /// Machine dimensions.
-    pub machine: MachineSpec,
-    /// When set, every run records a budget-bounded virtual-time
-    /// telemetry timeline (`RunMetrics::timeline`).
-    pub timeline: Option<TimelineConfig>,
-    /// When set, every run classifies each job's queue wait by cause
-    /// (`RunMetrics::attribution`, `JobOutcome::attribution`).
-    pub attribution: bool,
-    /// When set, overrides the engine's malleable reconfiguration-cost
-    /// model (relevant to `+m` stacks; `None` keeps the engine default).
-    pub reconfig_cost: Option<ReconfigCost>,
-}
-
-impl StackExperiment {
-    /// An experiment on the paper's BlueGene/P with default tunables.
-    pub fn new(spec: StackSpec) -> Self {
-        StackExperiment {
-            spec,
-            params: SchedParams::default(),
-            machine: MachineSpec::BLUEGENE_P,
-            timeline: None,
-            attribution: false,
-            reconfig_cost: None,
-        }
-    }
-
-    /// Override the maximum skip count `C_s`.
-    pub fn with_cs(mut self, cs: u32) -> Self {
-        self.params.cs = cs;
-        self
-    }
-
-    /// Override the machine.
-    pub fn on_machine(mut self, machine: MachineSpec) -> Self {
-        self.machine = machine;
-        self
-    }
-
-    /// Enable the virtual-time telemetry sampler for every run.
-    pub fn with_timeline(mut self, cfg: TimelineConfig) -> Self {
-        self.timeline = Some(cfg);
-        self
-    }
-
-    /// Enable per-job wait-time attribution for every run.
-    pub fn with_attribution(mut self) -> Self {
-        self.attribution = true;
-        self
-    }
-
-    /// Override the malleable reconfiguration-cost model.
-    pub fn with_reconfig_cost(mut self, cost: ReconfigCost) -> Self {
-        self.reconfig_cost = Some(cost);
-        self
-    }
-
-    fn build_engine(&self) -> Engine<Box<dyn elastisched_sim::Scheduler + Send>> {
-        let scheduler = self.spec.build(self.params);
-        let mut engine = Engine::new(self.machine.build(), scheduler, self.spec.ecc_policy());
-        if let Some(cfg) = self.timeline {
-            engine.enable_timeline(cfg);
-        }
-        if self.attribution {
-            engine.enable_attribution();
-        }
-        if let Some(cost) = self.reconfig_cost {
-            engine.set_reconfig_cost(cost);
-        }
-        engine
-    }
-
-    /// Run against a workload, returning the raw simulation result. The
-    /// ECC policy is chosen by the spec's `+e` flag.
-    pub fn run_raw(&self, workload: &Workload) -> Result<SimResult, SimError> {
-        let mut engine = self.build_engine();
-        engine.load(&workload.jobs, &workload.eccs)?;
-        engine.run()
-    }
-
-    /// Run against a workload with structured tracing enabled — the
-    /// stack-spec counterpart of [`Experiment::run_traced`].
-    pub fn run_traced(&self, workload: &Workload, sink: TraceSink) -> Result<SimResult, SimError> {
-        let mut engine = self.build_engine();
-        engine.enable_tracing(sink);
-        engine.load(&workload.jobs, &workload.eccs)?;
-        engine.run()
-    }
-
-    /// Run against a workload and summarize with the paper's metrics
-    /// (feeding the live-telemetry campaign when one is active, exactly
-    /// like [`Experiment::run`]).
-    pub fn run(&self, workload: &Workload) -> Result<RunMetrics, SimError> {
-        let metrics = RunMetrics::from_result(&self.run_raw(workload)?);
-        crate::telemetry::record_run(&metrics);
-        Ok(metrics)
-    }
-
-    /// Run over a streaming [`JobSource`] with outcomes folded into
-    /// `acc` — the stack-spec counterpart of
-    /// [`Experiment::run_streamed_with`].
-    pub fn run_streamed_with(
-        &self,
-        source: impl JobSource,
-        mut acc: RunAccumulator,
-    ) -> Result<RunMetrics, SimError> {
-        let engine = self.build_engine();
-        let result = engine.run_streaming_folded(source, &mut |o| acc.record(o))?;
-        let metrics = acc.finish(&result);
-        crate::telemetry::record_run(&metrics);
-        Ok(metrics)
-    }
-
-    /// [`StackExperiment::run_streamed_with`] on the exact accumulator.
-    pub fn run_streamed(&self, source: impl JobSource) -> Result<RunMetrics, SimError> {
-        self.run_streamed_with(source, RunAccumulator::exact())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use elastisched_sched::Algorithm;
     use elastisched_workload::{generate, GeneratorConfig};
 
     #[test]
@@ -379,25 +259,10 @@ mod tests {
         // FCFS-D exists only through the stack syntax, not as a named
         // registry algorithm.
         let spec: StackSpec = "fcfs+d".parse().unwrap();
-        let m = StackExperiment::new(spec).run(&w).unwrap();
+        let m = Experiment::new(spec).run(&w).unwrap();
         assert_eq!(m.scheduler, "FCFS-D");
         assert_eq!(m.jobs, 60);
         assert!(m.dedicated_jobs > 0);
-    }
-
-    #[test]
-    fn stack_experiment_matches_experiment_on_registry_algorithms() {
-        let w = generate(
-            &GeneratorConfig::paper_heterogeneous(0.4, 0.3)
-                .with_paper_eccs()
-                .with_jobs(80)
-                .with_seed(5),
-        );
-        for algo in [Algorithm::Easy, Algorithm::HybridLosE, Algorithm::LosD] {
-            let a = Experiment::new(algo).run(&w).unwrap();
-            let b = StackExperiment::new(algo.stack_spec()).run(&w).unwrap();
-            assert_eq!(a, b, "{algo}");
-        }
     }
 
     #[test]
@@ -409,10 +274,10 @@ mod tests {
                 .with_seed(6),
         );
         assert!(w.jobs.iter().any(|j| j.is_malleable()));
-        let base = StackExperiment::new("delayed-los".parse().unwrap())
+        let base = Experiment::new("delayed-los".parse::<StackSpec>().unwrap())
             .run(&w)
             .unwrap();
-        let mal = StackExperiment::new("delayed-los+m".parse().unwrap())
+        let mal = Experiment::new("delayed-los+m".parse::<StackSpec>().unwrap())
             .run(&w)
             .unwrap();
         assert_eq!(mal.scheduler, "Delayed-LOS-M");
@@ -425,7 +290,7 @@ mod tests {
 
         // The cost-model override plumbs through: free reconfigurations
         // charge nothing.
-        let free = StackExperiment::new("delayed-los+m".parse().unwrap())
+        let free = Experiment::new("delayed-los+m".parse::<StackSpec>().unwrap())
             .with_reconfig_cost(ReconfigCost::FREE)
             .run(&w)
             .unwrap();

@@ -17,7 +17,7 @@
 //! * [`elastisched_metrics`] — utilization / waiting time / slowdown,
 //!   summary statistics, Kolmogorov–Smirnov tests.
 //!
-//! This crate ties them together: [`Experiment`] runs one algorithm over
+//! This crate ties them together: [`Experiment`] runs one scheduler over
 //! one workload; [`figures`] regenerates every figure and table of the
 //! paper's evaluation; [`sweep`] fans sweeps out over threads.
 //!

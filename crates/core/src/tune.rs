@@ -58,12 +58,9 @@ pub fn tune_cs(
     crate::telemetry::begin_stage("tune-cs", tasks.len());
     let results: Vec<(usize, f64, f64)> = parallel_map(tasks, |(ci, cs, wi)| {
         let exp = Experiment {
-            algorithm: Algorithm::DelayedLos,
             params: SchedParams::with_cs(cs),
             machine,
-            timeline: None,
-            attribution: false,
-            reconfig_cost: None,
+            ..Experiment::new(Algorithm::DelayedLos)
         };
         let m = exp.run(&workloads[wi]).expect("simulation must complete");
         (ci, m.mean_wait, m.utilization)

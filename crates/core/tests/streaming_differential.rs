@@ -9,9 +9,9 @@
 //! streamed engine made bit-for-bit the same scheduling decisions in
 //! the same order, not merely similar aggregates.
 
-use elastisched::{Experiment, StackExperiment};
+use elastisched::Experiment;
 use elastisched_metrics::RunAccumulator;
-use elastisched_sched::Algorithm;
+use elastisched_sched::{Algorithm, StackSpec};
 use elastisched_workload::{
     generate, CwfFile, CwfSource, GeneratorConfig, LublinSource, ScaleArrivals, SwfFile,
     SwfRecord, SwfSource, Workload,
@@ -207,9 +207,7 @@ fn streamed_timeline_matches_materialized_for_all_algorithms() {
     // The telemetry sampler observes the run rather than steering it,
     // so a streamed run must produce the identical RunTimeline — same
     // decimation level, same sample instants, same utilization / queue
-    // / DP readings, and the same `event_queue_len` (the sampler counts
-    // only reactive events, netting out the materialized loader's
-    // preloaded arrival set).
+    // / DP readings, and the same `event_queue_len`.
     let cfg = heavy_config();
     let w = generate(&cfg);
     let tl_cfg = elastisched_sim::TimelineConfig {
@@ -243,7 +241,7 @@ fn streamed_timeline_matches_materialized_for_all_algorithms() {
 fn stack_experiment_streams_arbitrary_specs() {
     let cfg = heavy_config();
     let w = generate(&cfg);
-    let exp = StackExperiment::new("fcfs+d+e".parse().unwrap());
+    let exp = Experiment::new("fcfs+d+e".parse::<StackSpec>().unwrap());
     let materialized = {
         let raw = exp.run_raw(&w).unwrap();
         elastisched_metrics::RunMetrics::from_result(&raw)
@@ -259,7 +257,7 @@ fn malleable_stack_streams_identically() {
     // it only ever sees a bounded window of the arrival stream.
     let cfg = heavy_config().with_malleable(0.5);
     let w = generate(&cfg);
-    let exp = StackExperiment::new("hybrid-los+d+m".parse().unwrap());
+    let exp = Experiment::new("hybrid-los+d+m".parse::<StackSpec>().unwrap());
     let materialized = {
         let raw = exp.run_raw(&w).unwrap();
         elastisched_metrics::RunMetrics::from_result(&raw)

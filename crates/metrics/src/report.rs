@@ -227,7 +227,6 @@ mod tests {
             makespan,
             ecc: EccStats::default(),
             reconfig: Default::default(),
-            samples: Vec::new(),
             sched_stats: SchedStats::default(),
             engine: elastisched_sim::EngineStats::default(),
             trace: None,

@@ -16,7 +16,9 @@
 //! [`Algorithm::build`] all read it — and it is [`FromStr`]-able with a
 //! compact `"<core>[+d][+m][+e]"` syntax (`"easy+d"`,
 //! `"delayed-los+d+e"`, `"hybrid-los+m"`), which also names stacks
-//! outside Table III (e.g. `"fcfs+d"`, `"delayed-los+m"`). The `+m`
+//! outside Table III (e.g. `"fcfs+d"`, `"delayed-los+m"`). The base
+//! may also be a registry display name (`"EASY-D"`, `"Hybrid-LOS-E"`),
+//! so one parse names every scheduler. The `+m`
 //! flag wraps the assembled layer in
 //! [`crate::stack::WithMalleable`], the scheduler-initiated resize
 //! pass over proc-range (malleable) jobs.
@@ -267,16 +269,18 @@ impl FromStr for StackSpec {
         let canon = s.to_ascii_lowercase().replace(['_', ' '], "-");
         let mut parts = canon.split('+');
         let core_tok = parts.next().unwrap_or_default();
-        // "hybrid-los" is the paper's name for delayed-los+d — accept it
-        // as a core alias so e.g. "hybrid-los+m" names that stack too.
-        let mut spec = if core_tok == "hybrid-los" {
-            StackSpec::plain(CorePolicy::DelayedLos).with_dedicated()
-        } else {
-            let core = CorePolicy::ALL
+        // The base is a core token or a registry display name, so
+        // "Hybrid-LOS" (the paper's name for delayed-los+d) and
+        // "hybrid-los+m" both name stacks.
+        let mut spec = match CorePolicy::ALL.into_iter().find(|c| c.token() == core_tok) {
+            Some(core) => StackSpec::plain(core),
+            None => Algorithm::ALL
                 .into_iter()
-                .find(|c| c.token() == core_tok)
-                .ok_or_else(|| format!("unknown policy core {core_tok:?} in stack spec {s:?}"))?;
-            StackSpec::plain(core)
+                .find(|a| a.name().to_ascii_lowercase() == core_tok)
+                .map(StackSpec::from)
+                .ok_or_else(|| {
+                    format!("unknown policy core or algorithm {core_tok:?} in stack spec {s:?}")
+                })?,
         };
         for flag in parts {
             match flag {
@@ -453,6 +457,12 @@ impl Algorithm {
     }
 }
 
+impl From<Algorithm> for StackSpec {
+    fn from(a: Algorithm) -> Self {
+        a.stack_spec()
+    }
+}
+
 impl fmt::Display for Algorithm {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(self.name())
@@ -616,6 +626,16 @@ mod tests {
             assert_eq!(spec.build(p).name(), a.build(p).name(), "{a}");
             // Spec strings roundtrip through FromStr.
             assert_eq!(spec.to_string().parse::<StackSpec>().unwrap(), spec, "{a}");
+            // So do registry display names, in any case, with `_` for `-`.
+            let name = a.name();
+            for form in [
+                name.to_string(),
+                name.to_ascii_lowercase(),
+                name.replace('-', "_"),
+            ] {
+                assert_eq!(form.parse::<StackSpec>(), Ok(spec), "{form}");
+            }
+            assert_eq!(StackSpec::from(a), spec, "{a}");
         }
     }
 

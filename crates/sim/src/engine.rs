@@ -16,7 +16,7 @@ use crate::reconfig::{ReconfigCost, ReconfigStats};
 use crate::running::{RunningJob, RunningSet};
 use crate::sampler::{RunTimeline, TimelineConfig, TimelineSample, TimelineSampler};
 use crate::sched_api::{JobView, SchedContext, SchedStats, Scheduler, StartError};
-use crate::source::{JobSource, SourceItem};
+use crate::source::{JobSource, SliceSource, SourceItem};
 use crate::time::{Duration, SimTime};
 use elastisched_trace::{trace_event, EccTag, PostmortemSnapshot, TraceEvent, TraceSink};
 use std::collections::HashMap;
@@ -169,9 +169,14 @@ pub struct EngineStats {
     /// instant — i.e. scheduler invocations saved versus a naive
     /// one-cycle-per-event loop.
     pub events_coalesced: u64,
-    /// Total event-queue operations (pushes + pops).
+    /// Total event-queue operations (pushes + pops). Only events the run
+    /// itself schedules (completions, wakeups) pass through the queue;
+    /// arrivals and ECCs are admitted straight from the workload, so
+    /// this is two per completed job plus rescheduled completions and
+    /// wakeups.
     pub queue_ops: u64,
-    /// Largest number of simultaneously pending events observed.
+    /// Largest number of simultaneously pending events observed — the
+    /// live completions and wakeups, not the trace length.
     pub peak_queue_len: u64,
     /// Wall-clock nanoseconds spent inside [`Engine::run`].
     pub engine_nanos: u64,
@@ -197,20 +202,6 @@ pub struct EngineStats {
     pub jobs_reclaimed: u64,
 }
 
-/// A periodic snapshot of system state (sampling must be enabled on the
-/// engine via [`Engine::enable_sampling`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct StateSample {
-    /// When the sample was taken.
-    pub at: SimTime,
-    /// Free processors after the scheduling cycle.
-    pub free: u32,
-    /// Jobs waiting in the scheduler's queues.
-    pub waiting: usize,
-    /// Jobs running.
-    pub running: usize,
-}
-
 /// Everything a simulation run produces.
 #[derive(Debug, Clone)]
 pub struct SimResult {
@@ -232,8 +223,6 @@ pub struct SimResult {
     pub ecc: EccStats,
     /// Scheduler-initiated malleable-reconfiguration counters.
     pub reconfig: ReconfigStats,
-    /// Periodic state samples (empty unless sampling was enabled).
-    pub samples: Vec<StateSample>,
     /// Decision-kernel counters reported by the scheduler.
     pub sched_stats: SchedStats,
     /// Event-loop counters (traffic, coalescing, wall-clock).
@@ -318,9 +307,11 @@ struct EngineState {
     /// slot is recycled for a later arrival, so the slab tracks peak
     /// *live* jobs, not trace length.
     free_slots: Vec<usize>,
-    /// Reclaim job state at completion (set by the streaming run paths;
-    /// the materialized path keeps every record for post-run inspection).
-    reclaim: bool,
+    /// Set by the streaming entry points: each job is enrolled when it
+    /// is admitted and its state is reclaimed at completion. Clear on
+    /// [`Engine::run`], where [`Engine::load`] enrolled the whole trace
+    /// up front and every record is kept for post-run inspection.
+    streamed: bool,
     /// Trace sink, present only when tracing was enabled for this run.
     /// Boxed so the disabled path carries one pointer, not the sink's
     /// inline histogram. `None` means every `trace_event!` call site in
@@ -330,13 +321,6 @@ struct EngineState {
     /// [`Engine::enable_attribution`]); same one-branch discipline as
     /// the trace sink.
     attr: Option<Box<AttrState>>,
-    /// Events still in the queue because [`Engine::load`] pre-queued the
-    /// whole trace (arrivals + ECCs not yet dispatched). Subtracted from
-    /// the sampled `event_queue_len` so the telemetry timeline reports
-    /// only *reactive* events (completions, wakeups) and the streamed
-    /// and materialized paths sample identically. Always zero on the
-    /// streaming paths, which admit source items without queueing them.
-    preloaded_pending: u64,
 }
 
 impl EngineState {
@@ -650,9 +634,10 @@ pub struct Engine<S: Scheduler> {
     /// Jobs completed so far — `outcomes.len()` when outcomes are
     /// retained, but still counted when a streaming run folds them away.
     completed: u64,
-    sample_every: Option<Duration>,
-    last_sample: Option<SimTime>,
-    samples: Vec<StateSample>,
+    /// Jobs and ECCs [`Engine::load`] enrolled, each stably sorted by
+    /// time; [`Engine::run`] streams them through a [`SliceSource`].
+    loaded_jobs: Vec<JobSpec>,
+    loaded_eccs: Vec<EccSpec>,
     /// Virtual-time telemetry sampler, `None` (one branch per cycle)
     /// unless enabled. Boxed so the disabled engine carries a pointer,
     /// not the sample buffer.
@@ -690,30 +675,21 @@ impl<S: Scheduler> Engine<S> {
                 wait_stale: 0,
                 peak_wait_views: 0,
                 free_slots: Vec::new(),
-                reclaim: false,
+                streamed: false,
                 trace: None,
                 attr: None,
-                preloaded_pending: 0,
             },
             first_arrival: SimTime::MAX,
             last_arrival: SimTime::ZERO,
             completed: 0,
-            sample_every: None,
-            last_sample: None,
-            samples: Vec::new(),
+            loaded_jobs: Vec::new(),
+            loaded_eccs: Vec::new(),
             timeline: None,
             postmortem: None,
             reclaimed: 0,
             #[cfg(feature = "audit")]
             last_cycle_at: SimTime::ZERO,
         }
-    }
-
-    /// Record a [`StateSample`] after the scheduling cycle of the first
-    /// event timestamp in every `interval`-long window.
-    pub fn enable_sampling(&mut self, interval: Duration) {
-        assert!(interval > Duration::ZERO, "sampling interval must be positive");
-        self.sample_every = Some(interval);
     }
 
     /// Attach a trace sink: the run records lifecycle, decision, and
@@ -777,7 +753,11 @@ impl<S: Scheduler> Engine<S> {
         });
     }
 
-    /// Load jobs and ECCs, validating feasibility.
+    /// Load jobs and ECCs for [`Engine::run`]. Every job is validated and
+    /// enrolled up front, so a duplicate id or an impossible job fails
+    /// here, and an ECC issued before its job's submit edits the
+    /// enrolled job. Jobs and ECCs are then each stably sorted by time:
+    /// at one instant jobs are admitted before ECCs, each in slice order.
     pub fn load(&mut self, jobs: &[JobSpec], eccs: &[EccSpec]) -> Result<(), SimError> {
         self.state.records.reserve(jobs.len());
         self.state.id_map.reserve(jobs.len());
@@ -786,94 +766,24 @@ impl<S: Scheduler> Engine<S> {
         // spares the snapshot repeated mid-run regrowth.
         self.state.wait_views.reserve(jobs.len());
         self.state.wait_recs.reserve(jobs.len());
-        // Every spec becomes one pending event; sizing the calendar's
-        // slab once spares a dozen push-by-push regrowths.
-        self.state.queue.reserve(jobs.len() + eccs.len());
-        for spec in jobs {
-            self.state
-                .machine
-                .is_valid_request(spec.num)
-                .map_err(|_| SimError::ImpossibleJob {
-                    id: spec.id,
-                    num: spec.num,
-                })?;
-            let idx = self.state.records.len();
-            if self.state.id_map.insert(spec.id, idx).is_some() {
-                return Err(SimError::DuplicateJobId(spec.id));
-            }
-            self.state.records.push(JobRecord::new(*spec));
-            self.state.queue.push(spec.submit, Event::Arrival(spec.id));
-            self.state.preloaded_pending += 1;
-            self.first_arrival = self.first_arrival.min(spec.submit);
-            self.last_arrival = self.last_arrival.max(spec.submit);
+        for &spec in jobs {
+            self.enrol(spec)?;
         }
-        for ecc in eccs {
-            self.state.queue.push(ecc.issue_at, Event::Ecc(*ecc));
-            self.state.preloaded_pending += 1;
-        }
+        self.loaded_jobs.extend_from_slice(jobs);
+        self.loaded_jobs.sort_by_key(|j| j.submit);
+        self.loaded_eccs.extend_from_slice(eccs);
+        self.loaded_eccs.sort_by_key(|e| e.issue_at);
         Ok(())
     }
 
-    /// Run to completion and return the collected result.
+    /// Run the loaded workload to completion and return the collected
+    /// result: the streaming event loop over a [`SliceSource`] of what
+    /// [`Engine::load`] enrolled, with reclamation off, so every record
+    /// and outcome is kept.
     pub fn run(mut self) -> Result<SimResult, SimError> {
-        let wall = std::time::Instant::now();
-        let mut engine_stats = EngineStats::default();
-        // Trace preamble: machine shape plus one Submit per loaded job,
-        // so a trace is self-describing even before any event fires.
-        if let Some(tr) = self.state.trace.as_deref_mut() {
-            tr.record(TraceEvent::RunMeta {
-                total: self.state.machine.total(),
-                unit: self.state.machine.unit(),
-                scheduler: self.scheduler.name().to_string(),
-            });
-            for rec in &self.state.records {
-                tr.record(TraceEvent::Submit {
-                    job: rec.spec.id.0,
-                    at: rec.spec.submit.as_secs(),
-                    num: rec.spec.num,
-                    dur: rec.spec.dur.as_secs(),
-                    dedicated: rec.spec.class.requested_start().is_some(),
-                });
-            }
-        }
-        self.guarded(|eng| eng.run_loop(&mut engine_stats))?;
-        self.finish(engine_stats, wall)
-    }
-
-    /// The materialized event loop, separated from [`Engine::run`] so the
-    /// flight recorder can wrap it in a panic guard without consuming the
-    /// engine (the dump needs the post-unwind state).
-    fn run_loop(&mut self, engine_stats: &mut EngineStats) -> Result<(), SimError> {
-        // Reused across instants: one batch drain per cycle, no per-event
-        // peeking and no allocation once it reaches the burst high-water
-        // mark.
-        let mut batch: Vec<Event> = Vec::new();
-        while let Some(t) = self.state.queue.drain_next_instant(&mut batch) {
-            debug_assert!(t >= self.state.now, "event time went backwards");
-            self.state.now = t;
-            self.state.machine.advance_to(t);
-            // Dispatch every event at this instant, then run one cycle.
-            // Dispatching may push *more* events at this same instant
-            // (e.g. a reduce-time ECC completing a job right now), which
-            // the old heap ordered after everything already pending at
-            // `t` — re-draining after the batch preserves that order.
-            let mut dispatched = 0u64;
-            loop {
-                for ev in batch.drain(..) {
-                    dispatched += 1;
-                    self.dispatch(ev, &mut None)?;
-                }
-                if self.state.queue.peek_time() != Some(t) {
-                    break;
-                }
-                self.state.queue.drain_next_instant(&mut batch);
-            }
-            engine_stats.events += dispatched;
-            engine_stats.events_coalesced += dispatched - 1;
-            engine_stats.cycles += 1;
-            self.end_cycle(t, dispatched)?;
-        }
-        Ok(())
+        let jobs = std::mem::take(&mut self.loaded_jobs);
+        let eccs = std::mem::take(&mut self.loaded_eccs);
+        self.run_source(SliceSource::new(&jobs, &eccs), None)
     }
 
     /// Run `body` under the flight recorder's failure guard when one is
@@ -919,8 +829,9 @@ impl<S: Scheduler> Engine<S> {
     /// first holder is live, and an ECC issued for a reclaimed job
     /// counts as `dropped_stale` even when the materialized path would
     /// have classified it `dropped_policy`.
-    pub fn run_streaming<Src: JobSource>(self, source: Src) -> Result<SimResult, SimError> {
-        self.run_streaming_inner(source, None)
+    pub fn run_streaming<Src: JobSource>(mut self, source: Src) -> Result<SimResult, SimError> {
+        self.state.streamed = true;
+        self.run_source(source, None)
     }
 
     /// [`Engine::run_streaming`], but each [`JobOutcome`] is handed to
@@ -930,23 +841,25 @@ impl<S: Scheduler> Engine<S> {
     /// fields of the result (busy area, makespan, ECC stats, counters)
     /// are unaffected.
     pub fn run_streaming_folded<Src: JobSource>(
-        self,
+        mut self,
         source: Src,
         fold: &mut dyn FnMut(&JobOutcome),
     ) -> Result<SimResult, SimError> {
-        self.run_streaming_inner(source, Some(fold))
+        self.state.streamed = true;
+        self.run_source(source, Some(fold))
     }
 
-    fn run_streaming_inner<Src: JobSource>(
+    /// The one run path behind [`Engine::run`] and the streaming entry
+    /// points: trace preamble, guarded event loop, epilogue.
+    fn run_source<Src: JobSource>(
         mut self,
         mut source: Src,
         mut fold: OutcomeFold<'_>,
     ) -> Result<SimResult, SimError> {
         let wall = std::time::Instant::now();
         let mut engine_stats = EngineStats::default();
-        self.state.reclaim = true;
-        // Streaming preamble: just the run shape. Submit events are
-        // emitted per job at admission, when the spec is first seen.
+        // Trace preamble: just the run shape. Submit events are emitted
+        // per job at admission.
         if let Some(tr) = self.state.trace.as_deref_mut() {
             tr.record(TraceEvent::RunMeta {
                 total: self.state.machine.total(),
@@ -954,19 +867,21 @@ impl<S: Scheduler> Engine<S> {
                 scheduler: self.scheduler.name().to_string(),
             });
         }
-        self.guarded(|eng| eng.streaming_loop(&mut source, &mut fold, &mut engine_stats))?;
+        self.guarded(|eng| eng.event_loop(&mut source, &mut fold, &mut engine_stats))?;
         self.finish(engine_stats, wall)
     }
 
-    /// The streaming event loop, separated from
-    /// [`Engine::run_streaming_inner`] for the same reason as
-    /// [`Engine::run_loop`].
-    fn streaming_loop<Src: JobSource>(
+    /// The event loop, separated from [`Engine::run_source`] so the
+    /// flight recorder can wrap it in a panic guard without consuming
+    /// the engine (the dump needs the post-unwind state).
+    fn event_loop<Src: JobSource>(
         &mut self,
         source: &mut Src,
         fold: &mut OutcomeFold<'_>,
         engine_stats: &mut EngineStats,
     ) -> Result<(), SimError> {
+        // Reused across instants: one batch drain per cycle, no
+        // allocation once it reaches the burst high-water mark.
         let mut batch: Vec<Event> = Vec::new();
         // Exactly one item is held ahead of the clock so the next
         // instant is always known without draining the source.
@@ -993,24 +908,26 @@ impl<S: Scheduler> Engine<S> {
             self.state.machine.advance_to(t);
             let mut dispatched = 0u64;
             // Admit every source item at this instant before draining
-            // the queue: the materialized loader pushed all of them at
-            // load time, ahead of any event the run itself scheduled, so
-            // dispatching them first reproduces the bucket-FIFO order
-            // (and therefore the whole run) exactly.
+            // the queue, so arrivals and ECCs precede any event the run
+            // itself scheduled for the same instant.
             while pending.as_ref().is_some_and(|i| i.time() == t) {
                 let item = pending.take().expect("checked above");
                 dispatched += 1;
                 self.admit(item)?;
                 pending = source.next_item();
             }
-            loop {
-                if self.state.queue.peek_time() != Some(t) {
-                    break;
-                }
+            // Dispatching may push *more* events at this same instant
+            // (e.g. a reduce-time ECC completing a job right now);
+            // re-draining until the instant is empty runs them after
+            // everything already pending, in push order.
+            while self.state.queue.peek_time() == Some(t) {
                 self.state.queue.drain_next_instant(&mut batch);
                 for ev in batch.drain(..) {
                     dispatched += 1;
-                    self.dispatch(ev, fold)?;
+                    // A wakeup only forces this cycle.
+                    if let Event::Completion { job, epoch } = ev {
+                        self.handle_completion(job, epoch, fold)?;
+                    }
                 }
             }
             engine_stats.events += dispatched;
@@ -1021,36 +938,45 @@ impl<S: Scheduler> Engine<S> {
         Ok(())
     }
 
-    /// Admit one streamed item at its own instant: validate and enrol a
-    /// job exactly like [`Engine::load`] then dispatch its arrival, or
-    /// dispatch an ECC directly.
+    /// Validate a job and give it a record slot and id-map entry.
+    fn enrol(&mut self, spec: JobSpec) -> Result<(), SimError> {
+        self.state
+            .machine
+            .is_valid_request(spec.num)
+            .map_err(|_| SimError::ImpossibleJob {
+                id: spec.id,
+                num: spec.num,
+            })?;
+        // Recycle a completed job's slot when one is free — on a
+        // streamed run the slab's high-water mark is the peak live-job
+        // count.
+        let idx = match self.state.free_slots.pop() {
+            Some(idx) => {
+                self.state.records[idx] = JobRecord::new(spec);
+                idx
+            }
+            None => {
+                self.state.records.push(JobRecord::new(spec));
+                self.state.records.len() - 1
+            }
+        };
+        if self.state.id_map.insert(spec.id, idx).is_some() {
+            return Err(SimError::DuplicateJobId(spec.id));
+        }
+        self.first_arrival = self.first_arrival.min(spec.submit);
+        self.last_arrival = self.last_arrival.max(spec.submit);
+        Ok(())
+    }
+
+    /// Admit one item at its own instant: a job's arrival (enrolled here
+    /// when streamed; [`Engine::load`] already enrolled loaded ones), or
+    /// an ECC.
     fn admit(&mut self, item: SourceItem) -> Result<(), SimError> {
         match item {
             SourceItem::Job(spec) => {
-                self.state
-                    .machine
-                    .is_valid_request(spec.num)
-                    .map_err(|_| SimError::ImpossibleJob {
-                        id: spec.id,
-                        num: spec.num,
-                    })?;
-                // Recycle a completed job's slot when one is free — the
-                // slab's high-water mark is the peak live-job count.
-                let idx = match self.state.free_slots.pop() {
-                    Some(idx) => {
-                        self.state.records[idx] = JobRecord::new(spec);
-                        idx
-                    }
-                    None => {
-                        self.state.records.push(JobRecord::new(spec));
-                        self.state.records.len() - 1
-                    }
-                };
-                if self.state.id_map.insert(spec.id, idx).is_some() {
-                    return Err(SimError::DuplicateJobId(spec.id));
+                if self.state.streamed {
+                    self.enrol(spec)?;
                 }
-                self.first_arrival = self.first_arrival.min(spec.submit);
-                self.last_arrival = self.last_arrival.max(spec.submit);
                 trace_event!(
                     self.state.trace.as_deref_mut(),
                     TraceEvent::Submit {
@@ -1068,10 +994,9 @@ impl<S: Scheduler> Engine<S> {
     }
 
     /// Everything that happens once per distinct event timestamp after
-    /// dispatch: the scheduling cycle, cycle tracing, state and timeline
-    /// sampling, and invariants (debug asserts, or hard audit checks
-    /// under the `audit` feature). Shared verbatim between the
-    /// materialized and streaming loops.
+    /// dispatch: the scheduling cycle, cycle tracing, timeline sampling,
+    /// wait attribution, and invariants (debug asserts, or hard audit
+    /// checks under the `audit` feature).
     fn end_cycle(&mut self, t: SimTime, dispatched: u64) -> Result<(), SimError> {
         // Cycle span timing happens only when a sink is attached
         // *and* its timing knob is on — the untraced hot path never
@@ -1096,21 +1021,6 @@ impl<S: Scheduler> Engine<S> {
                     queue_depth,
                     free,
                     nanos,
-                });
-            }
-        }
-        if let Some(every) = self.sample_every {
-            let due = match self.last_sample {
-                None => true,
-                Some(prev) => t.saturating_since(prev) >= every,
-            };
-            if due {
-                self.last_sample = Some(t);
-                self.samples.push(StateSample {
-                    at: t,
-                    free: self.state.machine.free(),
-                    waiting: self.scheduler.waiting_len(),
-                    running: self.state.running.len(),
                 });
             }
         }
@@ -1191,8 +1101,7 @@ impl<S: Scheduler> Engine<S> {
             oldest_wait_secs,
             running: state.running.len() as u32,
             live_wait_views: (state.wait_views.len() - head) as u32,
-            event_queue_len: (state.queue.len() as u64).saturating_sub(state.preloaded_pending)
-                as u32,
+            event_queue_len: state.queue.len() as u32,
             eccs_applied: state.ecc_stats.applied(),
             reconfigs: state.reconfig.total(),
             dp_cache_hits: st.dp_cache_hits,
@@ -1621,27 +1530,11 @@ impl<S: Scheduler> Engine<S> {
             makespan: state.makespan,
             ecc: state.ecc_stats,
             reconfig: state.reconfig,
-            samples: self.samples,
             engine: engine_stats,
             trace: state.trace,
             timeline,
             attribution,
         })
-    }
-
-    fn dispatch(&mut self, ev: Event, fold: &mut OutcomeFold<'_>) -> Result<(), SimError> {
-        match ev {
-            Event::Arrival(id) => {
-                self.state.preloaded_pending -= 1;
-                self.handle_arrival(id)
-            }
-            Event::Completion { job, epoch } => self.handle_completion(job, epoch, fold),
-            Event::Ecc(ecc) => {
-                self.state.preloaded_pending -= 1;
-                self.handle_ecc(ecc)
-            }
-            Event::Wakeup => Ok(()),
-        }
     }
 
     fn handle_arrival(&mut self, id: JobId) -> Result<(), SimError> {
@@ -1728,7 +1621,7 @@ impl<S: Scheduler> Engine<S> {
         self.state.running.remove(id);
         self.push_outcome(idx, id, started, now, alloc, fold)?;
         self.scheduler.on_completion(id);
-        if self.state.reclaim {
+        if self.state.streamed {
             // The job is fully accounted for; free its id and slot so a
             // streaming run's footprint tracks live jobs only. Any
             // not-yet-dispatched event naming this id (a stale
@@ -2591,9 +2484,7 @@ mod tests {
             s.enable_timeline(cfg);
             let st = s.run_streaming(SliceSource::new(&jobs, &eccs)).unwrap();
             assert!(!mat.timeline.is_empty());
-            // Field-for-field identity, `event_queue_len` included: the
-            // sampler counts only reactive events, netting out the
-            // loader's pre-queued arrivals (see the sampler module docs).
+            // Field-for-field identity, `event_queue_len` included.
             assert_eq!(mat.timeline, st.timeline);
         }
 

@@ -14,8 +14,9 @@
 //! events when the width matches the event density, so both `push` and
 //! `pop` are O(1) amortized — versus the `O(log n)` sift of the previous
 //! `BinaryHeap`. Buckets are **lazily resized**: when the population
-//! outgrows (or undershoots) the bucket count, the next operation
-//! rebuilds the calendar with a bucket count of about twice the
+//! outgrows (or undershoots) the bucket count, or a pop finds no event
+//! within one calendar revolution (the width no longer fits), the
+//! calendar is rebuilt with a bucket count of about twice the
 //! population and a width equal to the mean gap between pending events.
 //!
 //! Same-instant FIFO order is preserved *by construction*: an event is
@@ -29,21 +30,18 @@
 //! behind the `reference-kernels` feature, as a differential-testing
 //! oracle (see `tests/event_queue_differential.rs`).
 
-use crate::ecc::EccSpec;
 use crate::job::JobId;
 use crate::time::SimTime;
 
-/// What happened.
+/// Something the run itself scheduled. Arrivals and Elastic Control
+/// Commands never enter the queue: the engine admits them straight from
+/// its workload source.
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[allow(missing_docs)] // field names are self-describing
 pub enum Event {
-    /// A job arrived (its submit time was reached).
-    Arrival(JobId),
     /// A running job reached its kill-by time. `epoch` invalidates
-    /// completions that were rescheduled by an ECC.
+    /// completions that were rescheduled by an ECC or a resize.
     Completion { job: JobId, epoch: u64 },
-    /// An Elastic Control Command was issued.
-    Ecc(EccSpec),
     /// A scheduler wakeup with no state change of its own (used to force a
     /// scheduling cycle at a dedicated job's requested start time).
     Wakeup,
@@ -125,12 +123,6 @@ impl EventQueue {
     /// An empty queue.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Pre-size the slot slab for `additional` more pending events, so
-    /// a bulk load costs one slab growth instead of one per doubling.
-    pub fn reserve(&mut self, additional: usize) {
-        self.slots.reserve(additional);
     }
 
     #[inline]
@@ -218,8 +210,8 @@ impl EventQueue {
 
     /// Advance `day` to the day of the earliest pending event and return
     /// that event's time. O(1) amortized: a full-calendar scan only
-    /// happens when a whole "year" is empty, and the direct-search
-    /// fallback then jumps straight to the right day.
+    /// happens when a whole "year" is empty, and the rebuild that
+    /// follows makes the next year span every pending event.
     fn locate_next(&mut self) -> Option<SimTime> {
         if self.len == 0 {
             return None;
@@ -238,18 +230,15 @@ impl EventQueue {
             }
             d = d.saturating_add(1);
         }
-        // Sparse year: no event within one calendar revolution. Each
-        // bucket head is that bucket's minimum, so the global minimum is
-        // the least head.
-        let at = self
-            .buckets
-            .iter()
-            .filter(|&&(head, _)| head != NIL)
-            .map(|&(head, _)| self.slots[head as usize].at)
-            .min()
-            .expect("len > 0 but no bucket head");
-        self.day = at.0 >> self.shift;
-        Some(at)
+        // Sparse year: no event within one calendar revolution, so the
+        // width no longer fits the pending events — typically a small
+        // queue that never crossed a resize threshold and still has its
+        // initial one-second width. Retune: a rebuild spans every
+        // pending event within one year and leaves the earliest at the
+        // head of the cursor's bucket.
+        self.rebuild();
+        let (head, _) = self.buckets[(self.day & self.mask()) as usize];
+        Some(self.slots[head as usize].at)
     }
 
     /// Unlink and free the head slot of bucket `idx`, returning its event.
@@ -496,12 +485,19 @@ mod tests {
         SimTime::from_secs(s)
     }
 
+    fn done(id: u64) -> Event {
+        Event::Completion {
+            job: JobId(id),
+            epoch: 0,
+        }
+    }
+
     #[test]
     fn pops_in_time_order() {
         let mut q = EventQueue::new();
         q.push(t(30), Event::Wakeup);
-        q.push(t(10), Event::Arrival(JobId(1)));
-        q.push(t(20), Event::Arrival(JobId(2)));
+        q.push(t(10), done(1));
+        q.push(t(20), done(2));
         assert_eq!(q.pop().unwrap().0, t(10));
         assert_eq!(q.pop().unwrap().0, t(20));
         assert_eq!(q.pop().unwrap().0, t(30));
@@ -512,11 +508,11 @@ mod tests {
     fn same_time_is_fifo() {
         let mut q = EventQueue::new();
         for id in 0..100u64 {
-            q.push(t(5), Event::Arrival(JobId(id)));
+            q.push(t(5), done(id));
         }
         for id in 0..100u64 {
             match q.pop().unwrap().1 {
-                Event::Arrival(j) => assert_eq!(j, JobId(id)),
+                Event::Completion { job, .. } => assert_eq!(job, JobId(id)),
                 other => panic!("unexpected event {other:?}"),
             }
         }
@@ -551,7 +547,7 @@ mod tests {
         q.push(t(100), Event::Wakeup);
         assert_eq!(q.pop().unwrap().0, t(100));
         // The cursor sits at day 100; an earlier push must rewind it.
-        q.push(t(4), Event::Arrival(JobId(1)));
+        q.push(t(4), done(1));
         q.push(t(50), Event::Wakeup);
         assert_eq!(q.pop().unwrap().0, t(4));
         assert_eq!(q.pop().unwrap().0, t(50));
@@ -563,7 +559,7 @@ mod tests {
         // 4 × MIN_BUCKETS events force at least one grow rebuild.
         let times: Vec<u64> = (0..64).map(|i| (i * 37) % 97).collect();
         for (i, &s) in times.iter().enumerate() {
-            q.push(t(s), Event::Arrival(JobId(i as u64)));
+            q.push(t(s), done(i as u64));
         }
         let mut sorted = times.clone();
         sorted.sort_unstable();
@@ -577,13 +573,13 @@ mod tests {
     fn far_future_outlier_widens_calendar() {
         let mut q = EventQueue::new();
         for i in 0..40u64 {
-            q.push(t(i), Event::Arrival(JobId(i)));
+            q.push(t(i), done(i));
         }
         // An outlier ~10^9 seconds out forces a wide calendar on the next
         // rebuild; everything must still drain in order.
         q.push(t(1_000_000_000), Event::Wakeup);
         for i in 40..80u64 {
-            q.push(t(i), Event::Arrival(JobId(i)));
+            q.push(t(i), done(i));
         }
         let mut last = 0;
         while let Some((at, _)) = q.pop() {
@@ -597,7 +593,7 @@ mod tests {
     fn max_time_sentinel_is_popped_last() {
         let mut q = EventQueue::new();
         q.push(SimTime::MAX, Event::Wakeup);
-        q.push(t(1), Event::Arrival(JobId(1)));
+        q.push(t(1), done(1));
         assert_eq!(q.pop().unwrap().0, t(1));
         assert_eq!(q.pop().unwrap().0, SimTime::MAX);
     }
@@ -607,13 +603,13 @@ mod tests {
         let mut q = EventQueue::new();
         q.push(t(9), Event::Wakeup);
         for id in 0..10u64 {
-            q.push(t(5), Event::Arrival(JobId(id)));
+            q.push(t(5), done(id));
         }
         let mut out = Vec::new();
         assert_eq!(q.drain_next_instant(&mut out), Some(t(5)));
         assert_eq!(out.len(), 10);
         for (i, ev) in out.iter().enumerate() {
-            assert_eq!(*ev, Event::Arrival(JobId(i as u64)));
+            assert_eq!(*ev, done(i as u64));
         }
         out.clear();
         assert_eq!(q.drain_next_instant(&mut out), Some(t(9)));
@@ -625,7 +621,7 @@ mod tests {
     fn shrink_after_heavy_drain_keeps_order() {
         let mut q = EventQueue::new();
         for i in 0..1000u64 {
-            q.push(t(i * 3), Event::Arrival(JobId(i)));
+            q.push(t(i * 3), done(i));
         }
         // Drain most of the population to force shrink rebuilds.
         for i in 0..995u64 {
@@ -664,8 +660,8 @@ mod tests {
         for i in 0..4000u64 {
             if pending == 0 || step() % 3 != 0 {
                 let at = t(step() % 500);
-                cal.push(at, Event::Arrival(JobId(i)));
-                heap.push(at, Event::Arrival(JobId(i)));
+                cal.push(at, done(i));
+                heap.push(at, done(i));
                 pending += 1;
             } else {
                 assert_eq!(cal.pop(), heap.pop());

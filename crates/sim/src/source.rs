@@ -5,9 +5,11 @@
 //! admits each arrival lazily when the virtual clock reaches it and
 //! reclaims the job's state at completion, keeping peak memory
 //! proportional to the number of *live* jobs rather than the trace
-//! length. The materialized [`Engine::load`](crate::Engine::load) path
-//! is unchanged; streaming is a second front door over the same event
-//! loop with bit-identical semantics (see `Engine::run_streaming`).
+//! length. The materialized [`Engine::load`](crate::Engine::load) +
+//! [`Engine::run`](crate::Engine::run) path runs through this same
+//! loop: `load` enrolls the whole trace up front and sorts its jobs and
+//! ECCs by time, and `run` admits them through a [`SliceSource`], with
+//! reclamation off.
 //!
 //! ## Ordering contract
 //!
@@ -17,12 +19,12 @@
 //! additional conventions make a streamed run indistinguishable from the
 //! materialized one:
 //!
-//! - at one instant, jobs are yielded before ECCs (the materialized
-//!   loader pushes every arrival before any ECC event);
+//! - at one instant, jobs are yielded before ECCs (`load` sorts every
+//!   arrival ahead of any same-instant ECC);
 //! - an ECC is yielded at or after its target job's submission (the
 //!   engine cannot apply a command to a job it has not seen; such a
 //!   command counts as `dropped_stale`, where the materialized path
-//!   would have pre-applied it to the future job).
+//!   would have pre-applied it to the enrolled future job).
 //!
 //! Sources over concrete formats (SWF, CWF, the Lublin generator) live
 //! in `elastisched-workload`; this module only defines the contract plus
@@ -81,7 +83,10 @@ impl<T: JobSource + ?Sized> JobSource for &mut T {
 }
 
 /// Streams borrowed job/ECC slices, merged by time with jobs first at
-/// ties — exactly the order the materialized loader establishes.
+/// ties. [`Engine::run`](crate::Engine::run) replays the slices
+/// [`Engine::load`](crate::Engine::load) sorted through this source, so
+/// a `SliceSource` run and `load` + `run` differ only in enrolment and
+/// reclamation.
 ///
 /// Both slices must already be sorted by their own time field (generator
 /// output and parsed archive logs are); an inversion surfaces as

@@ -272,38 +272,64 @@ fn ten_thousand_job_run_completes() {
     assert!(r.mean_utilization() > 0.0);
 }
 
+/// `load` stably sorts its items by time, so items that share an
+/// instant keep their slice order. A shuffled workload must therefore
+/// run exactly like the same slices stably sorted by time: the same-
+/// instant ties (arrivals, ECCs issued before or while their job waits)
+/// decide which job the FIFO starts first.
 #[test]
-fn sampling_records_state_series() {
-    let jobs: Vec<JobSpec> = (0..20)
-        .map(|i| JobSpec::batch(i + 1, i * 100, 320, 150))
+fn loaded_items_run_in_stable_time_order() {
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    let mut rng = StdRng::seed_from_u64(13);
+    let mut jobs: Vec<JobSpec> = (1..=300u64)
+        .map(|id| {
+            // Coarse submit times force many same-instant arrivals.
+            let submit = rng.gen_range(0u64..400) * 50;
+            let num = 32 * rng.gen_range(1u32..=10);
+            let dur = rng.gen_range(10u64..200);
+            if rng.gen_bool(0.1) {
+                JobSpec::dedicated(id, submit, num, dur, submit + rng.gen_range(0u64..300))
+            } else {
+                JobSpec::batch(id, submit, num, dur)
+            }
+        })
         .collect();
-    let mut engine = elastisched_sim::Engine::new(
-        Machine::bluegene_p(),
-        Fifo::default(),
-        EccPolicy::disabled(),
-    );
-    engine.enable_sampling(Duration::from_secs(200));
-    engine.load(&jobs, &[]).unwrap();
-    let r = engine.run().unwrap();
-    assert!(!r.samples.is_empty());
-    // Samples are at least the interval apart and time-ordered.
-    for w in r.samples.windows(2) {
-        assert!(w[1].at.saturating_since(w[0].at) >= Duration::from_secs(200));
+    let mut eccs: Vec<EccSpec> = (0..120)
+        .map(|_| {
+            let job = JobId(rng.gen_range(1u64..=300));
+            let at = SimTime::from_secs(rng.gen_range(0u64..420) * 50);
+            let amount = rng.gen_range(1u64..200);
+            if rng.gen_bool(0.5) {
+                EccSpec::extend_time(job, at, amount)
+            } else {
+                EccSpec::reduce_time(job, at, amount)
+            }
+        })
+        .collect();
+    // Fisher–Yates with the seeded stream.
+    for i in (1..jobs.len()).rev() {
+        jobs.swap(i, rng.gen_range(0..=i));
     }
-    for s in &r.samples {
-        assert!(s.free <= 320);
-        assert_eq!(s.running + usize::from(s.free == 320), s.running + usize::from(s.free == 320));
+    for i in (1..eccs.len()).rev() {
+        eccs.swap(i, rng.gen_range(0..=i));
     }
-    // Without sampling the series is empty.
-    let r2 = simulate(
-        Machine::bluegene_p(),
-        Fifo::default(),
-        EccPolicy::disabled(),
-        &jobs,
-        &[],
-    )
-    .unwrap();
-    assert!(r2.samples.is_empty());
+    let mut sorted_jobs = jobs.clone();
+    sorted_jobs.sort_by_key(|j| j.submit);
+    let mut sorted_eccs = eccs.clone();
+    sorted_eccs.sort_by_key(|e| e.issue_at);
+
+    let policy = EccPolicy::time_only().max_per_job(u32::MAX);
+    let shuffled = run(&jobs, &eccs, policy);
+    let sorted = run(&sorted_jobs, &sorted_eccs, policy);
+    assert_eq!(shuffled.outcomes.len(), 300);
+    assert_eq!(shuffled.outcomes, sorted.outcomes);
+    assert_eq!(shuffled.ecc, sorted.ecc);
+    let ecc = shuffled.ecc;
+    assert!(ecc.applied_queued > 0 && ecc.applied_running > 0, "{ecc:?}");
+    assert_eq!(shuffled.makespan, sorted.makespan);
+    assert_eq!(shuffled.busy_area, sorted.busy_area);
 }
 
 /// A scheduler that misbehaves: double-starts and references unknown

@@ -52,7 +52,7 @@ proptest! {
         let mut next_id = 0u64;
         let mut push_both = |cal: &mut EventQueue, heap: &mut HeapEventQueue, secs: u64| {
             let at = SimTime::from_secs(secs);
-            let ev = Event::Arrival(JobId(next_id));
+            let ev = Event::Completion { job: JobId(next_id), epoch: 0 };
             next_id += 1;
             cal.push(at, ev.clone());
             heap.push(at, ev);

@@ -64,7 +64,8 @@ pub enum TraceEvent {
         /// Scheduler name (e.g. `"Delayed-LOS"`).
         scheduler: String,
     },
-    /// A job entered the system description (engine `load`).
+    /// A job entered the system: emitted when the engine admits it at
+    /// its submit time, just before its `Queued`.
     Submit {
         /// Job id.
         job: u64,

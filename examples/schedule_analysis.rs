@@ -13,7 +13,7 @@ use elastisched::prelude::*;
 use elastisched_metrics::{
     breakdown, gantt, jain_fairness, occupancy, sparkline, utilization_profile, validate_schedule,
 };
-use elastisched_sim::Engine;
+use elastisched_sim::{Engine, TimelineConfig};
 
 fn analyze(algo: Algorithm, w: &Workload) {
     let mut scheduler = algo.build(Default::default());
@@ -22,7 +22,10 @@ fn analyze(algo: Algorithm, w: &Workload) {
         &mut scheduler,
         algo.ecc_policy(),
     );
-    engine.enable_sampling(Duration::from_secs(600));
+    engine.enable_timeline(TimelineConfig {
+        stride: Duration::from_secs(600),
+        ..TimelineConfig::default()
+    });
     engine.load(&w.jobs, &w.eccs).expect("valid workload");
     let r = engine.run().expect("simulation completes");
 
@@ -60,10 +63,10 @@ fn analyze(algo: Algorithm, w: &Workload) {
     let profile = utilization_profile(&r.outcomes, 320, bucket);
     println!("utilization  {}", sparkline(&profile));
 
-    // Queue depth over time, from engine samples.
-    let max_wait = r.samples.iter().map(|s| s.waiting).max().unwrap_or(0);
-    let depth_profile: Vec<(u64, f64)> = r
-        .samples
+    // Queue depth over time, from the engine's timeline samples.
+    let samples = &r.timeline.samples;
+    let max_wait = samples.iter().map(|s| s.queue_depth).max().unwrap_or(0);
+    let depth_profile: Vec<(u64, f64)> = samples
         .iter()
         .map(|s| {
             (
@@ -71,7 +74,7 @@ fn analyze(algo: Algorithm, w: &Workload) {
                 if max_wait == 0 {
                     0.0
                 } else {
-                    s.waiting as f64 / max_wait as f64
+                    f64::from(s.queue_depth) / f64::from(max_wait)
                 },
             )
         })

@@ -27,6 +27,12 @@ cargo build --release --offline --locked --workspace
 echo "== tests =="
 cargo test --offline --locked --workspace --quiet
 
+echo "== benchmark harness tests (its own workspace) =="
+# The root workspace never compiles benchmark/, so an API change in the
+# program crates could break the benchmark while everything above stays
+# green. Output goes to the gitignored benchmark/target/.
+cargo test --offline --locked --manifest-path benchmark/Cargo.toml
+
 echo "== golden trace fixture =="
 # Byte-for-byte pin of the Figure 2 JSONL trace. Drift here means the
 # trace taxonomy or serialization changed: if that was intentional,

@@ -22,12 +22,9 @@ fn het_workload(ps: f64, pd: f64, load: f64, seed: u64, n: usize) -> Workload {
 
 fn run(algo: Algorithm, cs: u32, w: &Workload) -> RunMetrics {
     Experiment {
-        algorithm: algo,
         params: SchedParams::with_cs(cs),
         machine: MachineSpec::BLUEGENE_P,
-        timeline: None,
-        attribution: false,
-        reconfig_cost: None,
+        ..Experiment::new(algo)
     }
     .run(w)
     .expect("simulation completes")

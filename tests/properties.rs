@@ -81,12 +81,9 @@ proptest! {
         let algo = ALGOS[algo_idx];
         let w = Workload::from_jobs(jobs.clone());
         let exp = Experiment {
-            algorithm: algo,
             params: SchedParams::with_cs(3),
             machine: MachineSpec::BLUEGENE_P,
-            timeline: None,
-            attribution: false,
-            reconfig_cost: None,
+            ..Experiment::new(algo)
         };
         let r = exp.run_raw(&w).expect("simulation completes");
         prop_assert_eq!(r.outcomes.len(), jobs.len());
