@@ -62,6 +62,17 @@ if ! cargo test --offline --locked --quiet -p elastisched --test golden_attribut
     exit 1
 fi
 
+echo "== golden plane fixture =="
+# Per-run attribution profiles plus digests of every job's wait
+# attribution and of the timeline JSONL, for every registry algorithm
+# and two composed stacks on seeded 300-job workloads with queued
+# processor ECCs; re-bless with \`ELASTISCHED_BLESS=1 cargo test -p
+# elastisched --test golden_planes\` after an intentional change.
+if ! cargo test --offline --locked --quiet -p elastisched --test golden_planes; then
+    echo "golden plane fixture drifted; rerun with \`ELASTISCHED_BLESS=1\` to re-bless (see above)" >&2
+    exit 1
+fi
+
 echo "== divergence-explain smoke (escli diff on the headline workload) =="
 # The headline acceptance for the attribution plane: diffing EASY vs
 # Delayed-LOS on the built-in 500-job workload must report a nonzero
