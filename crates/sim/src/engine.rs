@@ -7,7 +7,7 @@
 //! virtual clock, job arrival/completion events, an ECC processor, and a
 //! scheduling cycle fired once per distinct event timestamp.
 
-use crate::attribution::{AttrNotes, AttrState, AttributionProfile, JobAttr, PendingCause};
+use crate::attribution::{AttrNotes, AttrState, AttributionProfile, Headroom};
 use crate::ecc::{EccKind, EccPolicy, EccSpec};
 use crate::event::{Event, EventQueue};
 use crate::job::{JobId, JobOutcome, JobRecord, JobSpec, JobState};
@@ -300,6 +300,10 @@ struct EngineState {
     wait_recs: Vec<u32>,
     wait_head: usize,
     wait_stale: usize,
+    /// Where the timeline sampler last found the oldest live view. Every
+    /// view before it is dead and views only die or get appended, so the
+    /// next sample resumes the scan here; each compaction resets it.
+    oldest_live: usize,
     /// High-water mark of `wait_views.len()` (see
     /// [`EngineStats::peak_wait_views`]).
     peak_wait_views: usize,
@@ -362,6 +366,7 @@ impl EngineState {
             self.wait_recs.truncate(w);
             self.wait_head = 0;
             self.wait_stale = 0;
+            self.oldest_live = 0;
         } else if self.wait_head > 32 && self.wait_head * 2 > self.wait_views.len() {
             let head = self.wait_head;
             // With no stale entries every view past the cursor is live;
@@ -373,6 +378,7 @@ impl EngineState {
             self.wait_views.drain(..head);
             self.wait_recs.drain(..head);
             self.wait_head = 0;
+            self.oldest_live = 0;
         }
     }
 }
@@ -406,10 +412,10 @@ impl SchedContext for EngineState {
             return Err(StartError::NotWaiting(id));
         }
         // Final attribution charge: the job stops waiting this instant,
-        // so the interval since the last cycle goes to its pending
+        // so the interval since its last charge goes to its pending
         // cause and the buckets telescope to exactly the job's wait.
         if let Some(attr) = self.attr.as_deref_mut() {
-            attr.jobs[idx].charge_until(now, rec.spec.eligible_at());
+            attr.start(idx, now);
         }
         let alloc = rec.alloc;
         let kill_by = now + rec.est_dur;
@@ -673,6 +679,7 @@ impl<S: Scheduler> Engine<S> {
                 wait_recs: Vec::new(),
                 wait_head: 0,
                 wait_stale: 0,
+                oldest_live: 0,
                 peak_wait_views: 0,
                 free_slots: Vec::new(),
                 streamed: false,
@@ -1028,7 +1035,7 @@ impl<S: Scheduler> Engine<S> {
         // time comparison when enabled but not yet due.
         if let Some(sampler) = self.timeline.as_deref_mut() {
             if sampler.due(t) {
-                sampler.push(Self::take_sample(&self.state, &self.scheduler, t));
+                sampler.push(Self::take_sample(&mut self.state, &self.scheduler, t));
             }
         }
         // Wait attribution: same one-branch-per-cycle discipline.
@@ -1056,7 +1063,7 @@ impl<S: Scheduler> Engine<S> {
     /// Capture one timeline point from post-cycle engine state. An
     /// associated function over disjoint borrows so the sampler itself
     /// can be held mutably by the caller.
-    fn take_sample(state: &EngineState, scheduler: &S, at: SimTime) -> TimelineSample {
+    fn take_sample(state: &mut EngineState, scheduler: &S, at: SimTime) -> TimelineSample {
         let total = state.machine.total();
         let used = state.machine.used();
         let mut dedicated_procs = 0u32;
@@ -1071,21 +1078,23 @@ impl<S: Scheduler> Engine<S> {
                 }
             }
         }
-        // Views are arrival-ordered, so the first *live* one past the
-        // cursor is the oldest waiting job. Dead (already-started) views
-        // are skipped the same way compaction classifies them.
+        // Views are arrival-ordered, so the first *live* one is the
+        // oldest waiting job. Dead (already-started) views are skipped
+        // the same way compaction classifies them, resuming where the
+        // last sample stopped: views before that point were dead then
+        // and stay dead, so each dead view is passed over once.
         let head = state.wait_head;
+        let mut i = state.oldest_live.max(head);
         let mut oldest_wait_secs = 0u64;
-        for (v, &slot) in state.wait_views[head..]
-            .iter()
-            .zip(&state.wait_recs[head..])
-        {
-            let rec = &state.records[slot as usize];
+        while let Some(v) = state.wait_views.get(i) {
+            let rec = &state.records[state.wait_recs[i] as usize];
             if rec.state == JobState::Waiting && rec.spec.id == v.id {
                 oldest_wait_secs = at.saturating_since(v.submit).as_secs();
                 break;
             }
+            i += 1;
         }
+        state.oldest_live = i;
         let st = scheduler.stats();
         TimelineSample {
             at,
@@ -1111,89 +1120,54 @@ impl<S: Scheduler> Engine<S> {
         }
     }
 
-    /// Post-cycle attribution pass: charge the interval since the last
-    /// cycle to each waiting job's pending cause, then reclassify why
-    /// each job still waits — capacity shortfall (and which running job
-    /// leads the blockade), dedicated-node contention, processors
-    /// gained by running jobs through expand-procs ECCs, a deliberate
-    /// policy skip, or a freeze window — for the interval that begins
-    /// now. O(running + waiting) per cycle, entered only when
-    /// attribution is enabled.
+    /// Post-cycle attribution pass: one pass over the running set
+    /// measures the headroom each blocking cause holds — processors held
+    /// by dedicated jobs, gained through expand-procs ECCs, or held above
+    /// preferred width by malleable grows — and names the capacity lead
+    /// blocker. [`AttrState::cycle`] then derives one cause per waiting
+    /// width class and charges only the jobs whose cause changed. Costs
+    /// O(running + width classes + cause changes) per cycle, entered
+    /// only when attribution is enabled.
     fn attribute_cycle(&mut self, t: SimTime) {
-        // Take the attribution state out so the wait views, records,
-        // and notes can be read while the per-job slab is written.
-        let Some(mut attr) = self.state.attr.take() else {
+        let state = &mut self.state;
+        let Some(attr) = state.attr.as_deref_mut() else {
             return;
         };
-        let state = &self.state;
-        let free = state.machine.free();
-        // One pass over the running set: processors held by dedicated
-        // jobs, processors gained through expand-procs ECCs, and the
-        // largest single allocation (the capacity lead blocker; ties
-        // break toward the lower id so both run paths agree regardless
-        // of running-set iteration order).
-        let mut ded_procs = 0u32;
-        let mut ecc_procs = 0u32;
-        let mut mal_procs = 0u32;
-        let mut blocker = JobId(u64::MAX);
+        let mut room = Headroom {
+            free: state.machine.free(),
+            dedicated: 0,
+            ecc: 0,
+            malleable: 0,
+            blocker: JobId(u64::MAX),
+        };
+        // The capacity lead blocker is the largest single allocation;
+        // ties break toward the lower id so both run paths agree
+        // regardless of running-set iteration order.
         let mut blocker_num = 0u32;
         for rj in state.running.iter() {
-            if let Some(rec) = state.record(rj.id) {
+            if let Some(&idx) = state.id_map.get(&rj.id) {
+                let rec = &state.records[idx];
                 if rec.spec.class.is_dedicated() {
-                    ded_procs += rj.num;
+                    room.dedicated += rj.num;
                 }
                 // Width above the preferred request splits between the
                 // malleable layer's grows (tracked exactly in
                 // `mal_gain`) and expand-procs ECCs (the rest).
-                mal_procs += rec.mal_gain.min(rj.num);
+                room.malleable += rec.mal_gain.min(rj.num);
                 if rec.ecc_count > 0 {
-                    ecc_procs += rj
+                    room.ecc += rj
                         .num
                         .saturating_sub(rec.spec.num)
                         .saturating_sub(rec.mal_gain);
                 }
             }
-            if rj.num > blocker_num || (rj.num == blocker_num && rj.id < blocker) {
-                blocker = rj.id;
+            if rj.num > blocker_num || (rj.num == blocker_num && rj.id < room.blocker) {
+                room.blocker = rj.id;
                 blocker_num = rj.num;
             }
         }
-        let head = state.wait_head;
-        for (v, &slot) in state.wait_views[head..]
-            .iter()
-            .zip(&state.wait_recs[head..])
-        {
-            let idx = slot as usize;
-            let rec = &state.records[idx];
-            if rec.state != JobState::Waiting || rec.spec.id != v.id {
-                continue; // dead view awaiting compaction
-            }
-            let ja = &mut attr.jobs[idx];
-            ja.charge_until(t, rec.spec.eligible_at());
-            // Capacity-style causes outrank policy causes: a job that
-            // does not fit was not schedulable no matter what the
-            // policy decided this cycle. Among the policy causes, a
-            // deliberate skip outranks an ambient freeze window.
-            ja.pending = if v.num > free {
-                if v.num <= free + ded_procs {
-                    PendingCause::Dedicated
-                } else if v.num <= free + ded_procs + ecc_procs {
-                    PendingCause::Ecc
-                } else if v.num <= free + ded_procs + ecc_procs + mal_procs {
-                    PendingCause::Malleable
-                } else {
-                    PendingCause::Capacity(blocker)
-                }
-            } else if attr.notes.skipped.contains(&v.id) {
-                PendingCause::PolicySkip
-            } else if attr.notes.freeze {
-                PendingCause::Freeze
-            } else {
-                PendingCause::PolicySkip
-            };
-        }
-        attr.notes.clear();
-        self.state.attr = Some(attr);
+        let id_map = &state.id_map;
+        attr.cycle(t, &room, |id| id_map.get(&id).copied());
     }
 
     /// Dump the flight recorder's ring plus an engine-state snapshot to
@@ -1418,7 +1392,7 @@ impl<S: Scheduler> Engine<S> {
         let timeline = match self.timeline.take() {
             Some(mut sampler) => {
                 let at = self.state.makespan.max(self.state.now);
-                sampler.push(Self::take_sample(&self.state, &self.scheduler, at));
+                sampler.push(Self::take_sample(&mut self.state, &self.scheduler, at));
                 sampler.into_timeline()
             }
             None => RunTimeline::default(),
@@ -1556,6 +1530,7 @@ impl<S: Scheduler> Engine<S> {
             submit: rec.spec.submit,
             class: rec.spec.class,
         };
+        let eligible = rec.spec.eligible_at();
         // Ensure a cycle fires exactly at a dedicated job's requested
         // start time, even if no other event lands there.
         if let Some(start) = rec.spec.class.requested_start() {
@@ -1571,10 +1546,7 @@ impl<S: Scheduler> Engine<S> {
         // Per-job attribution accumulator, slab-parallel to the record
         // (and recycled with its slot on the streaming paths).
         if let Some(attr) = self.state.attr.as_deref_mut() {
-            if attr.jobs.len() <= idx {
-                attr.jobs.resize(idx + 1, JobAttr::default());
-            }
-            attr.jobs[idx] = JobAttr::new(now);
+            attr.arrive(idx, now, eligible, view.num);
         }
         trace_event!(
             self.state.trace.as_deref_mut(),
@@ -1796,6 +1768,11 @@ impl<S: Scheduler> Engine<S> {
                             v.num = num;
                             v.dur = dur;
                         }
+                    }
+                    // A width change moves the job to another
+                    // attribution class.
+                    if let Some(attr) = self.state.attr.as_deref_mut() {
+                        attr.resize(self.state.id_map[&id], num);
                     }
                     self.scheduler.on_queued_ecc(id, num, dur);
                 }
