@@ -1,7 +1,8 @@
 //! Property-based tests of wait-time attribution.
 //!
 //! Two invariants, over random workloads × every registry algorithm
-//! family the streaming differential suite spans:
+//! family the streaming differential suite spans, and over malleable
+//! workloads with queued processor ECCs × resizing stacks:
 //!
 //! 1. **Conservation** — every job's cause buckets sum *exactly* to its
 //!    total wait (`sum(causes) == started − eligible`), whole seconds,
@@ -12,10 +13,17 @@
 //!    at completion, attributions folded on reclamation) produces the
 //!    identical [`AttributionProfile`] to the materialized run, top
 //!    blockers included.
+//!
+//! The second workload family drives the paths the first cannot:
+//! malleable grows holding headroom a waiting job needs (the
+//! `malleable` cause) and processor ECCs changing a queued job's width,
+//! which moves it between the engine's width classes mid-wait.
 
-use elastisched::Experiment;
-use elastisched_sched::Algorithm;
-use elastisched_workload::{generate, GeneratorConfig, LublinSource};
+use elastisched::{Experiment, MachineSpec};
+use elastisched_sched::{Algorithm, SchedParams, StackSpec};
+use elastisched_sim::{Duration, Engine, SimResult};
+use elastisched_test_util::add_procs_eccs;
+use elastisched_workload::{generate, GeneratorConfig, LublinSource, Workload};
 use proptest::prelude::*;
 
 /// The same six-family spread the streaming differential suite uses:
@@ -29,6 +37,10 @@ const ALGORITHMS: [Algorithm; 6] = [
     Algorithm::DelayedLosE,
     Algorithm::HybridLosE,
 ];
+
+/// Stacks that resize jobs: the malleable layer over a skip-budgeted
+/// and a backfilling core, with ECCs (time and processor) honoured.
+const RESIZING_STACKS: [&str; 2] = ["hybrid-los+m+e", "easy+d+m+e"];
 
 fn arb_config() -> impl Strategy<Value = GeneratorConfig> {
     (
@@ -83,6 +95,88 @@ proptest! {
             // Streamed run: identical profile, fold order and all.
             let st = exp.run_streamed_raw(LublinSource::new(&cfg)).unwrap();
             prop_assert_eq!(&st.attribution, &mat.attribution, "{}", algo);
+        }
+    }
+}
+
+/// A malleable heterogeneous workload at load 1.0 on the BlueGene/P,
+/// with processor ECCs (one to three allocation units, issued up to an
+/// hour after submit) derived from its time ECCs.
+fn arb_resizing_workload() -> impl Strategy<Value = Workload> {
+    (
+        0u64..1_000_000,
+        30usize..100,
+        0usize..3,
+        1u32..4,
+        1u64..3600,
+    )
+        .prop_map(|(seed, jobs, pmi, units, delay)| {
+            let m = MachineSpec::BLUEGENE_P;
+            let cfg = GeneratorConfig::paper_heterogeneous(0.5, 0.3)
+                .with_paper_eccs()
+                .with_malleable([0.25, 0.5, 0.9][pmi])
+                .with_jobs(jobs)
+                .with_seed(seed);
+            let mut w = generate(&cfg);
+            w.scale_to_load(m.total, 1.0);
+            add_procs_eccs(
+                &w.jobs,
+                &mut w.eccs,
+                units * m.unit,
+                Duration::from_secs(delay),
+            );
+            w
+        })
+}
+
+/// `spec` with attribution on and processor ECCs honoured, run either
+/// materialized or streamed (per-job state reclaimed at completion).
+fn run_resizing(spec: StackSpec, w: &Workload, streamed: bool) -> SimResult {
+    let mut policy = spec.ecc_policy();
+    policy.resource_elasticity = true;
+    let mut engine = Engine::new(
+        MachineSpec::BLUEGENE_P.build(),
+        spec.build(SchedParams::default()),
+        policy,
+    );
+    engine.enable_attribution();
+    if streamed {
+        engine.run_streaming(w.source()).unwrap()
+    } else {
+        engine.load(&w.jobs, &w.eccs).unwrap();
+        engine.run().unwrap()
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    #[test]
+    fn resizing_stacks_conserve_waits_on_both_paths(w in arb_resizing_workload()) {
+        for name in RESIZING_STACKS {
+            let spec: StackSpec = name.parse().unwrap();
+            let mat = run_resizing(spec, &w, false);
+            let st = run_resizing(spec, &w, true);
+            let mut waited = 0u64;
+            for o in &mat.outcomes {
+                let attr = o.attribution.expect("attribution was enabled");
+                prop_assert_eq!(
+                    attr.total_secs(),
+                    o.wait.as_secs(),
+                    "{}: job {} buckets {:?} != wait {}s",
+                    name, o.id.0, attr, o.wait.as_secs()
+                );
+                waited += o.wait.as_secs();
+            }
+            prop_assert_eq!(mat.attribution.total_secs(), waited, "{}", name);
+            prop_assert_eq!(&st.attribution, &mat.attribution, "{}", name);
+            // Per job, too: same attribution for the same id.
+            let by_id = |r: &SimResult| {
+                let mut v: Vec<_> = r.outcomes.iter().map(|o| (o.id, o.attribution)).collect();
+                v.sort_by_key(|&(id, _)| id);
+                v
+            };
+            prop_assert_eq!(by_id(&st), by_id(&mat), "{}", name);
         }
     }
 }

@@ -10,11 +10,16 @@
 //!   previously copy-pasted across `elastisched-sched`'s test modules:
 //!   simulate a job stream on the paper's BlueGene/P with ECCs disabled,
 //!   and read one job's start second out of the result.
+//! * [`add_procs_eccs`] — processor ECCs derived from a workload's time
+//!   ECCs (the generator emits only the latter), so tests can drive
+//!   queued width changes.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use elastisched_sim::{simulate, EccPolicy, JobSpec, Machine, Scheduler, SimResult};
+use elastisched_sim::{
+    simulate, Duration, EccKind, EccPolicy, EccSpec, JobSpec, Machine, Scheduler, SimResult,
+};
 use std::env;
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
@@ -41,6 +46,31 @@ pub fn started(r: &SimResult, id: u64) -> u64 {
         .expect("job is in the result")
         .started
         .as_secs()
+}
+
+/// Derive one processor ECC per time ECC in `eccs`: `ET` yields an
+/// `EP` and `RT` an `RP` of `amount` processors for the same job,
+/// issued `delay` after its submit — while the job still queues unless
+/// it started at once. `eccs` is then re-sorted by issue time (ties by
+/// job id). Panics if an ECC names a job not in `jobs`.
+pub fn add_procs_eccs(jobs: &[JobSpec], eccs: &mut Vec<EccSpec>, amount: u32, delay: Duration) {
+    let submit: std::collections::HashMap<_, _> = jobs.iter().map(|j| (j.id, j.submit)).collect();
+    let derived: Vec<EccSpec> = eccs
+        .iter()
+        .filter(|e| e.kind.is_time())
+        .map(|e| EccSpec {
+            job: e.job,
+            issue_at: submit[&e.job] + delay,
+            kind: if e.kind == EccKind::ExtendTime {
+                EccKind::ExtendProcs
+            } else {
+                EccKind::ReduceProcs
+            },
+            amount: u64::from(amount),
+        })
+        .collect();
+    eccs.extend(derived);
+    eccs.sort_by_key(|e| (e.issue_at, e.job));
 }
 
 /// The process-wide lock all [`EnvGuard`]s share.
