@@ -293,7 +293,8 @@ pub fn run() -> EngineBenchReport {
          default — disarmed attribution is one branch per cycle, so the headline \
          and every case above run at full speed), on {attr_on:.0} ev/s ({:+.1}% \
          on this sub-millisecond 500-job microbench; the per-cycle work is one \
-         cause classification per still-waiting job)",
+         pass over the running set, one cause per waiting width class, and a \
+         charge per job whose cause changed)",
         100.0 * (attr_on / attr_off - 1.0)
     ));
     let cases = vec![

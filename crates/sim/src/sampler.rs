@@ -16,10 +16,15 @@
 //! Disabled (the default), the engine carries one `Option` that is
 //! `None`: a single branch per scheduling cycle, nothing per event.
 //! Enabled, a due sample costs one pass over the running set (a handful
-//! of entries on a unit-granular machine) plus O(1) counter reads;
-//! between due points it is one time comparison. Decimation is an
-//! in-place retain over at most `budget` samples and runs
-//! O(log(makespan/stride)) times per run.
+//! of entries on a unit-granular machine), O(1) counter reads, and the
+//! search for the oldest waiting job. That search walks the engine's
+//! arrival-ordered wait views past dead (already started) ones, but it
+//! resumes where the previous sample found the oldest live view, so
+//! each dead view is passed over at most once between two compactions
+//! of the view buffer — amortized O(1) per start, not O(dead views) per
+//! sample. Between due points a cycle costs one time comparison.
+//! Decimation is an in-place retain over at most `budget` samples and
+//! runs O(log(makespan/stride)) times per run.
 //!
 //! # Determinism
 //!
