@@ -19,18 +19,20 @@
 //!   composable adapter (multiply every timestamp by a constant);
 //! * [`TakeJobs`] — cap an unbounded stream at a job count.
 //!
-//! Parse failures in the file-backed sources end the stream early; the
-//! caller checks [`SwfSource::error`] / [`CwfSource::error`] after the
-//! run (the `JobSource` contract has no error channel because the hot
-//! path must stay a plain `Option`).
+//! The file-backed sources read through the same line tokenizer as the
+//! file parsers ([`crate::swf`]), so every format error comes from one
+//! place. A parse failure ends the stream early; the caller checks
+//! [`SwfSource::error`] / [`CwfSource::error`] after the run (the
+//! `JobSource` contract has no error channel because the hot path must
+//! stay a plain `Option`).
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::io::BufRead;
 
-use crate::cwf;
+use crate::cwf::CwfRecord;
 use crate::gen::{GeneratorConfig, JobStream};
-use crate::swf::{self, ParseError};
+use crate::swf::{grow_to, Fields, Line, Lines, ParseError, SwfHeader};
 use elastisched_sim::{EccSpec, JobClass, JobId, JobSource, JobSpec, SimTime, SourceItem};
 
 // ---------------------------------------------------------------------
@@ -44,30 +46,18 @@ use elastisched_sim::{EccSpec, JobClass, JobId, JobSource, JobSpec, SimTime, Sou
 /// runtime) are silently dropped, and a malformed line stops the stream
 /// with the error retrievable from [`SwfSource::error`].
 pub struct SwfSource<R> {
-    reader: R,
-    line: String,
-    fields: Vec<i64>,
-    lineno: usize,
-    done: bool,
-    err: Option<ParseError>,
+    lines: Lines<R>,
     malleable: bool,
-    hdr_max_procs: Option<u32>,
-    hdr_max_nodes: Option<u32>,
+    header: SwfHeader,
 }
 
 impl<R: BufRead> SwfSource<R> {
     /// Stream SWF records from a buffered reader.
     pub fn new(reader: R) -> Self {
         SwfSource {
-            reader,
-            line: String::new(),
-            fields: Vec::with_capacity(18),
-            lineno: 0,
-            done: false,
-            err: None,
+            lines: Lines::new(reader),
             malleable: false,
-            hdr_max_procs: None,
-            hdr_max_nodes: None,
+            header: SwfHeader::default(),
         }
     }
 
@@ -85,30 +75,7 @@ impl<R: BufRead> SwfSource<R> {
 
     /// The parse error that terminated the stream, if any.
     pub fn error(&self) -> Option<&ParseError> {
-        self.err.as_ref()
-    }
-
-    /// The grow ceiling streamed from the header so far.
-    fn ceiling(&self) -> Option<u32> {
-        self.hdr_max_procs.or(self.hdr_max_nodes)
-    }
-
-    /// Record `MaxProcs`/`MaxNodes` header values as they stream past.
-    fn scan_header(&mut self, comment: &str) {
-        let Some((key, value)) = comment.split_once(':') else {
-            return;
-        };
-        match key.trim() {
-            "MaxProcs" => self.hdr_max_procs = value.trim().parse().ok(),
-            "MaxNodes" => self.hdr_max_nodes = value.trim().parse().ok(),
-            _ => {}
-        }
-    }
-
-    fn fail(&mut self, err: ParseError) -> Option<SourceItem> {
-        self.err = Some(err);
-        self.done = true;
-        None
+        self.lines.err.as_ref()
     }
 }
 
@@ -121,65 +88,20 @@ impl<'a> SwfSource<&'a [u8]> {
 
 impl<R: BufRead> JobSource for SwfSource<R> {
     fn next_item(&mut self) -> Option<SourceItem> {
-        while !self.done {
-            self.line.clear();
-            match self.reader.read_line(&mut self.line) {
-                Ok(0) => {
-                    self.done = true;
-                    return None;
+        let (header, malleable) = (&mut self.header, self.malleable);
+        self.lines.pull(|line| match line {
+            Line::Comment(c) => {
+                if malleable {
+                    header.scan(c);
                 }
-                Ok(_) => self.lineno += 1,
-                Err(e) => {
-                    let lineno = self.lineno + 1;
-                    return self.fail(ParseError {
-                        line: lineno,
-                        message: format!("read error: {e}"),
-                    });
-                }
+                Ok(None)
             }
-            let line = self.line.trim();
-            if line.is_empty() || line.starts_with(';') {
-                if self.malleable {
-                    if let Some(comment) = line.strip_prefix(';') {
-                        let comment = comment.trim().to_string();
-                        self.scan_header(&comment);
-                    }
-                }
-                continue;
-            }
-            // Borrow dance: parse into a scratch buffer owned by self
-            // while `line` borrows self.line.
-            let mut fields = std::mem::take(&mut self.fields);
-            let parsed = swf::parse_int_fields_into(line, self.lineno, &mut fields);
-            self.fields = fields;
-            if let Err(e) = parsed {
-                return self.fail(e);
-            }
-            if self.fields.len() != 18 {
-                let (lineno, found) = (self.lineno, self.fields.len());
-                return self.fail(ParseError {
-                    line: lineno,
-                    message: format!("expected exactly 18 SWF fields, found {found}"),
-                });
-            }
-            match swf::record_from_fields(&self.fields, self.lineno) {
-                Ok(rec) => {
-                    if let Some(mut spec) = rec.to_job_spec() {
-                        if self.malleable {
-                            if let Some(cap) = self.ceiling() {
-                                if cap > spec.num {
-                                    spec.max_procs = cap;
-                                }
-                            }
-                        }
-                        return Some(SourceItem::Job(spec));
-                    }
-                    // Unusable record: skipped, exactly like to_job_specs.
-                }
-                Err(e) => return self.fail(e),
-            }
-        }
-        None
+            // Unusable records are skipped, exactly like to_job_specs.
+            Line::Data(line, n) => Ok(Fields::split(line, n)
+                .swf_record()?
+                .to_job_spec()
+                .map(|spec| SourceItem::Job(grow_to(spec, header.machine_procs())))),
+        })
     }
 }
 
@@ -198,34 +120,20 @@ impl<R: BufRead> JobSource for SwfSource<R> {
 ///
 /// [`CwfFile::sort_by_time`]: crate::cwf::CwfFile::sort_by_time
 pub struct CwfSource<R> {
-    reader: R,
-    line: String,
-    lineno: usize,
-    done: bool,
-    err: Option<ParseError>,
+    lines: Lines<R>,
 }
 
 impl<R: BufRead> CwfSource<R> {
     /// Stream CWF rows from a buffered reader.
     pub fn new(reader: R) -> Self {
         CwfSource {
-            reader,
-            line: String::new(),
-            lineno: 0,
-            done: false,
-            err: None,
+            lines: Lines::new(reader),
         }
     }
 
     /// The parse error that terminated the stream, if any.
     pub fn error(&self) -> Option<&ParseError> {
-        self.err.as_ref()
-    }
-
-    fn fail(&mut self, err: ParseError) -> Option<SourceItem> {
-        self.err = Some(err);
-        self.done = true;
-        None
+        self.lines.err.as_ref()
     }
 }
 
@@ -238,41 +146,15 @@ impl<'a> CwfSource<&'a [u8]> {
 
 impl<R: BufRead> JobSource for CwfSource<R> {
     fn next_item(&mut self) -> Option<SourceItem> {
-        while !self.done {
-            self.line.clear();
-            match self.reader.read_line(&mut self.line) {
-                Ok(0) => {
-                    self.done = true;
-                    return None;
-                }
-                Ok(_) => self.lineno += 1,
-                Err(e) => {
-                    let lineno = self.lineno + 1;
-                    return self.fail(ParseError {
-                        line: lineno,
-                        message: format!("read error: {e}"),
-                    });
-                }
+        self.lines.pull(|line| match line {
+            Line::Comment(_) => Ok(None),
+            Line::Data(line, n) => {
+                let rec = CwfRecord::from_fields(&Fields::split(line, n))?;
+                // Incomplete rows are skipped, exactly like to_workload.
+                let job = rec.to_job_spec().map(SourceItem::Job);
+                Ok(job.or_else(|| rec.to_ecc_spec().map(SourceItem::Ecc)))
             }
-            let line = self.line.trim();
-            if line.is_empty() || line.starts_with(';') {
-                continue;
-            }
-            match cwf::record_from_line(line, self.lineno) {
-                Ok(rec) => {
-                    if rec.is_submit() {
-                        if let Some(spec) = rec.to_job_spec() {
-                            return Some(SourceItem::Job(spec));
-                        }
-                    } else if let Some(ecc) = rec.to_ecc_spec() {
-                        return Some(SourceItem::Ecc(ecc));
-                    }
-                    // Incomplete row: skipped, exactly like to_workload.
-                }
-                Err(e) => return self.fail(e),
-            }
-        }
-        None
+        })
     }
 }
 
