@@ -112,6 +112,13 @@ echo "== malleable degeneracy oracle (+m ≡ base on rigid workloads) =="
 # proptest across loads/seeds) and must actually resize when jobs are.
 cargo test --offline --locked --quiet -p elastisched-sched --test malleable_degeneracy
 
+echo "== trace-format parser oracle =="
+# Every SWF/CWF reader goes through one byte tokenizer. It must agree
+# with a reference built on the str rules (split_whitespace,
+# i64::from_str) on generated text, and both streaming readers must
+# yield what the file parsers materialize, or stop with the same error.
+cargo test --offline --locked --quiet -p elastisched-workload --test format_properties
+
 echo "== clippy (deny warnings) =="
 cargo clippy --offline --locked --workspace --all-targets -- -D warnings
 
