@@ -6,6 +6,12 @@
 //! the queue in FIFO order giving every job the earliest reservation that
 //! fits, and starts exactly the jobs whose reservation is "now".
 //!
+//! A cycle costs O(Q·S) for `Q` queued jobs and `S` profile breakpoints:
+//! each reservation is one forward sweep plus one range subtraction. The
+//! walk stops as soon as nothing is free "now": every request is at least
+//! one unit and reservations only remove capacity, so no later job could
+//! start this cycle, and the profile is rebuilt from scratch next cycle.
+//!
 //! When stacked as Conservative-D the dedicated freeze is an additional
 //! gate on actual starts: a job whose profile reservation is "now" still
 //! stays queued if starting it would invade the first future dedicated
@@ -24,7 +30,8 @@ use elastisched_sim::{Duration, JobId, SchedContext, SimTime};
 pub struct ConservativeCore {
     /// Per-cycle scratch, reused so steady-state cycles don't allocate.
     profile: ResourceProfile,
-    start_now: Vec<JobId>,
+    /// `(id, num, dur)` of the jobs whose reservation is "now".
+    start_now: Vec<(JobId, u32, Duration)>,
 }
 
 impl ConservativeCore {
@@ -63,26 +70,27 @@ impl BatchPolicy for ConservativeCore {
         self.profile
             .reset_from_running(ctx.running(), now, ctx.total());
         self.start_now.clear();
+        let mut free_now = self.profile.free_at(now);
         for w in queue.iter() {
+            if free_now == 0 {
+                break; // nothing later can start now
+            }
+            let (num, dur) = (w.view.num, w.view.dur);
             // Reserve at least one second so zero-duration jobs still
             // occupy a decision slot.
-            let dur = w.view.dur.max(Duration::from_secs(1));
-            let Some(at) = self.profile.earliest_start(now, w.view.num, dur) else {
+            let span = dur.max(Duration::from_secs(1));
+            let Some(at) = self.profile.earliest_start(now, num, span) else {
                 continue; // larger than the machine; engine validation forbids this
             };
             self.profile
-                .try_reserve(at, dur, w.view.num)
+                .try_reserve(at, span, num)
                 .expect("earliest_start guarantees feasibility");
             if at == now {
-                self.start_now.push(w.view.id);
+                free_now -= num;
+                self.start_now.push((w.view.id, num, dur));
             }
         }
-        for &id in &self.start_now {
-            let w = queue
-                .iter()
-                .find(|w| w.view.id == id)
-                .expect("selected job still queued");
-            let (num, dur) = (w.view.num, w.view.dur);
+        for &(id, num, dur) in &self.start_now {
             if !ded_allows(&ded, now, num, dur) {
                 continue;
             }

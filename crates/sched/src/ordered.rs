@@ -8,9 +8,9 @@
 //!
 //! The core shares the stack's FIFO [`BatchQueue`] and imposes its
 //! ordering per cycle: starts are chosen by a min-key scan, backfill
-//! candidates through a sorted scratch vector. Jobs resized by a queued
-//! ECC reorder automatically — the key is recomputed from the live view
-//! every cycle.
+//! candidates through a sorted scratch vector that holds only the jobs
+//! that fit the free capacity. Jobs resized by a queued ECC reorder
+//! automatically — the key is recomputed from the live view every cycle.
 
 use crate::freeze::{batch_head_freeze, Freeze};
 use crate::queue::BatchQueue;
@@ -143,7 +143,7 @@ impl BatchPolicy for OrderedCore {
     ) {
         let now = ctx.now();
         // Start in policy order while the policy-head fits.
-        let head_num = loop {
+        let (head_i, head_num) = loop {
             let Some(i) = self.min_index(queue) else { return };
             let w = queue.get(i).expect("index from scan");
             let (id, num, dur) = (w.view.id, w.view.num, w.view.dur);
@@ -152,7 +152,7 @@ impl BatchPolicy for OrderedCore {
                 ded_commit(&mut ded, now, num, dur);
                 queue.remove_at(i);
             } else {
-                break num;
+                break (i, num);
             }
         };
         if !self.backfill {
@@ -167,10 +167,12 @@ impl BatchPolicy for OrderedCore {
             notes.note_freeze();
         }
         let mut extra = shadow.frec;
-        let head_i = self.min_index(queue).expect("head is still queued");
+        // Free capacity only shrinks below, so a job too wide for it now
+        // can never backfill this cycle: leave it out of the sort.
+        let free = ctx.free();
         self.scratch.clear();
         for (i, w) in queue.iter().enumerate() {
-            if i != head_i {
+            if i != head_i && w.view.num <= free {
                 self.scratch
                     .push((self.policy.key(&w.view), w.view.id, w.view.num, w.view.dur));
             }

@@ -1,11 +1,12 @@
 //! A free-capacity timeline ("resource profile").
 //!
-//! Conservative backfilling — and the dedicated-job wrappers that must
-//! schedule batch jobs *around* rigid future reservations — need to know
-//! how much capacity will be free at every future instant, assuming no
-//! further decisions. [`ResourceProfile`] is that step function: built
-//! from the running set, refined by subtracting reservations, and queried
-//! for the earliest feasible start of a `(num, dur)` request.
+//! Conservative backfilling needs to know how much capacity will be free
+//! at every future instant, assuming no further decisions.
+//! [`ResourceProfile`] is that step function: built from the running set,
+//! refined by subtracting reservations, and queried for the earliest
+//! feasible start of a `(num, dur)` request. With `S` breakpoints, both
+//! [`ResourceProfile::earliest_start`] and
+//! [`ResourceProfile::try_reserve`] are O(S).
 
 use elastisched_sim::{Duration, RunningSet, SimTime};
 
@@ -118,17 +119,20 @@ impl ResourceProfile {
         min
     }
 
-    fn ensure_breakpoint(&mut self, at: SimTime) {
+    /// Split the segment containing `at` so that a breakpoint sits at
+    /// `at`, and return its index (0 at or before the profile start).
+    fn ensure_breakpoint(&mut self, at: SimTime) -> usize {
         if at <= self.times[0] {
-            return;
+            return 0;
         }
         let i = self.times.partition_point(|&t| t < at);
         if i < self.times.len() && self.times[i] == at {
-            return;
+            return i;
         }
         let inherited = self.free[i - 1];
         self.times.insert(i, at);
         self.free.insert(i, inherited);
+        i
     }
 
     /// Subtract `num` processors over `[start, start + dur)`. Fails (and
@@ -142,17 +146,16 @@ impl ResourceProfile {
         if dur == Duration::ZERO || num == 0 {
             return Ok(());
         }
-        if self.min_free(start.max(self.times[0]), dur) < num {
+        let start = start.max(self.times[0]);
+        if self.min_free(start, dur) < num {
             return Err(ReserveError);
         }
-        let start = start.max(self.times[0]);
         let end = start + dur;
-        self.ensure_breakpoint(start);
-        self.ensure_breakpoint(end);
-        for i in 0..self.times.len() {
-            if self.times[i] >= start && self.times[i] < end {
-                self.free[i] -= num;
-            }
+        // `end > start`, so splitting at `end` leaves `lo` in place.
+        let lo = self.ensure_breakpoint(start);
+        let hi = self.ensure_breakpoint(end);
+        for f in &mut self.free[lo..hi] {
+            *f -= num;
         }
         Ok(())
     }
@@ -166,10 +169,27 @@ impl ResourceProfile {
         }
         // Candidate starts: `from` and every later breakpoint. If a
         // non-breakpoint instant fits, the breakpoint opening its segment
-        // fits too, so this candidate set is complete.
-        std::iter::once(from.max(self.times[0]))
-            .chain(self.times.iter().copied().filter(|&t| t > from))
-            .find(|&t| self.min_free(t, dur) >= num)
+        // fits too, so this candidate set is complete. One forward sweep
+        // visits them in order: a segment short of `num` rules out every
+        // candidate at or before it whose window reaches it, so the next
+        // candidate is the breakpoint that ends it.
+        let mut cand = from.max(self.times[0]);
+        let mut end = cand + dur;
+        let mut i = self.times.partition_point(|&t| t <= cand) - 1;
+        loop {
+            if self.free[i] < num {
+                i += 1;
+                cand = *self.times.get(i)?;
+                end = cand + dur;
+                continue;
+            }
+            // Segment `i` fits; the window is covered once the next
+            // segment starts at or after its end.
+            match self.times.get(i + 1) {
+                Some(&next) if next < end => i += 1,
+                _ => return Some(cand),
+            }
+        }
     }
 
     /// Number of breakpoints (for diagnostics and tests).

@@ -285,10 +285,16 @@ proptest! {
         }
     }
 
-    /// earliest_start returns the *earliest* feasible instant: one second
-    /// earlier (when representable and past `from`) must not fit.
+    /// earliest_start returns the *earliest* feasible instant: no second
+    /// in `[from, at)` fits, for `from` anywhere in or past the profile.
+    /// (`profile_oracle` checks `min_free` itself against a brute force.)
     #[test]
-    fn earliest_start_is_tight(reservations in arb_reservations(), num_units in 1u32..=10, dur in 1u64..200) {
+    fn earliest_start_is_tight(
+        reservations in arb_reservations(),
+        num_units in 1u32..=10,
+        dur in 1u64..200,
+        from in 0u64..900,
+    ) {
         let mut profile = ResourceProfile::idle(SimTime::ZERO, 320);
         for (start, d, num) in reservations {
             // Best-effort packing; skip infeasible draws.
@@ -300,16 +306,17 @@ proptest! {
         }
         let num = num_units * 32;
         let dur = Duration::from_secs(dur);
-        let from = SimTime::ZERO;
-        let at = profile.earliest_start(from, num, dur).expect("placeable");
+        let at = profile
+            .earliest_start(SimTime::from_secs(from), num, dur)
+            .expect("placeable");
+        prop_assert!(at >= SimTime::from_secs(from));
         prop_assert!(profile.min_free(at, dur) >= num);
-        if at > from {
-            let earlier = SimTime::from_secs(at.as_secs() - 1);
+        for s in from..at.as_secs() {
             prop_assert!(
-                profile.min_free(earlier, dur) < num,
+                profile.min_free(SimTime::from_secs(s), dur) < num,
                 "start {} not tight: {} also fits",
                 at.as_secs(),
-                earlier.as_secs()
+                s
             );
         }
     }

@@ -72,6 +72,31 @@ fn every_algorithm_matches_its_legacy_oracle() {
 }
 
 #[test]
+fn oracle_matches_on_a_deep_backlog() {
+    // At load 1.0 the queue stays deep, so Conservative's per-cycle walk
+    // reaches its "nothing free now" exit and long profiles, and the
+    // ordered backfills drop many too-wide candidates before sorting.
+    let mut w = generate(
+        &GeneratorConfig::paper_batch(0.5)
+            .with_paper_eccs()
+            .with_jobs(500)
+            .with_seed(66),
+    );
+    w.scale_to_load(Machine::bluegene_p().total(), 1.0);
+    let params = SchedParams::default();
+    for algo in [
+        Algorithm::Conservative,
+        Algorithm::SjfBf,
+        Algorithm::SmallestFirstBf,
+        Algorithm::LargestFirstBf,
+    ] {
+        let stacked = run(algo.build(params), algo, &w);
+        let oracle = run(legacy::build(algo, params), algo, &w);
+        assert_eq!(stacked, oracle, "{algo} diverged on the load-1.0 backlog");
+    }
+}
+
+#[test]
 fn oracle_matches_under_non_default_params() {
     // A second `C_s` exercises the skip-budget plumbing of the
     // Delayed-LOS / Hybrid-LOS pair specifically.

@@ -95,16 +95,22 @@ echo "== audit layer (always-on schedule checks + postmortem dump) =="
 # parseable flight-recorder postmortem.
 cargo test --offline --locked --quiet -p elastisched-sim --features audit
 
-echo "== differential oracles (reference DP kernels + legacy schedulers) =="
+echo "== differential oracles (reference DP kernels, legacy schedulers, resource profile) =="
 # The policy stack must be metric-identical to the pre-stack scheduler
 # implementations (kept verbatim behind the legacy-schedulers feature),
 # and the bitset DP kernels to the scalar reference kernels. Feature
 # unification already enables both features for every sched test target
 # (self dev-dependency), so these are plain test invocations — named
-# here so a failure is attributed to an oracle, not a unit test.
+# here so a failure is attributed to an oracle, not a unit test. The
+# legacy suite is also the oracle for Conservative's "nothing free now"
+# early exit and the ordered backfills' fit filter (its load-1.0 backlog
+# case reaches both often). The legacy Conservative shares
+# ResourceProfile, so it cannot see a profile bug: profile_oracle checks
+# the profile itself against a per-second brute force.
 cargo test --offline --locked --quiet -p elastisched-sched --test legacy_differential
 cargo test --offline --locked --quiet -p elastisched-sched --test registry_properties
 cargo test --offline --locked --quiet -p elastisched-sched --test dp_properties
+cargo test --offline --locked --quiet -p elastisched-sched --test profile_oracle
 
 echo "== malleable degeneracy oracle (+m ≡ base on rigid workloads) =="
 # The +m layer must be bit-identical to its base stack whenever no job
