@@ -21,10 +21,19 @@
 //!
 //! # Kernel internals
 //!
-//! The reachability tables are stored as packed `u64` bitset rows — one
-//! bit per capacity unit — so the per-item transition is a word-wide
-//! shift-OR (`cur = prev | (prev << w)`) instead of a per-cell inner
-//! loop. Rows live in a [`DpScratch`] arena that callers (the
+//! One builder and one extractor serve both programs: Basic_DP is the
+//! Reservation_DP case with no freeze capacity (`c2max = 0`) and no
+//! extending items (`f = 0`). Each item prefix's reachability layer is a
+//! bitset — bit `c1` of row `c2` says "exactly `c1` units now, `c2` of
+//! them past the freeze end time" — with rows of `S = c1max + 1` bits.
+//! When the whole layer fits in 128 bits (the paper's BlueGene/P, 11 × 11
+//! = 121) the rows are packed back to back in one `u128`, and an item of
+//! `w` units and freeze demand `f` is one masked shift-OR:
+//! `cur = prev | ((prev & M_w) << (f·S + w)) & FULL`, where `M_w` keeps
+//! each row's low `S − w` bits; a layer of at most 64 bits (Basic_DP's
+//! 11-bit row there) runs that loop in a `u64` register. Wider layers
+//! (unit-1 machines) keep one run of `u64` words per row and shift-OR
+//! row `c2 − f` into row `c2`. Tables live in a [`DpScratch`] arena that callers (the
 //! schedulers) keep across cycles, so a steady-state scheduling cycle
 //! performs no heap allocation in the DP path. [`DpSolver`] adds a small
 //! direct-mapped [`SelectionCache`] keyed by the full problem instance
@@ -40,6 +49,7 @@
 //! reports *allocated* processors, i.e. chosen units × unit size.
 
 use elastisched_sim::{Duration, JobId, DP_NANOS_SAMPLE_EVERY};
+use std::ops::{BitAnd, BitOrAssign, Shl, Sub};
 use std::time::Instant;
 
 // The sampling factor must be a power of two: the due-for-a-clock-read
@@ -71,7 +81,15 @@ pub struct Selection {
 /// since the job needs its full request.
 fn units_ceil(procs: u32, unit: u32) -> usize {
     debug_assert!(unit > 0);
-    procs.div_ceil(unit) as usize
+    // Machine units are powers of two in practice (32 on BlueGene/P, 1
+    // on SDSC): a shift there keeps a hardware divide off every item of
+    // every solve.
+    if unit.is_power_of_two() {
+        let s = unit.trailing_zeros();
+        ((procs >> s) + u32::from(procs & (unit - 1) != 0)) as usize
+    } else {
+        procs.div_ceil(unit) as usize
+    }
 }
 
 /// Units available in a capacity of `procs` processors: partial units
@@ -79,6 +97,42 @@ fn units_ceil(procs: u32, unit: u32) -> usize {
 fn units_floor(procs: u32, unit: u32) -> usize {
     debug_assert!(unit > 0);
     (procs / unit) as usize
+}
+
+impl DpItem {
+    /// `(w, f)`: units the item occupies now, and of those the units it
+    /// still holds at the freeze end time.
+    fn units(self, unit: u32) -> (usize, usize) {
+        let w = units_ceil(self.num, unit);
+        (w, if self.extends { w } else { 0 })
+    }
+
+    /// The item as packed into cache keys and the incremental table.
+    fn packed(self) -> u64 {
+        u64::from(self.num) << 1 | u64::from(self.extends)
+    }
+}
+
+/// A kernel input. Basic_DP's bare processor counts are items that never
+/// extend past the freeze end time, which makes Basic_DP the
+/// `c2max = 0` case of the Reservation_DP kernel.
+trait Candidate: Copy {
+    fn item(self) -> DpItem;
+}
+
+impl Candidate for u32 {
+    fn item(self) -> DpItem {
+        DpItem {
+            num: self,
+            extends: false,
+        }
+    }
+}
+
+impl Candidate for DpItem {
+    fn item(self) -> DpItem {
+        self
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -208,7 +262,7 @@ fn highest_bit_at_most(row: &[u64], cap: usize) -> Option<usize> {
 /// The buffer only ever grows (to the largest instance seen), so a
 /// scheduler that owns one across cycles performs zero heap allocations
 /// in steady state. No clearing between solves is needed: every solve
-/// fully writes each row it reads.
+/// fully writes each layer it reads.
 #[derive(Debug, Default)]
 pub struct DpScratch {
     bits: Vec<u64>,
@@ -224,228 +278,216 @@ impl DpScratch {
     }
 }
 
-/// Build Basic_DP reachability rows `from + 1 ..= sizes.len()` in
-/// place (rows `0 ..= from` must already hold the table for the item
-/// prefix of that length at the same `cap`/`words` layout). Shared by
-/// the from-scratch solve (`from = 0`) and the incremental replay.
-fn build_basic_rows(
-    bits: &mut [u64],
-    words: usize,
-    cap: usize,
-    mask: u64,
-    sizes: &[u32],
-    unit: u32,
-    from: usize,
-) {
-    if words == 1 {
-        // Fast path: the whole row fits in one word (cap ≤ 63 units —
-        // e.g. BlueGene/P's 10), so an item transition is pure register
-        // arithmetic.
-        for i in from..sizes.len() {
-            let w = units_ceil(sizes[i], unit);
-            let prev = bits[i];
-            bits[i + 1] = if w > 0 && w <= cap {
-                prev | ((prev << w) & mask)
-            } else {
-                prev
-            };
-        }
-    } else {
-        for i in from..sizes.len() {
-            let w = units_ceil(sizes[i], unit);
-            let (head, tail) = bits.split_at_mut((i + 1) * words);
-            let prev = &head[i * words..];
-            let cur = &mut tail[..words];
-            cur.copy_from_slice(prev);
-            if w > 0 && w <= cap {
-                or_shifted(cur, prev, w);
-                cur[words - 1] &= mask;
-            }
-        }
-    }
-}
-
-/// Extract the Basic_DP answer from a finished reachability table. The
-/// table may be stored at a capacity larger than the query's `cap` (the
-/// incremental case): any subset reaching `c ≤ cap` units consists only
-/// of items of at most `c` units, so the bits at positions ≤ `cap`
-/// coincide with a table built at exactly `cap` — and the
-/// reconstruction below only ever visits such positions, keeping the
-/// selections byte-identical.
-fn extract_basic(
-    bits: &[u64],
-    words: usize,
-    cap: usize,
-    sizes: &[u32],
-    unit: u32,
-    out: &mut Selection,
-) {
-    let n = sizes.len();
-    let best = highest_bit_at_most(&bits[n * words..(n + 1) * words], cap).unwrap_or(0);
-    out.used_now = (best * unit as usize) as u32;
-    // Reconstruct, excluding later items when possible so that ties
-    // favour earlier-queued jobs.
-    let mut c = best;
-    for i in (0..n).rev() {
-        if bit_get(&bits[i * words..], c) {
-            continue; // exclude item i
-        }
-        let w = units_ceil(sizes[i], unit);
-        debug_assert!(w > 0 && c >= w && bit_get(&bits[i * words..], c - w));
-        out.chosen.push(i);
-        c -= w;
-    }
-    out.chosen.reverse();
-}
-
-/// Basic_DP on bitset rows, writing the answer into `out`.
-fn solve_basic(scratch: &mut DpScratch, sizes: &[u32], capacity: u32, unit: u32, out: &mut Selection) {
-    out.chosen.clear();
-    out.used_now = 0;
-    let cap = units_floor(capacity, unit);
-    let n = sizes.len();
-    if n == 0 || cap == 0 {
-        return;
-    }
-    let width = cap + 1;
-    let words = words_for(width);
-    let mask = last_word_mask(width);
-    let bits = scratch.ensure((n + 1) * words);
-    // Row 0: only "0 units used" is reachable.
-    bits[0] = 1;
-    for b in &mut bits[1..words] {
-        *b = 0;
-    }
-    build_basic_rows(bits, words, cap, mask, sizes, unit, 0);
-    extract_basic(bits, words, cap, sizes, unit, out);
-}
-
-/// Build Reservation_DP reachability layers `from + 1 ..= items.len()`
-/// in place (layers `0 ..= from` must already hold the table for that
-/// item prefix at the same `c1max`/`c2max` layout). Shared by the
-/// from-scratch solve (`from = 0`) and the incremental replay.
-#[allow(clippy::too_many_arguments)]
-fn build_reservation_rows(
-    bits: &mut [u64],
-    words1: usize,
+/// How each item prefix's reachability layer — rows `c2 = 0..=c2max`,
+/// each a bitset over `c1 = 0..=c1max` — sits in the table's words.
+#[derive(Debug, Clone, Copy)]
+struct Layout {
     c1max: usize,
     c2max: usize,
-    mask: u64,
-    items: &[DpItem],
-    unit: u32,
-    from: usize,
-) {
-    let w2 = c2max + 1;
-    let layer = w2 * words1;
-    if words1 == 1 {
-        // Fast path (see `solve_basic`): each `c2` row is one word, so a
-        // whole item transition is `w2` register operations — chunked
-        // over `u64×4` lanes (the rows are consecutive words and the
-        // per-row ops independent).
-        for i in from..items.len() {
-            let item = items[i];
-            let w = units_ceil(item.num, unit);
-            let f = if item.extends { w } else { 0 };
-            let (head, tail) = bits.split_at_mut((i + 1) * layer);
-            let prev = &head[i * layer..i * layer + layer];
-            let cur = &mut tail[..layer];
-            if w > 0 && w <= c1max && f <= c2max {
-                cur[..f].copy_from_slice(&prev[..f]);
-                let mut c2 = f;
-                while c2 + LANES <= w2 {
-                    let same: [u64; LANES] =
-                        prev[c2..c2 + LANES].try_into().expect("lane chunk");
-                    let below: [u64; LANES] =
-                        prev[c2 - f..c2 - f + LANES].try_into().expect("lane chunk");
-                    let out = &mut cur[c2..c2 + LANES];
-                    for k in 0..LANES {
-                        out[k] = same[k] | ((below[k] << w) & mask);
-                    }
-                    c2 += LANES;
-                }
-                while c2 < w2 {
-                    cur[c2] = prev[c2] | ((prev[c2 - f] << w) & mask);
-                    c2 += 1;
-                }
-            } else {
-                cur.copy_from_slice(prev);
-            }
-        }
-    } else {
-        for i in from..items.len() {
-            let item = items[i];
-            let w = units_ceil(item.num, unit);
-            let f = if item.extends { w } else { 0 };
-            let feasible = w > 0 && w <= c1max && f <= c2max;
-            let (head, tail) = bits.split_at_mut((i + 1) * layer);
-            let prev = &head[i * layer..];
-            let cur = &mut tail[..layer];
-            for c2 in 0..w2 {
-                let cur_row = &mut cur[c2 * words1..(c2 + 1) * words1];
-                cur_row.copy_from_slice(&prev[c2 * words1..(c2 + 1) * words1]);
-                if feasible && c2 >= f {
-                    or_shifted(cur_row, &prev[(c2 - f) * words1..(c2 - f + 1) * words1], w);
-                    cur_row[words1 - 1] &= mask;
-                }
-            }
-        }
-    }
-}
-
-/// Extract the Reservation_DP answer from a finished reachability
-/// table, querying at `(c1q, c2q)` — which may be smaller than the
-/// capacities the table was built at (the incremental case; see
-/// [`extract_basic`] for why the shared bits coincide).
-#[allow(clippy::too_many_arguments)]
-fn extract_reservation(
-    bits: &[u64],
-    words1: usize,
+    /// `u64` words per layer.
     layer: usize,
-    c1q: usize,
-    c2q: usize,
-    items: &[DpItem],
-    unit: u32,
-    out: &mut Selection,
-) {
-    let n = items.len();
-    // Maximize c1; among those minimize c2 (ascending scan + strict
-    // improvement keeps the lowest freeze usage achieving the maximum).
-    let last = &bits[n * layer..(n + 1) * layer];
-    let (mut best_c1, mut best_c2) = (0usize, 0usize);
-    for c2 in 0..=c2q {
-        if let Some(c1) = highest_bit_at_most(&last[c2 * words1..(c2 + 1) * words1], c1q) {
-            if c1 > best_c1 {
-                best_c1 = c1;
-                best_c2 = c2;
+    /// Bits from one row's start to the next's in the layer's words, so
+    /// `(c1, c2)` is bit `c2·stride + c1` of the layer.
+    stride: usize,
+    rows: Rows,
+}
+
+#[derive(Debug, Clone, Copy)]
+enum Rows {
+    /// The whole layer in at most 128 bits (two words, low word first),
+    /// rows packed back to back at `S = c1max + 1` bits. `base` has bit
+    /// 0 of every row set; `full` keeps the layer's `S·(c2max + 1)` bits.
+    Packed { base: u128, full: u128 },
+    /// Each row is `words` words; `mask` clears the unused high bits of a
+    /// row's last word.
+    Words { words: usize, mask: u64 },
+}
+
+/// The register a packed layer's item loop runs in: `u64` when the layer
+/// fits one word (Basic_DP's single row, short freeze windows), since a
+/// `u128` shift by a variable amount takes several instructions, else
+/// `u128`. Both store the layer as its two words, low word first, and
+/// store no bit past the layer's width (`full` masks the shifted rows,
+/// the `u64` register writes a zero high word), so a stored layer is
+/// exactly its reachability set. Reads never look past the width either.
+trait LayerReg:
+    Copy + BitOrAssign + BitAnd<Output = Self> + Shl<usize, Output = Self> + Sub<Output = Self>
+{
+    fn load(bits: &[u64], i: usize) -> Self;
+    fn store(self, bits: &mut [u64], i: usize);
+}
+
+impl LayerReg for u64 {
+    fn load(bits: &[u64], i: usize) -> u64 {
+        bits[2 * i]
+    }
+    fn store(self, bits: &mut [u64], i: usize) {
+        bits[2 * i] = self;
+        bits[2 * i + 1] = 0;
+    }
+}
+
+impl LayerReg for u128 {
+    fn load(bits: &[u64], i: usize) -> u128 {
+        u128::from(bits[2 * i]) | u128::from(bits[2 * i + 1]) << 64
+    }
+    fn store(self, bits: &mut [u64], i: usize) {
+        bits[2 * i] = self as u64;
+        bits[2 * i + 1] = (self >> 64) as u64;
+    }
+}
+
+impl Layout {
+    fn new(c1max: usize, c2max: usize) -> Layout {
+        let s = c1max + 1;
+        let bits = s.saturating_mul(c2max + 1);
+        let (layer, stride, rows) = if bits <= 128 {
+            let base = (0..=c2max).fold(0u128, |b, c2| b | 1 << (c2 * s));
+            let full = u128::MAX >> (128 - bits);
+            (2, s, Rows::Packed { base, full })
+        } else {
+            let (words, mask) = (words_for(s), last_word_mask(s));
+            let rows = Rows::Words { words, mask };
+            ((c2max + 1) * words, words * WORD_BITS, rows)
+        };
+        Layout {
+            c1max,
+            c2max,
+            layer,
+            stride,
+            rows,
+        }
+    }
+
+    /// Layer 0: only `(c1, c2) = (0, 0)` is reachable.
+    fn init(&self, bits: &mut [u64]) {
+        bits[0] = 1;
+        bits[1..self.layer].fill(0);
+    }
+
+    /// Highest reachable `c1 ≤ c1q` in row `c2` of layer `i`, if any.
+    fn highest(&self, bits: &[u64], i: usize, c2: usize, c1q: usize) -> Option<usize> {
+        match self.rows {
+            Rows::Packed { .. } => {
+                let row = u128::load(bits, i) >> (c2 * self.stride) & u128::MAX >> (127 - c1q);
+                (row != 0).then(|| 127 - row.leading_zeros() as usize)
+            }
+            Rows::Words { words, .. } => {
+                highest_bit_at_most(&bits[i * self.layer + c2 * words..][..words], c1q)
             }
         }
     }
-    if best_c1 == 0 {
-        return;
-    }
-    out.used_now = (best_c1 * unit as usize) as u32;
-    let (mut c1, mut c2) = (best_c1, best_c2);
-    for i in (0..n).rev() {
-        if bit_get(&bits[i * layer + c2 * words1..], c1) {
-            continue; // exclude item i
+
+    /// Build layers `from + 1 ..= items.len()` in place (layers
+    /// `0 ..= from` must already hold the table for that item prefix at
+    /// this layout). Shared by the from-scratch solve (`from = 0`) and
+    /// the incremental replay.
+    fn build<T: Candidate>(&self, bits: &mut [u64], items: &[T], unit: u32, from: usize) {
+        match self.rows {
+            Rows::Packed { base, full } if full >> 64 == 0 => {
+                self.build_packed(bits, base as u64, full as u64, items, unit, from)
+            }
+            Rows::Packed { base, full } => self.build_packed(bits, base, full, items, unit, from),
+            Rows::Words { words, mask } => {
+                let layer = self.layer;
+                for (i, it) in items.iter().enumerate().skip(from) {
+                    let (w, f) = it.item().units(unit);
+                    let (head, tail) = bits.split_at_mut((i + 1) * layer);
+                    let prev = &head[i * layer..];
+                    let cur = &mut tail[..layer];
+                    cur.copy_from_slice(prev);
+                    if w > 0 && w <= self.c1max && f <= self.c2max {
+                        for c2 in f..=self.c2max {
+                            let row = &mut cur[c2 * words..][..words];
+                            or_shifted(row, &prev[(c2 - f) * words..][..words], w);
+                            row[words - 1] &= mask;
+                        }
+                    }
+                }
+            }
         }
-        let w = units_ceil(items[i].num, unit);
-        let f = if items[i].extends { w } else { 0 };
-        debug_assert!(w > 0 && c1 >= w && c2 >= f);
-        out.chosen.push(i);
-        c1 -= w;
-        c2 -= f;
     }
-    out.chosen.reverse();
+
+    /// [`Layout::build`] on a packed layer, in an `R` register.
+    fn build_packed<R: LayerReg, T: Candidate>(
+        &self,
+        bits: &mut [u64],
+        base: R,
+        full: R,
+        items: &[T],
+        unit: u32,
+        from: usize,
+    ) {
+        let s = self.c1max + 1;
+        let mut cur = R::load(bits, from);
+        for (i, it) in items.iter().enumerate().skip(from) {
+            let (w, f) = it.item().units(unit);
+            if w > 0 && w <= self.c1max && f <= self.c2max {
+                // `M_w` keeps each row's low `S − w` bits, so the `w`
+                // shift stays inside its row; the `f·S` part moves row
+                // `c2 − f` onto row `c2`, and `full` drops rows pushed
+                // past `c2max`. Shifting the mask rather than `cur & M_w`
+                // gives the same bits with one operation fewer on the
+                // `cur` chain.
+                let shift = f * s + w;
+                let keep = ((base << (s - w)) - base) << shift & full;
+                cur |= cur << shift & keep;
+            }
+            cur.store(bits, i + 1);
+        }
+    }
+
+    /// Extract the answer from a finished table, querying at `(c1q, c2q)`
+    /// — which may be smaller than the capacities the table was built at
+    /// (the incremental case). Any subset reaching `c1 ≤ c1q` units now
+    /// and `c2 ≤ c2q` at the freeze end consists only of items that fit
+    /// both, so the bits at positions within the query coincide with a
+    /// table built at exactly the query — and the reconstruction below
+    /// only ever visits such positions, keeping the selections
+    /// byte-identical.
+    fn extract<T: Candidate>(
+        &self,
+        bits: &[u64],
+        c1q: usize,
+        c2q: usize,
+        items: &[T],
+        unit: u32,
+        out: &mut Selection,
+    ) {
+        let n = items.len();
+        // Maximize c1; among those minimize c2 (ascending scan + strict
+        // improvement keeps the lowest freeze usage achieving the maximum).
+        let (mut best_c1, mut best_c2) = (0usize, 0usize);
+        for c2 in 0..=c2q {
+            if let Some(c1) = self.highest(bits, n, c2, c1q) {
+                if c1 > best_c1 {
+                    best_c1 = c1;
+                    best_c2 = c2;
+                }
+            }
+        }
+        out.used_now = (best_c1 * unit as usize) as u32;
+        // Reconstruct, excluding later items when possible so that ties
+        // favour earlier-queued jobs. `at` is `(c1, c2)` as a layer bit.
+        let mut at = best_c2 * self.stride + best_c1;
+        for i in (0..n).rev() {
+            if bit_get(&bits[i * self.layer..], at) {
+                continue; // exclude item i
+            }
+            let (w, f) = items[i].item().units(unit);
+            debug_assert!(w > 0 && at >= f * self.stride + w);
+            out.chosen.push(i);
+            at -= f * self.stride + w;
+        }
+        out.chosen.reverse();
+    }
 }
 
-/// Reservation_DP on bitset rows, writing the answer into `out`.
-///
-/// The table for prefix `i` is `w2` rows (one per exact freeze usage
-/// `c2`), each a bitset over the now-capacity `c1`.
-fn solve_reservation(
+/// Reservation_DP (Basic_DP when `cap_freeze` is 0 and no item extends)
+/// from scratch, writing the answer into `out`.
+fn solve<T: Candidate>(
     scratch: &mut DpScratch,
-    items: &[DpItem],
+    items: &[T],
     cap_now: u32,
     cap_freeze: u32,
     unit: u32,
@@ -455,23 +497,14 @@ fn solve_reservation(
     out.used_now = 0;
     let c1max = units_floor(cap_now, unit);
     let c2max = units_floor(cap_freeze, unit);
-    let n = items.len();
-    if n == 0 || c1max == 0 {
+    if items.is_empty() || c1max == 0 {
         return;
     }
-    let width = c1max + 1;
-    let words1 = words_for(width);
-    let mask = last_word_mask(width);
-    let w2 = c2max + 1;
-    let layer = w2 * words1;
-    let bits = scratch.ensure((n + 1) * layer);
-    // Layer 0: only (c1 = 0, c2 = 0) is reachable.
-    bits[0] = 1;
-    for b in &mut bits[1..layer] {
-        *b = 0;
-    }
-    build_reservation_rows(bits, words1, c1max, c2max, mask, items, unit, 0);
-    extract_reservation(bits, words1, layer, c1max, c2max, items, unit, out);
+    let lay = Layout::new(c1max, c2max);
+    let bits = scratch.ensure((items.len() + 1) * lay.layer);
+    lay.init(bits);
+    lay.build(bits, items, unit, 0);
+    lay.extract(bits, c1max, c2max, items, unit, out);
 }
 
 // ---------------------------------------------------------------------
@@ -529,49 +562,44 @@ impl From<DpStats> for elastisched_sim::SchedStats {
 /// appends, one finish removes), so consecutive instances share a long
 /// item prefix and the replay starts deep into the table.
 ///
-/// The table is stored at **monotone capacities**: `cap1`/`cap2` only
-/// ever grow to the largest capacities seen, and each query extracts its
-/// answer at its own (possibly smaller) capacities via
-/// [`highest_bit_at_most`]. This is what makes the table shareable
-/// across cycles whose free capacity differs — see [`extract_basic`]
-/// for why the shared bits coincide with a table built at exactly the
-/// query capacities. A capacity *growth* relays out every row, so it
-/// rebuilds from row zero.
+/// The table is stored at **monotone capacities**: the layout's
+/// `c1max`/`c2max` only ever grow to the largest capacities seen, and
+/// each query extracts its answer at its own (possibly smaller)
+/// capacities — see [`Layout::extract`] for why the shared bits coincide
+/// with a table built at exactly the query capacities. A capacity
+/// *growth* relays out every layer, so it rebuilds from layer zero.
 #[derive(Debug)]
 struct IncrementalTable {
     unit: u32,
-    /// Stored now-capacity in units (monotone non-decreasing).
-    cap1: usize,
-    /// Stored freeze-capacity in units (monotone; unused by Basic_DP).
-    cap2: usize,
+    /// The stored layout; `None` until the first commit.
+    layout: Option<Layout>,
     /// The stored table's items, packed `num << 1 | extends` — the same
     /// packing the cache key uses, so the changed-prefix comparison
     /// reads the key buffer directly.
     items: Vec<u64>,
-    /// `items.len() + 1` reachability rows at the stored widths.
-    bits: Vec<u64>,
-    valid: bool,
+    /// `items.len() + 1` reachability layers at the stored layout.
+    scratch: DpScratch,
 }
 
 impl Default for IncrementalTable {
     fn default() -> Self {
         IncrementalTable {
             unit: 0,
-            cap1: 0,
-            cap2: 0,
+            layout: None,
             // Pre-size for the paper-scale queue so the first commits
             // don't walk a doubling chain (16 → 512 bytes was ~5
             // allocations per table on the headline run).
             items: Vec::with_capacity(64),
-            bits: Vec::with_capacity(512),
-            valid: false,
+            scratch: DpScratch {
+                bits: Vec::with_capacity(512),
+            },
         }
     }
 }
 
 impl IncrementalTable {
     /// Length of the longest common prefix of the stored items and
-    /// `packed` — the number of reusable table rows beyond row zero.
+    /// `packed` — the number of reusable table layers beyond layer zero.
     fn common_prefix(&self, packed: &[u64]) -> usize {
         let max = self.items.len().min(packed.len());
         let mut l = 0;
@@ -580,71 +608,16 @@ impl IncrementalTable {
         }
         l
     }
-
-    /// Record the instance the table now holds.
-    fn commit(&mut self, unit: u32, cap1: usize, cap2: usize, packed: &[u64]) {
-        self.unit = unit;
-        self.cap1 = cap1;
-        self.cap2 = cap2;
-        self.items.clear();
-        self.items.extend_from_slice(packed);
-        self.valid = true;
-    }
 }
 
-/// Basic_DP against the retained cross-cycle table: replay from the
-/// first changed item, then extract at the query capacity. Selections
-/// are byte-identical to [`solve_basic`].
-fn solve_basic_incremental(
-    table: &mut IncrementalTable,
-    packed: &[u64],
-    sizes: &[u32],
-    capacity: u32,
-    unit: u32,
-    stats: &mut DpStats,
-    out: &mut Selection,
-) {
-    out.chosen.clear();
-    out.used_now = 0;
-    let q = units_floor(capacity, unit);
-    let n = sizes.len();
-    debug_assert_eq!(packed.len(), n);
-    if n == 0 || q == 0 {
-        return; // trivially empty: no table to build or consult
-    }
-    let fresh = !table.valid || table.unit != unit;
-    let cap = if fresh { q } else { table.cap1.max(q) };
-    let relayout = fresh || cap != table.cap1;
-    let width = cap + 1;
-    let words = words_for(width);
-    let mask = last_word_mask(width);
-    let need = (n + 1) * words;
-    if table.bits.len() < need {
-        table.bits.resize(need, 0);
-    }
-    let from = if relayout { 0 } else { table.common_prefix(packed) };
-    if from == 0 {
-        table.bits[0] = 1;
-        for b in &mut table.bits[1..words] {
-            *b = 0;
-        }
-        stats.incremental_rebuilds += 1;
-    } else {
-        stats.incremental_hits += 1;
-    }
-    build_basic_rows(&mut table.bits, words, cap, mask, sizes, unit, from);
-    table.commit(unit, cap, 0, packed);
-    extract_basic(&table.bits, words, q, sizes, unit, out);
-}
-
-/// Reservation_DP against the retained cross-cycle table; the 2-D
-/// analogue of [`solve_basic_incremental`]. Selections are
-/// byte-identical to [`solve_reservation`].
+/// Reservation_DP (or Basic_DP, see [`solve`]) against the retained
+/// cross-cycle table: replay from the first changed item, then extract
+/// at the query capacities. Selections are byte-identical to [`solve`].
 #[allow(clippy::too_many_arguments)]
-fn solve_reservation_incremental(
+fn solve_incremental<T: Candidate>(
     table: &mut IncrementalTable,
     packed: &[u64],
-    items: &[DpItem],
+    items: &[T],
     cap_now: u32,
     cap_freeze: u32,
     unit: u32,
@@ -660,34 +633,25 @@ fn solve_reservation_incremental(
     if n == 0 || c1q == 0 {
         return; // trivially empty: no table to build or consult
     }
-    let fresh = !table.valid || table.unit != unit;
-    let (cap1, cap2) = if fresh {
-        (c1q, c2q)
-    } else {
-        (table.cap1.max(c1q), table.cap2.max(c2q))
+    let (lay, relayout) = match table.layout {
+        Some(l) if table.unit == unit && c1q <= l.c1max && c2q <= l.c2max => (l, false),
+        Some(l) if table.unit == unit => (Layout::new(l.c1max.max(c1q), l.c2max.max(c2q)), true),
+        _ => (Layout::new(c1q, c2q), true),
     };
-    let relayout = fresh || cap1 != table.cap1 || cap2 != table.cap2;
-    let width = cap1 + 1;
-    let words1 = words_for(width);
-    let mask = last_word_mask(width);
-    let layer = (cap2 + 1) * words1;
-    let need = (n + 1) * layer;
-    if table.bits.len() < need {
-        table.bits.resize(need, 0);
-    }
     let from = if relayout { 0 } else { table.common_prefix(packed) };
+    let bits = table.scratch.ensure((n + 1) * lay.layer);
     if from == 0 {
-        table.bits[0] = 1;
-        for b in &mut table.bits[1..layer] {
-            *b = 0;
-        }
+        lay.init(bits);
         stats.incremental_rebuilds += 1;
     } else {
         stats.incremental_hits += 1;
     }
-    build_reservation_rows(&mut table.bits, words1, cap1, cap2, mask, items, unit, from);
-    table.commit(unit, cap1, cap2, packed);
-    extract_reservation(&table.bits, words1, layer, c1q, c2q, items, unit, out);
+    lay.build(bits, items, unit, from);
+    lay.extract(bits, c1q, c2q, items, unit, out);
+    table.unit = unit;
+    table.layout = Some(lay);
+    table.items.clear();
+    table.items.extend_from_slice(packed);
 }
 
 const CACHE_SLOTS: usize = 64;
@@ -889,35 +853,74 @@ impl DpSolver {
 
     /// **Basic_DP** through the cache: see [`basic_dp`] for semantics.
     pub fn basic(&mut self, sizes: &[u32], capacity: u32, unit: u32) -> &Selection {
-        if self.cache_enabled {
-            // Take-all fast path: when every candidate fits together the
-            // unique utilization maximum is the whole list, so the answer
-            // needs no kernel, no cache slot, and no key build. Counted
-            // as a cache hit ("answered without running a kernel").
-            let cap = units_floor(capacity, unit);
-            let total: usize = sizes.iter().map(|&s| units_ceil(s, unit)).sum();
-            if total <= cap {
-                let out = &mut self.result;
-                out.chosen.clear();
-                out.chosen.extend(0..sizes.len());
-                out.used_now = (total * unit as usize) as u32;
-                self.stats.cache_hits += 1;
-                return &self.result;
-            }
-        }
+        self.solve(TAG_BASIC, sizes, capacity, 0, unit)
+    }
+
+    /// **Reservation_DP** through the cache: see [`reservation_dp`] for
+    /// semantics.
+    pub fn reservation(
+        &mut self,
+        items: &[DpItem],
+        cap_now: u32,
+        cap_freeze: u32,
+        unit: u32,
+    ) -> &Selection {
+        self.solve(TAG_RESERVATION, items, cap_now, cap_freeze, unit)
+    }
+
+    fn solve<T: Candidate>(
+        &mut self,
+        tag: u64,
+        items: &[T],
+        cap_now: u32,
+        cap_freeze: u32,
+        unit: u32,
+    ) -> &Selection {
         if !self.cache_enabled {
             let t0 = self.timed.then(Instant::now);
-            solve_basic(&mut self.scratch, sizes, capacity, unit, &mut self.result);
+            solve(
+                &mut self.scratch,
+                items,
+                cap_now,
+                cap_freeze,
+                unit,
+                &mut self.result,
+            );
             self.stats.cache_misses += 1;
             if let Some(t0) = t0 {
                 self.stats.nanos += t0.elapsed().as_nanos() as u64;
             }
             return &self.result;
         }
+        // Take-all fast path: when every candidate a kernel could choose
+        // (every non-empty one) fits under both capacities, the unique
+        // utilization maximum is all of them, so the answer needs no
+        // kernel, no cache slot, and no key build. Counted as a cache
+        // hit ("answered without running a kernel").
+        let (mut tot_w, mut tot_f) = (0usize, 0usize);
+        for it in items {
+            let (w, f) = it.item().units(unit);
+            tot_w += w;
+            tot_f += f;
+        }
+        if tot_w <= units_floor(cap_now, unit) && tot_f <= units_floor(cap_freeze, unit) {
+            let out = &mut self.result;
+            out.chosen.clear();
+            out.chosen
+                .extend((0..items.len()).filter(|&i| items[i].item().num > 0));
+            out.used_now = (tot_w * unit as usize) as u32;
+            self.stats.cache_hits += 1;
+            return &self.result;
+        }
         self.keybuf.clear();
+        self.keybuf.extend_from_slice(&[
+            tag,
+            u64::from(unit),
+            u64::from(cap_now),
+            u64::from(cap_freeze),
+        ]);
         self.keybuf
-            .extend_from_slice(&[TAG_BASIC, u64::from(unit), u64::from(capacity), 0]);
-        self.keybuf.extend(sizes.iter().map(|&s| u64::from(s) << 1));
+            .extend(items.iter().map(|it| it.item().packed()));
         let idx = (fingerprint(&self.keybuf) % CACHE_SLOTS as u64) as usize;
         let timed = self.timed;
         let incremental = self.incremental_enabled;
@@ -926,6 +929,7 @@ impl DpSolver {
             cache,
             keybuf,
             inc_basic,
+            inc_reservation,
             stats,
             result,
             ..
@@ -942,111 +946,15 @@ impl DpSolver {
             let t0 = (timed && stats.cache_misses & (DP_NANOS_SAMPLE_EVERY - 1) == 0)
                 .then(Instant::now);
             if incremental {
+                let table = if tag == TAG_BASIC {
+                    inc_basic
+                } else {
+                    inc_reservation
+                };
                 // The packed item list is exactly the key past the
                 // 4-word header.
-                solve_basic_incremental(
-                    inc_basic,
-                    &keybuf[4..],
-                    sizes,
-                    capacity,
-                    unit,
-                    stats,
-                    result,
-                );
-            } else {
-                solve_basic(scratch, sizes, capacity, unit, result);
-            }
-            cache.store_sel(idx, result);
-            cache.store_key(idx, keybuf);
-            stats.cache_misses += 1;
-            if let Some(t0) = t0 {
-                stats.nanos += t0.elapsed().as_nanos() as u64 * DP_NANOS_SAMPLE_EVERY;
-            }
-        }
-        &self.result
-    }
-
-    /// **Reservation_DP** through the cache: see [`reservation_dp`] for
-    /// semantics.
-    pub fn reservation(
-        &mut self,
-        items: &[DpItem],
-        cap_now: u32,
-        cap_freeze: u32,
-        unit: u32,
-    ) -> &Selection {
-        if self.cache_enabled {
-            // Take-all fast path, mirroring [`DpSolver::basic`]: when every
-            // candidate fits under both windows the unique maximum is the
-            // whole list, so skip the kernel and the cache entirely.
-            let c1 = units_floor(cap_now, unit);
-            let c2 = units_floor(cap_freeze, unit);
-            let mut tot_w = 0usize;
-            let mut tot_f = 0usize;
-            for it in items {
-                let w = units_ceil(it.num, unit);
-                tot_w += w;
-                if it.extends {
-                    tot_f += w;
-                }
-            }
-            if tot_w <= c1 && tot_f <= c2 {
-                let out = &mut self.result;
-                out.chosen.clear();
-                out.chosen.extend(0..items.len());
-                out.used_now = (tot_w * unit as usize) as u32;
-                self.stats.cache_hits += 1;
-                return &self.result;
-            }
-        }
-        if !self.cache_enabled {
-            let t0 = self.timed.then(Instant::now);
-            solve_reservation(
-                &mut self.scratch,
-                items,
-                cap_now,
-                cap_freeze,
-                unit,
-                &mut self.result,
-            );
-            self.stats.cache_misses += 1;
-            if let Some(t0) = t0 {
-                self.stats.nanos += t0.elapsed().as_nanos() as u64;
-            }
-            return &self.result;
-        }
-        self.keybuf.clear();
-        self.keybuf.extend_from_slice(&[
-            TAG_RESERVATION,
-            u64::from(unit),
-            u64::from(cap_now),
-            u64::from(cap_freeze),
-        ]);
-        self.keybuf
-            .extend(items.iter().map(|it| u64::from(it.num) << 1 | u64::from(it.extends)));
-        let idx = (fingerprint(&self.keybuf) % CACHE_SLOTS as u64) as usize;
-        let timed = self.timed;
-        let incremental = self.incremental_enabled;
-        let DpSolver {
-            scratch,
-            cache,
-            keybuf,
-            inc_reservation,
-            stats,
-            result,
-            ..
-        } = self;
-        if cache.key_matches(idx, keybuf) {
-            stats.cache_hits += 1;
-            cache.load_sel(idx, result);
-        } else {
-            // Sampled 1-in-DP_NANOS_SAMPLE_EVERY like the basic path;
-            // see [`DpStats::nanos`].
-            let t0 = (timed && stats.cache_misses & (DP_NANOS_SAMPLE_EVERY - 1) == 0)
-                .then(Instant::now);
-            if incremental {
-                solve_reservation_incremental(
-                    inc_reservation,
+                solve_incremental(
+                    table,
                     &keybuf[4..],
                     items,
                     cap_now,
@@ -1056,14 +964,7 @@ impl DpSolver {
                     result,
                 );
             } else {
-                solve_reservation(
-                    scratch,
-                    items,
-                    cap_now,
-                    cap_freeze,
-                    unit,
-                    result,
-                );
+                solve(scratch, items, cap_now, cap_freeze, unit, result);
             }
             cache.store_sel(idx, result);
             cache.store_key(idx, keybuf);
@@ -1155,8 +1056,7 @@ impl DpWork {
 /// ```
 pub fn basic_dp(sizes: &[u32], capacity: u32, unit: u32) -> Selection {
     let mut out = Selection::default();
-    FREE_FN_SCRATCH
-        .with(|s| solve_basic(&mut s.borrow_mut(), sizes, capacity, unit, &mut out));
+    FREE_FN_SCRATCH.with(|s| solve(&mut s.borrow_mut(), sizes, capacity, 0, unit, &mut out));
     out
 }
 
@@ -1194,7 +1094,14 @@ thread_local! {
 pub fn reservation_dp(items: &[DpItem], cap_now: u32, cap_freeze: u32, unit: u32) -> Selection {
     let mut out = Selection::default();
     FREE_FN_SCRATCH.with(|s| {
-        solve_reservation(&mut s.borrow_mut(), items, cap_now, cap_freeze, unit, &mut out)
+        solve(
+            &mut s.borrow_mut(),
+            items,
+            cap_now,
+            cap_freeze,
+            unit,
+            &mut out,
+        )
     });
     out
 }
@@ -1588,6 +1495,84 @@ mod tests {
             let sel = reservation_dp(&items, cap, cap, 1);
             assert_eq!(sel, reservation_dp_reference(&items, cap, cap, 1), "cap {cap}");
             assert!(sel.used_now <= cap);
+        }
+    }
+
+    #[test]
+    fn units_round_like_division() {
+        // Power-of-two units take a shift, the rest a divide; both must
+        // round a job up to whole units.
+        for unit in [1u32, 2, 8, 10, 24, 32, 1 << 31] {
+            for procs in [0u32, 1, 7, 31, 32, 33, 319, 320, 321, u32::MAX] {
+                assert_eq!(units_ceil(procs, unit), procs.div_ceil(unit) as usize);
+            }
+        }
+    }
+
+    /// Unit-1 items of 1..=15 processors, two in three extending, summing
+    /// far above every capacity below so no answer is take-all.
+    fn boundary_items() -> Vec<DpItem> {
+        (0..24u32)
+            .map(|k| DpItem {
+                num: k * 7 % 15 + 1,
+                extends: k % 3 != 1,
+            })
+            .collect()
+    }
+
+    #[test]
+    fn packed_layer_boundaries_match_reference() {
+        // (cap_now, cap_freeze) on a unit-1 machine: an 11 × 11 = 121-bit
+        // layer (the paper's machine in 32-processor units), exactly 128
+        // bits (16 × 8, where `full` is every bit), one row past 128 bits,
+        // and Basic_DP's single row at 128 and 129 bits.
+        let cases = [
+            (10u32, 10u32, true),
+            (15, 7, true),
+            (15, 8, false),
+            (127, 0, true),
+            (128, 0, false),
+        ];
+        let items = boundary_items();
+        let sizes: Vec<u32> = items.iter().map(|it| it.num).collect();
+        for (cap, freeze, packed) in cases {
+            let rows = Layout::new(cap as usize, freeze as usize).rows;
+            assert_eq!(matches!(rows, Rows::Packed { .. }), packed, "cap {cap}");
+            let full_word = matches!(rows, Rows::Packed { full, .. } if full == u128::MAX);
+            assert_eq!(full_word, (cap + 1) * (freeze + 1) == 128);
+            let expect = reservation_dp_reference(&items, cap, freeze, 1);
+            assert!(expect.used_now > 0);
+            assert_eq!(reservation_dp(&items, cap, freeze, 1), expect, "cap {cap}");
+            let expect = basic_dp_reference(&sizes, cap, 1);
+            assert_eq!(basic_dp(&sizes, cap, 1), expect, "cap {cap}");
+        }
+    }
+
+    #[test]
+    fn incremental_solver_grows_across_the_packed_boundary() {
+        // The retained table grows from a 112-bit packed layer to exactly
+        // 128 bits, then to word rows, each growth a rebuild; queries
+        // below the stored capacities then replay the word-row table.
+        let mut solver = DpSolver::new();
+        let mut items = boundary_items();
+        let steps = [
+            (15u32, 6u32, (0, 1)),
+            (15, 7, (0, 2)),
+            (15, 8, (0, 3)),
+            (10, 3, (1, 3)),
+            (15, 8, (2, 3)),
+        ];
+        for (k, (cap, freeze, counters)) in steps.into_iter().enumerate() {
+            // A tail edit each step, so the cache never answers.
+            items.push(DpItem {
+                num: k as u32 + 2,
+                extends: k % 2 == 0,
+            });
+            let sel = solver.reservation(&items, cap, freeze, 1);
+            assert_eq!(*sel, reservation_dp_reference(&items, cap, freeze, 1));
+            let s = solver.stats();
+            let got = (s.incremental_hits, s.incremental_rebuilds);
+            assert_eq!(got, counters, "step {k}");
         }
     }
 

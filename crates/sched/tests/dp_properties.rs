@@ -111,9 +111,10 @@ proptest! {
 }
 
 /// Items with *arbitrary* processor counts — deliberately not multiples
-/// of the allocation unit, so unit rounding is exercised too.
+/// of the allocation unit, so unit rounding is exercised too — including
+/// zero-processor items, which no kernel ever chooses.
 fn arb_ragged_items() -> impl Strategy<Value = Vec<DpItem>> {
-    prop::collection::vec((1u32..=330, prop::bool::ANY), 0..14).prop_map(|raw| {
+    prop::collection::vec((0u32..=330, prop::bool::ANY), 0..14).prop_map(|raw| {
         raw.into_iter()
             .map(|(num, extends)| DpItem { num, extends })
             .collect()
@@ -203,22 +204,31 @@ proptest! {
     /// removal, head dispatch, in-place resize — the deltas real
     /// scheduler cycles produce) returns exactly what a
     /// from-scratch-on-every-miss solver and the scalar references
-    /// return, for both kernels at every step.
+    /// return, for both kernels at every step. The capacities drift
+    /// along the walk: a growth relays out the retained table (across
+    /// the packed one-word layer and the word-row layout, on unit-1 and
+    /// unit-8 machines), a shrink queries below its stored capacities.
     #[test]
     fn incremental_replay_matches_from_scratch_across_queue_deltas(
         initial in arb_ragged_items(),
         edits in prop::collection::vec(
-            (0usize..4, 1u32..=330, prop::bool::ANY, 0usize..32),
+            (
+                (0usize..4, 1u32..=330, prop::bool::ANY, 0usize..32),
+                (prop::bool::ANY, 0u32..=340),
+                (prop::bool::ANY, 0u32..=340),
+            ),
             1..20,
         ),
         cap in 0u32..=340,
         freeze in 0u32..=340,
+        unit in (0usize..3).prop_map(|i| [1u32, 8, 32][i]),
     ) {
         let mut inc = DpSolver::new(); // incremental_enabled by default
         let mut plain = DpSolver::new();
         plain.incremental_enabled = false;
         let mut items = initial;
-        for (op, num, extends, pos) in edits {
+        let (mut cap, mut freeze) = (cap, freeze);
+        for ((op, num, extends, pos), (move_cap, new_cap), (move_freeze, new_freeze)) in edits {
             match op {
                 0 => items.push(DpItem { num, extends }),
                 1 if !items.is_empty() => {
@@ -233,13 +243,19 @@ proptest! {
                 }
                 _ => {}
             }
+            if move_cap {
+                cap = new_cap;
+            }
+            if move_freeze {
+                freeze = new_freeze;
+            }
             let sizes: Vec<u32> = items.iter().map(|i| i.num).collect();
-            let a = inc.basic(&sizes, cap, 32).clone();
-            prop_assert_eq!(&a, &basic_dp_reference(&sizes, cap, 32));
-            prop_assert_eq!(&a, plain.basic(&sizes, cap, 32));
-            let a = inc.reservation(&items, cap, freeze, 32).clone();
-            prop_assert_eq!(&a, &reservation_dp_reference(&items, cap, freeze, 32));
-            prop_assert_eq!(&a, plain.reservation(&items, cap, freeze, 32));
+            let a = inc.basic(&sizes, cap, unit).clone();
+            prop_assert_eq!(&a, &basic_dp_reference(&sizes, cap, unit));
+            prop_assert_eq!(&a, plain.basic(&sizes, cap, unit));
+            let a = inc.reservation(&items, cap, freeze, unit).clone();
+            prop_assert_eq!(&a, &reservation_dp_reference(&items, cap, freeze, unit));
+            prop_assert_eq!(&a, plain.reservation(&items, cap, freeze, unit));
         }
         // Counter sanity on the walk: every miss either replayed the
         // retained table or rebuilt it (take-all answers and trivially

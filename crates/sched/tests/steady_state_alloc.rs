@@ -56,8 +56,13 @@ fn allocations() -> u64 {
     ALLOCATIONS.with(|c| c.get())
 }
 
-/// Deterministic pseudo-random instances (xorshift; no external deps).
-fn instances() -> (Vec<Vec<u32>>, Vec<Vec<DpItem>>) {
+/// Basic_DP size sets and Reservation_DP item sets.
+type Sets = (Vec<Vec<u32>>, Vec<Vec<DpItem>>);
+
+/// Deterministic pseudo-random instances (xorshift; no external deps):
+/// four 16-deep queues of jobs of `1..=max_units` units of `unit`
+/// processors each.
+fn instances(max_units: u64, unit: u32) -> Sets {
     let mut state = 0x9e37_79b9_7f4a_7c15u64;
     let mut next = move || {
         state ^= state << 13;
@@ -68,12 +73,15 @@ fn instances() -> (Vec<Vec<u32>>, Vec<Vec<DpItem>>) {
     let mut size_sets = Vec::new();
     let mut item_sets = Vec::new();
     for _ in 0..4 {
-        // Paper scale: 16-deep queue on the 320-processor machine.
-        size_sets.push((0..16).map(|_| (1 + next() % 10) as u32 * 32).collect());
+        size_sets.push(
+            (0..16)
+                .map(|_| (1 + next() % max_units) as u32 * unit)
+                .collect(),
+        );
         item_sets.push(
             (0..16)
                 .map(|_| DpItem {
-                    num: (1 + next() % 10) as u32 * 32,
+                    num: (1 + next() % max_units) as u32 * unit,
                     extends: next() % 2 == 0,
                 })
                 .collect(),
@@ -82,27 +90,41 @@ fn instances() -> (Vec<Vec<u32>>, Vec<Vec<DpItem>>) {
     (size_sets, item_sets)
 }
 
+/// One pass over both machines' sets, returning the processors used
+/// (a checksum that keeps the solves observable). `paper` runs on the
+/// 320-processor machine in 32-processor units, whose capacity grows
+/// from 256 to 320 processors within the pass — a relayout of both
+/// retained tables — and `unit1` on a unit-1 machine of 128
+/// processors, whose wider layers take the word-row path.
+fn solve_all(solver: &mut DpSolver, paper: &Sets, unit1: &Sets) -> u64 {
+    let runs = [
+        (paper, 256, 128, 32),
+        (paper, 320, 160, 32),
+        (unit1, 128, 64, 1),
+    ];
+    let mut checksum = 0u64;
+    for ((size_sets, item_sets), cap, freeze, unit) in runs {
+        for s in size_sets {
+            checksum += u64::from(solver.basic(s, cap, unit).used_now);
+        }
+        for it in item_sets {
+            checksum += u64::from(solver.reservation(it, cap, freeze, unit).used_now);
+        }
+    }
+    checksum
+}
+
 #[test]
 fn steady_state_solves_do_not_allocate() {
-    let (size_sets, item_sets) = instances();
+    let paper = instances(10, 32);
+    let unit1 = instances(40, 1);
 
     // --- Cache-hit steady state (the production configuration). ---
     let mut solver = DpSolver::new();
-    for s in &size_sets {
-        solver.basic(s, 320, 32);
-    }
-    for it in &item_sets {
-        solver.reservation(it, 320, 160, 32);
-    }
+    let mut checksum = solve_all(&mut solver, &paper, &unit1);
     let before = allocations();
-    let mut checksum = 0u64;
     for _ in 0..100 {
-        for s in &size_sets {
-            checksum += u64::from(solver.basic(s, 320, 32).used_now);
-        }
-        for it in &item_sets {
-            checksum += u64::from(solver.reservation(it, 320, 160, 32).used_now);
-        }
+        checksum += solve_all(&mut solver, &paper, &unit1);
     }
     assert_eq!(
         allocations() - before,
@@ -117,20 +139,10 @@ fn steady_state_solves_do_not_allocate() {
     // --- Cache-miss steady state: every call runs a kernel. ---
     let mut solver = DpSolver::new();
     solver.cache_enabled = false;
-    for s in &size_sets {
-        solver.basic(s, 320, 32);
-    }
-    for it in &item_sets {
-        solver.reservation(it, 320, 160, 32);
-    }
+    checksum += solve_all(&mut solver, &paper, &unit1);
     let before = allocations();
     for _ in 0..100 {
-        for s in &size_sets {
-            checksum += u64::from(solver.basic(s, 320, 32).used_now);
-        }
-        for it in &item_sets {
-            checksum += u64::from(solver.reservation(it, 320, 160, 32).used_now);
-        }
+        checksum += solve_all(&mut solver, &paper, &unit1);
     }
     assert_eq!(
         allocations() - before,

@@ -7,8 +7,9 @@
 # of a silent download.
 #
 # Usage: scripts/ci.sh [--no-bench]
-#   --no-bench   skip the bench-engine / bench-dp perf checks (useful on
-#                loaded/shared machines where timing is unreliable)
+#   --no-bench   skip the bench-engine / bench-dp / soak --check perf
+#                checks (useful on loaded/shared machines where timing
+#                is unreliable)
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -106,7 +107,11 @@ echo "== differential oracles (reference DP kernels, legacy schedulers, resource
 # early exit and the ordered backfills' fit filter (its load-1.0 backlog
 # case reaches both often). The legacy Conservative shares
 # ResourceProfile, so it cannot see a profile bug: profile_oracle checks
-# the profile itself against a per-second brute force.
+# the profile itself against a per-second brute force. The dp:: unit
+# tests pin the kernels' layout boundaries (the packed one-word layer at
+# 121 and exactly 128 bits, word rows past it, a retained table growing
+# across the boundary) against the reference kernels.
+cargo test --offline --locked --quiet -p elastisched-sched --lib dp::
 cargo test --offline --locked --quiet -p elastisched-sched --test legacy_differential
 cargo test --offline --locked --quiet -p elastisched-sched --test registry_properties
 cargo test --offline --locked --quiet -p elastisched-sched --test dp_properties
