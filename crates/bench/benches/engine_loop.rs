@@ -116,9 +116,9 @@ fn bench_engine_loop(c: &mut Criterion) {
 
 /// The same loop with structured tracing in its three states: absent
 /// (the default, branch-on-None per call site), enabled with the clock
-/// reads off, and fully enabled. The untraced variant is the number the
-/// ≤2% regression budget in `BENCH_engine.json` guards; the deltas
-/// between variants are the cost of observability itself.
+/// reads off, and fully enabled. The untraced variant is the path the
+/// repository benchmark measures and `repro perf-gate` guards; the
+/// deltas between variants are the cost of observability itself.
 fn bench_engine_loop_tracing(c: &mut Criterion) {
     let w = batch_workload();
     let mut group = c.benchmark_group("engine_loop_tracing_500jobs");

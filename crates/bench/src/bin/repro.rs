@@ -6,16 +6,15 @@
 //! repro table3|table4|table5|table6|table7 [--quick]
 //! repro baselines [--quick]              # §II-B related-work disciplines
 //! repro ablation-lookahead|ablation-overestimate|ablation-contiguity [--quick]
-//! repro bench-dp [--force]               # DP-kernel perf → BENCH_dp_kernels.json
-//! repro bench-dp --check                 # fail if a kernel regresses > 25%
-//! repro bench-engine [--force]           # event-loop perf → BENCH_engine.json
-//! repro bench-engine --check             # fail if headline regresses > 2%
+//! repro perf-gate                        # benchmark vs scripts/perf_baseline.jsonl
+//! repro soak --smoke                     # 50k-job streamed replay, bounded RSS
 //! ```
 //!
-//! Both `--check` modes normalize the committed figures by a machine
-//! calibration loop, so a slow shared host does not read as a code
-//! regression; `bench-engine --check` also prints a per-case ev/s delta
-//! table.
+//! `perf-gate` runs the repository benchmark (`BENCHMARK.json`) as many
+//! times as the committed baseline has lines and fails when an
+//! end-to-end metric's median is worse than the baseline's by more than
+//! its declared bound; run it from the repository root. `soak --smoke`
+//! is a leak check, not a timing gate.
 //!
 //! Global flags: `--serve-metrics <addr>` serves `/metrics` (Prometheus
 //! text) and `/status` (JSON) for the duration of the run; `--progress`
@@ -38,9 +37,6 @@ use std::process::ExitCode;
 
 struct Opts {
     quick: bool,
-    force: bool,
-    check: bool,
-    smoke: bool,
     out: PathBuf,
 }
 
@@ -78,6 +74,18 @@ fn table3() {
     }
 }
 
+/// The BlueGene contiguity + migration study for EASY and Delayed-LOS.
+fn contiguity(cfg: &ReproConfig, opts: &Opts) {
+    for algo in [Algorithm::Easy, Algorithm::DelayedLos] {
+        let study = elastisched::contiguity_study(cfg, algo);
+        print!("{}", elastisched::contiguity::study_to_text(&study));
+        let json = serde_json::to_string_pretty(&study).expect("study serializes");
+        let _ = std::fs::create_dir_all(&opts.out);
+        let name = format!("ablation-contiguity-{}.json", algo.name());
+        let _ = std::fs::write(opts.out.join(name.to_ascii_lowercase()), json);
+    }
+}
+
 fn run(target: &str, cfg: &ReproConfig, opts: &Opts) -> Result<(), String> {
     match target {
         "fig1" => emit_figure(&figures::fig1(cfg), opts),
@@ -108,115 +116,16 @@ fn run(target: &str, cfg: &ReproConfig, opts: &Opts) -> Result<(), String> {
             emit_table(&figures::table7(&figs[1]), opts);
         }
         "baselines" => emit_figure(&figures::baselines(cfg), opts),
-        "ablation-contiguity" => {
-            for algo in [Algorithm::Easy, Algorithm::DelayedLos] {
-                let study = elastisched::contiguity_study(cfg, algo);
-                print!("{}", elastisched::contiguity::study_to_text(&study));
-                let json = serde_json::to_string_pretty(&study).expect("study serializes");
-                let _ = std::fs::create_dir_all(&opts.out);
-                let _ = std::fs::write(
-                    opts.out.join(format!(
-                        "ablation-contiguity-{}.json",
-                        algo.name().to_ascii_lowercase()
-                    )),
-                    json,
-                );
-            }
-        }
+        "ablation-contiguity" => contiguity(cfg, opts),
         "ablation-lookahead" => emit_figure(&figures::ablation_lookahead(cfg), opts),
         "ablation-overestimate" => emit_figure(&figures::ablation_overestimate(cfg), opts),
-        "bench-engine" => {
-            // Event-loop perf snapshot: run with `--release`. The JSON is
-            // a committed trajectory point, so an existing file is only
-            // replaced when --force is passed. With --check, nothing is
-            // written: a fresh headline is measured and compared against
-            // the committed file under a 2% regression budget.
-            let path = "BENCH_engine.json";
-            if opts.check {
-                let verdict = elastisched_bench::enginebench::check(path, 0.02)?;
-                println!("bench-engine check OK: {verdict}");
-                return Ok(());
-            }
-            if std::path::Path::new(path).exists() && !opts.force {
-                return Err(format!(
-                    "{path} already exists (it is a committed perf-trajectory point); \
-                     pass --force to overwrite it"
-                ));
-            }
-            let report = elastisched_bench::enginebench::run();
-            let json = serde_json::to_string_pretty(&report).expect("report serializes");
-            println!("{json}");
-            if let Err(e) = std::fs::write(path, format!("{json}\n")) {
-                eprintln!("warning: could not write {path}: {e}");
-            } else {
-                eprintln!("wrote {path}");
-            }
-        }
-        "bench-dp" => {
-            // Perf-trajectory snapshot: run with `--release`; the JSON
-            // lands next to the manifest so it can be committed, and an
-            // existing file is only replaced when --force is passed.
-            // With --check, nothing is written: the kernel cases are
-            // re-measured and compared against the committed file under
-            // a calibration-normalized 25% ns budget (kernel medians on
-            // a shared host wobble more than the best-of-ten engine
-            // headline, which bench-engine --check guards at 2%).
-            let path = "BENCH_dp_kernels.json";
-            if opts.check {
-                let verdict = elastisched_bench::dpbench::check(path, 0.25)?;
-                println!("bench-dp check OK: {verdict}");
-                return Ok(());
-            }
-            if std::path::Path::new(path).exists() && !opts.force {
-                return Err(format!(
-                    "{path} already exists (it is a committed perf-trajectory point); \
-                     pass --force to overwrite it"
-                ));
-            }
-            let report = elastisched_bench::dpbench::run();
-            let json = serde_json::to_string_pretty(&report).expect("report serializes");
-            println!("{json}");
-            if let Err(e) = std::fs::write(path, format!("{json}\n")) {
-                eprintln!("warning: could not write {path}: {e}");
-            } else {
-                eprintln!("wrote {path}");
-            }
-        }
+        "perf-gate" => println!("{}", elastisched_bench::perfgate::run()?),
         "soak" => {
-            // Archive-scale streamed replay: run with `--release`. The
-            // full soak replays 10^5 then 10^6 streamed Lublin jobs and
-            // snapshots sustained events/s + peak-RSS flatness into
-            // BENCH_soak.json (committed; --force to overwrite). With
-            // --check, the longest committed run is re-measured under a
-            // 10% calibration-normalized throughput budget and a fixed
-            // peak-RSS-growth budget. With --smoke, a 50k-job bounded
-            // run asserts peak-RSS growth stays under 64 MiB — the CI
-            // step.
-            let path = "BENCH_soak.json";
-            if opts.smoke {
-                let verdict = elastisched_bench::soakbench::smoke(50_000, 64 * 1024)?;
-                println!("{verdict}");
-                return Ok(());
-            }
-            if opts.check {
-                let verdict = elastisched_bench::soakbench::check(path, 0.10)?;
-                println!("soak check OK: {verdict}");
-                return Ok(());
-            }
-            if std::path::Path::new(path).exists() && !opts.force {
-                return Err(format!(
-                    "{path} already exists (it is a committed perf-trajectory point); \
-                     pass --force to overwrite it"
-                ));
-            }
-            let report = elastisched_bench::soakbench::run();
-            let json = serde_json::to_string_pretty(&report).expect("report serializes");
-            println!("{json}");
-            if let Err(e) = std::fs::write(path, format!("{json}\n")) {
-                eprintln!("warning: could not write {path}: {e}");
-            } else {
-                eprintln!("wrote {path}");
-            }
+            // The leak check `scripts/ci.sh` runs: a 50k-job streamed
+            // replay whose peak-RSS growth must stay under 64 MiB. It is
+            // the target's only mode, so `--smoke` is accepted, not needed.
+            let verdict = elastisched_bench::soakbench::smoke(50_000, 64 * 1024)?;
+            println!("{verdict}");
         }
         "all" => {
             table3();
@@ -240,27 +149,15 @@ fn run(target: &str, cfg: &ReproConfig, opts: &Opts) -> Result<(), String> {
             emit_table(&figures::table6(&f11[0]), opts);
             emit_table(&figures::table7(&f11[1]), opts);
             emit_figure(&figures::baselines(cfg), opts);
-            for algo in [Algorithm::Easy, Algorithm::DelayedLos] {
-                let study = elastisched::contiguity_study(cfg, algo);
-                print!("{}", elastisched::contiguity::study_to_text(&study));
-                if let Ok(json) = serde_json::to_string_pretty(&study) {
-                    let _ = std::fs::create_dir_all(&opts.out);
-                    let _ = std::fs::write(
-                        opts.out.join(format!(
-                            "ablation-contiguity-{}.json",
-                            algo.name().to_ascii_lowercase()
-                        )),
-                        json,
-                    );
-                }
-            }
+            contiguity(cfg, opts);
             emit_figure(&figures::ablation_lookahead(cfg), opts);
             emit_figure(&figures::ablation_overestimate(cfg), opts);
         }
         other => {
             return Err(format!(
                 "unknown target {other:?}; try: all, fig1, fig5-fig11, table3-table7, \
-                 ablation-lookahead, ablation-overestimate, bench-dp, bench-engine, soak"
+                 ablation-lookahead, ablation-overestimate, ablation-contiguity, baselines, \
+                 perf-gate, soak"
             ))
         }
     }
@@ -275,16 +172,12 @@ fn main() -> ExitCode {
              targets: all, fig1, fig5, fig6, fig7, fig8, fig9, fig10, fig11,\n\
              \x20        table3, table4, table5, table6, table7,\n\
              \x20        baselines, ablation-lookahead, ablation-overestimate, ablation-contiguity,\n\
-             \x20        bench-dp [--force|--check], bench-engine [--force|--check],\n\
-             \x20        soak [--force|--check|--smoke]"
+             \x20        perf-gate, soak --smoke"
         );
         return ExitCode::from(2);
     }
     let target = args[0].clone();
     let quick = args.iter().any(|a| a == "--quick");
-    let force = args.iter().any(|a| a == "--force");
-    let check = args.iter().any(|a| a == "--check");
-    let smoke = args.iter().any(|a| a == "--smoke");
     let progress = args.iter().any(|a| a == "--progress");
     let serve_metrics = args
         .iter()
@@ -310,13 +203,7 @@ fn main() -> ExitCode {
     } else {
         ReproConfig::paper()
     };
-    let opts = Opts {
-        quick,
-        force,
-        check,
-        smoke,
-        out,
-    };
+    let opts = Opts { quick, out };
     if opts.quick {
         eprintln!("(quick mode: {} jobs, {} loads)", cfg.n_jobs, cfg.loads.len());
     }

@@ -1,5 +1,4 @@
 //! Benchmark and reproduction harness library (see `src/bin/repro.rs` and `benches/`).
 
-pub mod dpbench;
-pub mod enginebench;
+pub mod perfgate;
 pub mod soakbench;

@@ -1,28 +1,22 @@
-//! The `repro soak` target: archive-scale streamed replay, emitting
-//! `BENCH_soak.json` — the memory-discipline companion to the
-//! throughput trajectories of `BENCH_engine.json` and
-//! `BENCH_dp_kernels.json`.
+//! The `repro soak --smoke` leak check: a bounded streamed replay that
+//! fails when the run's peak RSS grows past a fixed budget or the
+//! telemetry timeline is empty or over its point budget. It is not a
+//! timing gate (`repro perf-gate` is); the events/s it prints is for
+//! reading only.
 //!
 //! Methodology: the Lublin generator runs **unbounded** behind a
 //! [`TakeJobs`] cap and a [`ScaleArrivals`] load knob (factor estimated
 //! once from a 10k-job materialized sample at the 0.9 target load), and
 //! the engine pulls it through the streaming path with the bounded
 //! accumulator — no materialized `Vec<JobSpec>`, no retained outcomes,
-//! per-job state reclaimed at completion. Two trace lengths a decade
-//! apart (10^5 and 10^6 jobs) replay back-to-back; because peak memory
-//! tracks *live* jobs rather than trace length, the second run's peak-RSS
-//! growth over the first is expected to be ≈ 0 — that delta, read from
-//! `/proc/self/status` (`VmHWM`), is the flatness evidence the snapshot
-//! commits. A 500-job headline comparison (same workload materialized vs
-//! streamed, best of ten each) pins the streaming overhead at engine
-//! speed.
+//! per-job state reclaimed at completion. Peak memory tracks *live*
+//! jobs rather than trace length, so a wait-view or slab leak shows as
+//! peak-RSS growth, read from `/proc/self/status` (`VmHWM`).
 
-use crate::dpbench::MachineInfo;
-use elastisched_metrics::{RunAccumulator, RunMetrics};
+use elastisched_metrics::RunAccumulator;
 use elastisched_sched::{Algorithm, SchedParams};
-use elastisched_sim::{Engine, JobSource, Machine, SimResult, TimelineConfig};
+use elastisched_sim::{Engine, Machine, TimelineConfig};
 use elastisched_workload::{generate, GeneratorConfig, LublinSource, ScaleArrivals, TakeJobs};
-use serde::{Deserialize, Serialize};
 use std::time::Instant;
 
 const TOTAL: u32 = 320;
@@ -32,73 +26,32 @@ const TARGET_LOAD: f64 = 0.9;
 const SAMPLE_JOBS: usize = 10_000;
 
 /// One streamed replay at a fixed trace length.
-#[derive(Debug, Serialize)]
-pub struct SoakRun {
+#[derive(Debug)]
+struct SoakRun {
     /// Jobs completed (= the [`TakeJobs`] cap).
-    pub jobs: usize,
+    jobs: usize,
     /// Arrivals + completions + ECC applications.
-    pub events: u64,
-    pub elapsed_secs: f64,
-    /// `events / elapsed_secs` — sustained, single run (a soak is long
-    /// enough to not need best-of-N).
-    pub events_per_sec: f64,
+    events: u64,
+    events_per_sec: f64,
     /// Most jobs simultaneously admitted and not yet reclaimed — the
     /// quantity peak memory is proportional to.
-    pub peak_live_jobs: u64,
-    /// Process peak RSS (`VmHWM`) after this run, KiB; 0 when
-    /// `/proc/self/status` is unavailable.
-    pub peak_rss_kb: u64,
+    peak_live_jobs: u64,
     /// How much this run raised the process's peak RSS, KiB.
-    pub peak_rss_growth_kb: u64,
-    /// Where the wall time went (DP solves / engine loop / metrics).
-    pub phases: String,
+    peak_rss_growth_kb: u64,
     /// Points in the run's telemetry timeline — the sampler is on for
     /// every soak (that is its production posture), and decimation must
     /// hold this at or under [`elastisched_sim::DEFAULT_TIMELINE_BUDGET`]
     /// no matter the trace length.
-    pub timeline_samples: u64,
+    timeline_samples: u64,
 }
 
-/// Materialized vs streamed events/s on the 500-job headline workload.
-#[derive(Debug, Serialize)]
-pub struct SoakHeadline {
-    pub jobs: usize,
-    pub materialized_events_per_sec: f64,
-    pub streamed_events_per_sec: f64,
-    /// `streamed / materialized`; the acceptance bar is ≥ 0.9.
-    pub ratio: f64,
-}
-
-/// The whole `BENCH_soak.json` document.
-#[derive(Debug, Serialize)]
-pub struct SoakReport {
-    pub machine: MachineInfo,
-    pub algorithm: String,
-    /// Arrival-scale factor applied to hit [`TARGET_LOAD`].
-    pub scale_factor: f64,
-    pub target_load: f64,
-    /// Streamed replays, shortest first; the last is 10× the first.
-    pub runs: Vec<SoakRun>,
-    /// `runs.last().peak_rss_growth_kb`: what a decade more trace cost
-    /// in peak memory. Flat streaming keeps this near zero.
-    pub rss_growth_10x_kb: u64,
-    pub headline: SoakHeadline,
-    /// Machine-speed score (see `enginebench::calibration_score`);
-    /// `check` normalizes the committed ev/s by the then-vs-now ratio.
-    pub calibration_score: f64,
-    pub notes: Vec<String>,
-}
-
-/// Read a KiB-denominated field (`VmHWM`, `VmRSS`) from
-/// `/proc/self/status`; `None` off Linux or on parse trouble.
-fn proc_status_kb(field: &str) -> Option<u64> {
-    let text = std::fs::read_to_string("/proc/self/status").ok()?;
-    let line = text.lines().find(|l| l.starts_with(field))?;
-    line.split_whitespace().nth(1)?.parse().ok()
-}
-
+/// The process's peak RSS (`VmHWM` in `/proc/self/status`), KiB; 0 off
+/// Linux or on parse trouble.
 fn peak_rss_kb() -> u64 {
-    proc_status_kb("VmHWM:").unwrap_or(0)
+    let text = std::fs::read_to_string("/proc/self/status").unwrap_or_default();
+    let line = text.lines().find(|l| l.starts_with("VmHWM:"));
+    line.and_then(|l| l.split_whitespace().nth(1)?.parse().ok())
+        .unwrap_or(0)
 }
 
 /// The soak traffic model: the paper's batch mix with elastic commands,
@@ -121,34 +74,13 @@ fn fit_scale_factor() -> f64 {
     sample.scale_to_load(TOTAL, TARGET_LOAD)
 }
 
-/// Run one streamed replay of `jobs` jobs and measure it.
+/// Stream `jobs` jobs through a fresh engine with the bounded
+/// accumulator and measure the whole pull-admit-reclaim-fold loop.
 fn soak_run(jobs: usize, factor: f64) -> SoakRun {
     let source = ScaleArrivals::new(
         TakeJobs::new(LublinSource::unbounded(&soak_config(jobs)), jobs),
         factor,
     );
-    let hwm_before = peak_rss_kb();
-    let (metrics, result, elapsed_secs) = stream_once(source);
-    let peak = peak_rss_kb();
-    assert_eq!(metrics.jobs, jobs, "soak must complete every job");
-    let events = 2 * metrics.jobs as u64 + metrics.eccs_applied;
-    SoakRun {
-        jobs,
-        events,
-        elapsed_secs,
-        events_per_sec: events as f64 / elapsed_secs,
-        peak_live_jobs: result.engine.peak_live_jobs,
-        peak_rss_kb: peak,
-        peak_rss_growth_kb: peak.saturating_sub(hwm_before),
-        phases: metrics.phase_profile.to_line(),
-        timeline_samples: metrics.timeline.samples.len() as u64,
-    }
-}
-
-/// Stream `source` through a fresh engine with the bounded accumulator,
-/// returning the derived metrics, the raw result (outcome-free), and
-/// the wall-clock seconds of the whole pull-admit-reclaim-fold loop.
-fn stream_once(source: impl JobSource) -> (RunMetrics, SimResult, f64) {
     let scheduler = SOAK_ALGO.build(SchedParams::default());
     let mut engine = Engine::new(Machine::new(TOTAL, UNIT), scheduler, SOAK_ALGO.ecc_policy());
     // Soaks run with the sampler on: it is the observability plane's
@@ -156,180 +88,78 @@ fn stream_once(source: impl JobSource) -> (RunMetrics, SimResult, f64) {
     // the default point budget.
     engine.enable_timeline(TimelineConfig::default());
     let mut acc = RunAccumulator::bounded();
+    let hwm_before = peak_rss_kb();
     let t0 = Instant::now();
     let result = engine
         .run_streaming_folded(source, &mut |o| acc.record(o))
         .expect("soak source is submit-ordered");
-    let elapsed = t0.elapsed().as_secs_f64();
+    let elapsed_secs = t0.elapsed().as_secs_f64();
     let metrics = acc.finish(&result);
-    (metrics, result, elapsed)
-}
-
-/// Best-of-ten events/s for the 500-job headline workload, materialized
-/// vs streamed — same instance stream on both sides, so the ratio
-/// isolates the streaming machinery's cost.
-fn headline_comparison() -> SoakHeadline {
-    let cfg = GeneratorConfig::paper_batch(0.5).with_jobs(500).with_seed(1);
-    let mut w = generate(&cfg);
-    w.scale_to_load(TOTAL, TARGET_LOAD);
-    let exp = elastisched::Experiment::new(Algorithm::DelayedLos);
-    exp.run(&w).expect("workload valid"); // warm-up
-    let mut mat_best = 0.0f64;
-    let mut streamed_best = 0.0f64;
-    let mut jobs = 0;
-    for _ in 0..10 {
-        let t0 = Instant::now();
-        let m = exp.run(&w).expect("workload valid");
-        let events = (2 * m.jobs as u64 + m.eccs_applied) as f64;
-        mat_best = mat_best.max(events / t0.elapsed().as_secs_f64());
-        jobs = m.jobs;
-        let t0 = Instant::now();
-        let s = exp.run_streamed(w.source()).expect("source ordered");
-        let events = (2 * s.jobs as u64 + s.eccs_applied) as f64;
-        streamed_best = streamed_best.max(events / t0.elapsed().as_secs_f64());
-    }
-    SoakHeadline {
+    let peak = peak_rss_kb();
+    assert_eq!(metrics.jobs, jobs, "soak must complete every job");
+    let events = 2 * metrics.jobs as u64 + metrics.eccs_applied;
+    SoakRun {
         jobs,
-        materialized_events_per_sec: mat_best,
-        streamed_events_per_sec: streamed_best,
-        ratio: streamed_best / mat_best,
+        events,
+        events_per_sec: events as f64 / elapsed_secs,
+        peak_live_jobs: result.engine.peak_live_jobs,
+        peak_rss_growth_kb: peak.saturating_sub(hwm_before),
+        timeline_samples: metrics.timeline.samples.len() as u64,
     }
 }
 
-/// Run the full soak and build the report: 10^5 then 10^6 streamed jobs
-/// plus the headline comparison.
-pub fn run() -> SoakReport {
-    let factor = fit_scale_factor();
-    let runs = vec![soak_run(100_000, factor), soak_run(1_000_000, factor)];
-    let rss_growth_10x_kb = runs.last().expect("two runs").peak_rss_growth_kb;
-    let headline = headline_comparison();
-    let notes = vec![
-        format!(
-            "scale factor fitted on a {SAMPLE_JOBS}-job materialized sample at \
-             {TARGET_LOAD} target load; the streamed runs apply it through the \
-             ScaleArrivals adapter"
-        ),
-        format!(
-            "peak RSS is process-wide VmHWM, so each run's growth figure is what \
-             that run added on top of everything before it; the 10x run adding \
-             {rss_growth_10x_kb} KiB is the bounded-memory evidence"
-        ),
-    ];
-    SoakReport {
-        machine: MachineInfo {
-            total_procs: TOTAL,
-            unit: UNIT,
-        },
-        algorithm: SOAK_ALGO.name().to_string(),
-        scale_factor: factor,
-        target_load: TARGET_LOAD,
-        runs,
-        rss_growth_10x_kb,
-        headline,
-        calibration_score: crate::enginebench::calibration_score(),
-        notes,
+/// What a smoke run may use: peak-RSS growth in KiB, and timeline points
+/// (at least one must be recorded).
+#[derive(Debug, Clone, Copy)]
+struct SmokeBudget {
+    rss_growth_kb: u64,
+    timeline_samples: u64,
+}
+
+/// The smoke's verdict on a run's peak-RSS growth and timeline size.
+fn smoke_verdict(
+    peak_rss_growth_kb: u64,
+    timeline_samples: u64,
+    budget: SmokeBudget,
+) -> Result<(), &'static str> {
+    if peak_rss_growth_kb > budget.rss_growth_kb {
+        return Err("soak smoke blew the memory budget");
     }
+    if timeline_samples == 0 {
+        return Err("soak smoke ran without a populated timeline");
+    }
+    if timeline_samples > budget.timeline_samples {
+        return Err("sampler decimation failed to hold its budget");
+    }
+    Ok(())
 }
 
 /// `repro soak --smoke`: a bounded CI-sized soak — `jobs` streamed jobs
-/// asserting peak-RSS growth stays under `rss_budget_kb`. Returns a
-/// one-line verdict; errs when the budget is blown (or the replay lost
-/// jobs, which the run itself asserts).
+/// asserting peak-RSS growth stays under `rss_budget_kb` and the
+/// timeline within the default point budget. Returns a one-line verdict;
+/// errs when a budget is blown (or the replay lost jobs, which the run
+/// itself asserts).
 pub fn smoke(jobs: usize, rss_budget_kb: u64) -> Result<String, String> {
-    let factor = fit_scale_factor();
-    let run = soak_run(jobs, factor);
-    let tl_budget = elastisched_sim::DEFAULT_TIMELINE_BUDGET as u64;
+    let run = soak_run(jobs, fit_scale_factor());
+    let budget = SmokeBudget {
+        rss_growth_kb: rss_budget_kb,
+        timeline_samples: elastisched_sim::DEFAULT_TIMELINE_BUDGET as u64,
+    };
     let line = format!(
-        "soak smoke: {} jobs, {:.0} ev/s, peak live {} jobs, peak-RSS growth {} KiB \
+        "soak smoke: {} jobs, {} events, {:.0} ev/s, peak live {} jobs, peak-RSS growth {} KiB \
          (budget {} KiB), timeline {} samples (budget {})",
         run.jobs,
+        run.events,
         run.events_per_sec,
         run.peak_live_jobs,
         run.peak_rss_growth_kb,
-        rss_budget_kb,
+        budget.rss_growth_kb,
         run.timeline_samples,
-        tl_budget,
+        budget.timeline_samples,
     );
-    if run.peak_rss_growth_kb > rss_budget_kb {
-        return Err(format!("soak smoke blew the memory budget: {line}"));
-    }
-    if run.timeline_samples == 0 {
-        return Err(format!("soak smoke ran without a populated timeline: {line}"));
-    }
-    if run.timeline_samples > tl_budget {
-        return Err(format!("sampler decimation failed to hold its budget: {line}"));
-    }
+    smoke_verdict(run.peak_rss_growth_kb, run.timeline_samples, budget)
+        .map_err(|e| format!("{e}: {line}"))?;
     Ok(line)
-}
-
-/// The fields of a committed `BENCH_soak.json` that `check` compares
-/// against (everything else in the file is ignored on load).
-#[derive(Debug, Deserialize)]
-struct CommittedSoakRun {
-    jobs: usize,
-    events_per_sec: f64,
-}
-
-#[derive(Debug, Deserialize)]
-struct CommittedSoak {
-    #[serde(default)]
-    runs: Vec<CommittedSoakRun>,
-    #[serde(default)]
-    calibration_score: Option<f64>,
-}
-
-/// How much fresh peak-RSS growth the 10× run may show before `check`
-/// fails: generous against allocator noise, far below the ~60 MiB a
-/// materialized million-job trace would add.
-const CHECK_RSS_BUDGET_KB: u64 = 16 * 1024;
-
-/// `repro soak --check`: re-run the longest committed soak and fail when
-/// sustained events/s regresses more than `budget` (fractional) below
-/// the committed figure (machine-speed-normalized like the other bench
-/// gates) or peak-RSS growth stops being flat.
-pub fn check(path: &str, budget: f64) -> Result<String, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
-    let committed: CommittedSoak =
-        serde_json::from_str(&text).map_err(|e| format!("parsing {path}: {e:?}"))?;
-    let base = committed
-        .runs
-        .iter()
-        .max_by_key(|r| r.jobs)
-        .ok_or_else(|| format!("{path} has no committed soak runs"))?;
-    let (scale, speed_note) = match committed.calibration_score {
-        Some(cal_base) if cal_base > 0.0 => {
-            let cal_fresh = crate::enginebench::calibration_score();
-            let scale = (cal_fresh / cal_base).clamp(0.25, 4.0);
-            (scale, format!(", machine speed x{scale:.3} vs snapshot"))
-        }
-        _ => (1.0, String::new()),
-    };
-    let factor = fit_scale_factor();
-    // Warm the process's HWM with the short run (mirroring the snapshot
-    // methodology) so the long run's growth figure measures the decade
-    // step, not cold-start.
-    let short = soak_run(base.jobs / 10, factor);
-    let fresh = soak_run(base.jobs, factor);
-    let adjusted = base.events_per_sec * scale;
-    let floor = adjusted * (1.0 - budget);
-    let delta_pct = 100.0 * (fresh.events_per_sec / adjusted - 1.0);
-    let verdict = format!(
-        "soak {} jobs: fresh {:.0} ev/s vs speed-adjusted committed {adjusted:.0} ev/s \
-         ({delta_pct:+.2}%{speed_note}), budget -{:.0}%, floor {floor:.0} ev/s; \
-         peak-RSS growth {} KiB over the {}-job warm-up (budget {CHECK_RSS_BUDGET_KB} KiB)",
-        fresh.jobs,
-        fresh.events_per_sec,
-        budget * 100.0,
-        fresh.peak_rss_growth_kb,
-        short.jobs,
-    );
-    if fresh.events_per_sec < floor {
-        return Err(format!("soak throughput regressed beyond budget: {verdict}"));
-    }
-    if fresh.peak_rss_growth_kb > CHECK_RSS_BUDGET_KB {
-        return Err(format!("soak peak RSS is no longer flat: {verdict}"));
-    }
-    Ok(verdict)
 }
 
 #[cfg(test)]
@@ -365,47 +195,36 @@ mod tests {
         );
     }
 
+    const BUDGET: SmokeBudget = SmokeBudget {
+        rss_growth_kb: 64,
+        timeline_samples: 1024,
+    };
+
     #[test]
     fn smoke_passes_with_a_sane_budget_and_fails_with_zero() {
-        assert!(smoke(2_000, 512 * 1024).is_ok());
-        // A zero budget only trips if this smoke actually grew the HWM;
-        // after the run above the HWM is typically already high enough
-        // that growth is 0, so assert the Ok shape rather than Err.
         let verdict = smoke(2_000, 512 * 1024).unwrap();
-        assert!(verdict.contains("2000 jobs"));
-    }
-
-    #[test]
-    fn committed_soak_parses_and_check_flags_missing_runs() {
-        let r: CommittedSoak = serde_json::from_str(r#"{"runs": [], "notes": []}"#).unwrap();
-        assert!(r.runs.is_empty());
-        let err = check("/nonexistent/BENCH_soak.json", 0.1).unwrap_err();
-        assert!(err.contains("reading"));
-    }
-
-    #[test]
-    fn report_serializes() {
-        let report = SoakReport {
-            machine: MachineInfo {
-                total_procs: TOTAL,
-                unit: UNIT,
-            },
-            algorithm: "x".into(),
-            scale_factor: 1.0,
-            target_load: TARGET_LOAD,
-            runs: vec![],
-            rss_growth_10x_kb: 0,
-            headline: SoakHeadline {
-                jobs: 0,
-                materialized_events_per_sec: 0.0,
-                streamed_events_per_sec: 0.0,
-                ratio: 0.0,
-            },
-            calibration_score: 0.0,
-            notes: vec![],
+        assert!(verdict.contains("2000 jobs"), "{verdict}");
+        // The smoke cannot force growth (an earlier run may already have
+        // raised the HWM), so a zero budget is checked on the verdict.
+        let zero = SmokeBudget {
+            rss_growth_kb: 0,
+            ..BUDGET
         };
-        let json = serde_json::to_string_pretty(&report).unwrap();
-        assert!(json.contains("rss_growth_10x_kb"));
-        assert!(json.contains("headline"));
+        assert_eq!(
+            smoke_verdict(1, 10, zero),
+            Err("soak smoke blew the memory budget")
+        );
+    }
+
+    #[test]
+    fn smoke_verdict_fails_each_broken_budget() {
+        assert_eq!(smoke_verdict(64, 1024, BUDGET), Ok(()));
+        let verdict = |growth, samples| smoke_verdict(growth, samples, BUDGET).unwrap_err();
+        assert_eq!(verdict(65, 10), "soak smoke blew the memory budget");
+        assert_eq!(verdict(0, 0), "soak smoke ran without a populated timeline");
+        assert_eq!(
+            verdict(0, 1025),
+            "sampler decimation failed to hold its budget"
+        );
     }
 }

@@ -319,8 +319,7 @@ pub fn record_workload_gen(nanos: u64) {
 
 /// The campaign's per-scheduler cost table as display text, or `None`
 /// when no campaign is active or nothing has been recorded. Printed by
-/// the CLIs at campaign end; a compact form lands in
-/// `BENCH_engine.json` notes.
+/// the CLIs at campaign end.
 pub fn cost_table() -> Option<String> {
     let c = active()?;
     let costs = c.costs.lock().expect("costs lock");

@@ -13,7 +13,8 @@
 //! # Cost model
 //!
 //! Tracing must cost ~nothing when off, because the engine's hot path
-//! is measured in nanoseconds per event (see `BENCH_engine.json`):
+//! is measured in nanoseconds per event (the repository benchmark's
+//! `events_per_s`, gated by `repro perf-gate`):
 //!
 //! * **disabled at runtime** (the default): every [`trace_event!`] call
 //!   site is one branch on an `Option` that is `None`; no event is
