@@ -129,22 +129,20 @@ fn bench_engine_loop_tracing(c: &mut Criterion) {
                 .unwrap()
         })
     });
-    group.bench_with_input(BenchmarkId::from_parameter("traced_no_timing"), &w, |b, w| {
-        b.iter(|| {
-            let mut sink = elastisched_trace::TraceSink::new();
-            sink.disable_timing();
-            Experiment::new(Algorithm::DelayedLos)
-                .run_traced(black_box(w), sink)
-                .unwrap()
-        })
-    });
-    group.bench_with_input(BenchmarkId::from_parameter("traced_full"), &w, |b, w| {
-        b.iter(|| {
-            Experiment::new(Algorithm::DelayedLos)
-                .run_traced(black_box(w), elastisched_trace::TraceSink::new())
-                .unwrap()
-        })
-    });
+    let mut no_timing = elastisched_trace::TraceSink::new();
+    no_timing.disable_timing();
+    for (name, sink) in [
+        ("traced_no_timing", no_timing),
+        ("traced_full", elastisched_trace::TraceSink::new()),
+    ] {
+        let exp = Experiment {
+            trace: Some(sink),
+            ..Experiment::new(Algorithm::DelayedLos)
+        };
+        group.bench_with_input(BenchmarkId::from_parameter(name), &w, |b, w| {
+            b.iter(|| exp.run_raw(black_box(w)).unwrap())
+        });
+    }
     group.finish();
 }
 

@@ -370,9 +370,11 @@ fn cmd_explain(args: &Args) -> Result<(), String> {
         .ok_or("--job is required")?
         .parse()
         .map_err(|_| "bad --job id".to_string())?;
-    let r = exp
-        .run_traced(&w, elastisched_trace::TraceSink::new())
-        .map_err(|e| e.to_string())?;
+    let exp = Experiment {
+        trace: Some(elastisched_trace::TraceSink::new()),
+        ..exp
+    };
+    let r = exp.run_raw(&w).map_err(|e| e.to_string())?;
     let sink = r.trace.as_deref().expect("tracing was enabled");
     match elastisched::explain_job(sink, job) {
         Some(text) => print!("{text}"),

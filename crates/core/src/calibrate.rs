@@ -19,14 +19,9 @@ pub fn calibrated_workload(
     seed: u64,
 ) -> Workload {
     assert!(load > 0.0, "target load must be positive");
-    // Time generation under the workload-gen phase, into the
-    // thread-local pending profile: a following
-    // `RunMetrics::from_result` on this thread absorbs it into that
-    // run's profile (and thence the campaign, via `record_run`). Sweeps
-    // that pre-generate workloads on worker threads drain the pending
-    // themselves and attribute it with `telemetry::record_workload_gen`
-    // — exactly one of the two paths counts it.
-    let timer = elastisched_sim::PhaseTimer::start(elastisched_sim::Phase::WorkloadGen);
+    // Generation belongs to no single run, so its time goes straight to
+    // the campaign's workload-gen row (a no-op without a campaign).
+    let started = std::time::Instant::now();
     let cfg = GeneratorConfig {
         seed,
         machine_procs: machine.total,
@@ -34,7 +29,9 @@ pub fn calibrated_workload(
     };
     let mut w = generate(&cfg);
     w.scale_to_load(machine.total, load);
-    drop(timer);
+    crate::telemetry::record_workload_gen(
+        started.elapsed().as_nanos().min(u64::MAX as u128) as u64,
+    );
     w
 }
 

@@ -129,9 +129,12 @@ pub fn diff_runs(
     workload: &Workload,
 ) -> Result<RunDiff, SimError> {
     let run = |exp: &Experiment| -> Result<(RunMetrics, Vec<Decision>), SimError> {
-        let mut exp = exp.clone();
-        exp.attribution = true;
-        let result = exp.run_traced(workload, TraceSink::new())?;
+        let exp = Experiment {
+            attribution: true,
+            trace: Some(TraceSink::new()),
+            ..exp.clone()
+        };
+        let result = exp.run_raw(workload)?;
         let sink = result.trace.as_deref().expect("tracing was enabled");
         let decs = decisions(sink);
         Ok((RunMetrics::from_result(&result), decs))

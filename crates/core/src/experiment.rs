@@ -3,7 +3,8 @@
 use elastisched_metrics::{RunAccumulator, RunMetrics};
 use elastisched_sched::{SchedParams, StackSpec};
 use elastisched_sim::{
-    Engine, JobSource, Machine, ReconfigCost, SimError, SimResult, TimelineConfig, TraceSink,
+    Engine, JobSource, Machine, ReconfigCost, Scheduler, SimError, SimResult, TimelineConfig,
+    TraceSink,
 };
 use elastisched_workload::Workload;
 use serde::{Deserialize, Serialize};
@@ -41,6 +42,14 @@ impl MachineSpec {
 /// [`Algorithm`](elastisched_sched::Algorithm) or by any
 /// [`StackSpec`] composition (e.g. `"fcfs+d"`, `"hybrid-los+m"`),
 /// including stacks outside the paper's Table III.
+///
+/// The pub fields are the run options: every entry point ([`run`],
+/// [`run_raw`], [`run_streamed_with`]) arms the same planes from them
+/// and reports the run to the active telemetry campaign.
+///
+/// [`run`]: Experiment::run
+/// [`run_raw`]: Experiment::run_raw
+/// [`run_streamed_with`]: Experiment::run_streamed_with
 #[derive(Debug, Clone)]
 pub struct Experiment {
     /// Which scheduler stack.
@@ -58,7 +67,15 @@ pub struct Experiment {
     /// When set, overrides the engine's malleable reconfiguration-cost
     /// model (relevant to `+m` stacks; `None` keeps the engine default).
     pub reconfig_cost: Option<ReconfigCost>,
+    /// When set, every run records its structured trace into a clone of
+    /// this sink, returned in `SimResult::trace`; export or query it
+    /// with the `elastisched-trace` helpers.
+    pub trace: Option<TraceSink>,
 }
+
+/// What one run produced: the raw result, and the paper's metrics when
+/// they were derived.
+type Outcome = (SimResult, Option<RunMetrics>);
 
 /// The former name of [`Experiment`] over a [`StackSpec`], kept so the
 /// repository benchmark (`benchmark/`) builds unchanged.
@@ -74,6 +91,7 @@ impl Experiment {
             timeline: None,
             attribution: false,
             reconfig_cost: None,
+            trace: None,
         }
     }
 
@@ -107,7 +125,15 @@ impl Experiment {
         self
     }
 
-    fn build_engine(&self) -> Engine<Box<dyn elastisched_sim::Scheduler + Send>> {
+    /// The one build-arm-run path behind every entry point: build the
+    /// stack, arm the planes the fields ask for, let `drive` run the
+    /// engine and derive what its entry needs, then report the derived
+    /// metrics, if any, to the campaign
+    /// ([`crate::telemetry::record_run`]; a single branch without one).
+    fn execute(
+        &self,
+        drive: impl FnOnce(Engine<Box<dyn Scheduler + Send>>) -> Result<Outcome, SimError>,
+    ) -> Result<Outcome, SimError> {
         let scheduler = self.spec.build(self.params);
         let mut engine = Engine::new(self.machine.build(), scheduler, self.spec.ecc_policy());
         if let Some(cfg) = self.timeline {
@@ -119,49 +145,42 @@ impl Experiment {
         if let Some(cost) = self.reconfig_cost {
             engine.set_reconfig_cost(cost);
         }
-        engine
+        if let Some(sink) = &self.trace {
+            engine.enable_tracing(sink.clone());
+        }
+        let (result, metrics) = drive(engine)?;
+        if let Some(m) = &metrics {
+            crate::telemetry::record_run(m);
+        }
+        Ok((result, metrics))
     }
 
-    /// Run against a workload, returning the raw simulation result.
-    /// The ECC policy is chosen by the spec's `+e` flag (`-E` registry
-    /// variants process ECCs; others drop them).
-    pub fn run_raw(&self, workload: &Workload) -> Result<SimResult, SimError> {
-        let mut engine = self.build_engine();
-        engine.load(&workload.jobs, &workload.eccs)?;
-        engine.run()
-    }
-
-    /// Run against a workload with structured tracing enabled. The
-    /// returned result carries the populated [`TraceSink`] in
-    /// `SimResult::trace`; export or query it with the `elastisched-trace`
-    /// helpers.
-    pub fn run_traced(&self, workload: &Workload, sink: TraceSink) -> Result<SimResult, SimError> {
-        let mut engine = self.build_engine();
-        engine.enable_tracing(sink);
-        engine.load(&workload.jobs, &workload.eccs)?;
-        engine.run()
+    /// Load `workload` up front and run it, deriving the metrics when
+    /// `derive` is set or a campaign is active.
+    fn materialized(&self, workload: &Workload, derive: bool) -> Result<Outcome, SimError> {
+        self.execute(|mut engine| {
+            engine.load(&workload.jobs, &workload.eccs)?;
+            let result = engine.run()?;
+            let derive = derive || crate::telemetry::active().is_some();
+            let metrics = derive.then(|| RunMetrics::from_result(&result));
+            Ok((result, metrics))
+        })
     }
 
     /// Run against a workload and summarize with the paper's metrics.
-    ///
-    /// When a telemetry campaign is active (`--serve-metrics` /
-    /// `--progress`), the derived metrics are also folded into the
-    /// campaign's per-scheduler cost table and live gauges
-    /// ([`crate::telemetry::record_run`]); otherwise that hook is a
-    /// single branch.
+    /// The ECC policy is chosen by the spec's `+e` flag (`-E` registry
+    /// variants process ECCs; others drop them).
     pub fn run(&self, workload: &Workload) -> Result<RunMetrics, SimError> {
-        let metrics = RunMetrics::from_result(&self.run_raw(workload)?);
-        crate::telemetry::record_run(&metrics);
-        Ok(metrics)
+        let (_, metrics) = self.materialized(workload, true)?;
+        Ok(metrics.expect("derivation was requested"))
     }
 
-    /// Run over a streaming [`JobSource`], returning the raw result with
-    /// outcomes retained. Arrivals are admitted lazily and per-job engine
-    /// state is reclaimed at completion, so peak engine memory tracks
-    /// live jobs; the outcome vector still grows with the trace — use
-    /// [`Experiment::run_streamed`] to bound that too.
-    pub fn run_streamed_raw(&self, source: impl JobSource) -> Result<SimResult, SimError> {
-        self.build_engine().run_streaming(source)
+    /// Run against a workload, returning the raw simulation result:
+    /// every outcome, plus the trace, timeline and attribution the
+    /// fields armed. The metrics are derived only to report the run to
+    /// an active campaign.
+    pub fn run_raw(&self, workload: &Workload) -> Result<SimResult, SimError> {
+        self.materialized(workload, false).map(|(result, _)| result)
     }
 
     /// Run over a streaming [`JobSource`] end to end in memory bounded
@@ -175,17 +194,12 @@ impl Experiment {
         source: impl JobSource,
         mut acc: RunAccumulator,
     ) -> Result<RunMetrics, SimError> {
-        let engine = self.build_engine();
-        let result = engine.run_streaming_folded(source, &mut |o| acc.record(o))?;
-        let metrics = acc.finish(&result);
-        crate::telemetry::record_run(&metrics);
-        Ok(metrics)
-    }
-
-    /// [`Experiment::run_streamed_with`] on the exact accumulator: the
-    /// streamed, fold-as-you-go equivalent of [`Experiment::run`].
-    pub fn run_streamed(&self, source: impl JobSource) -> Result<RunMetrics, SimError> {
-        self.run_streamed_with(source, RunAccumulator::exact())
+        let (_, metrics) = self.execute(|engine| {
+            let result = engine.run_streaming_folded(source, &mut |o| acc.record(o))?;
+            let metrics = acc.finish(&result);
+            Ok((result, Some(metrics)))
+        })?;
+        Ok(metrics.expect("a folded run always derives"))
     }
 }
 
@@ -193,7 +207,8 @@ impl Experiment {
 mod tests {
     use super::*;
     use elastisched_sched::Algorithm;
-    use elastisched_workload::{generate, GeneratorConfig};
+    use elastisched_sim::Phase;
+    use elastisched_workload::{generate, GeneratorConfig, LublinSource};
 
     #[test]
     fn runs_paper_batch_workload_under_every_algorithm() {
@@ -296,6 +311,23 @@ mod tests {
             .unwrap();
         assert_eq!(free.reconfig_cost_secs, 0);
         assert!(free.reconfig_grows + free.reconfig_shrinks > 0);
+    }
+
+    #[test]
+    fn streamed_derivation_phase_times_only_the_finish() {
+        // The accumulator folds inside the engine loop, so the derivation
+        // phase of a folded run is `finish` alone: far below the loop.
+        let cfg = GeneratorConfig::paper_batch(0.5).with_jobs(3000).with_seed(8);
+        let m = Experiment::new(Algorithm::Easy)
+            .run_streamed_with(LublinSource::new(&cfg), RunAccumulator::bounded())
+            .unwrap();
+        assert_eq!(m.jobs, 3000);
+        let derivation = m.phase_profile.nanos_of(Phase::MetricsDerivation);
+        assert!(
+            derivation < m.engine_nanos,
+            "derivation {derivation} ns vs engine loop {} ns",
+            m.engine_nanos
+        );
     }
 
     #[test]

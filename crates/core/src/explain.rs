@@ -217,9 +217,11 @@ mod tests {
             JobSpec::batch(3, 0, 192, 100),
         ];
         let workload = Workload::from_jobs(jobs);
-        let result = Experiment::new(Algorithm::DelayedLos)
-            .run_traced(&workload, TraceSink::new())
-            .unwrap();
+        let exp = Experiment {
+            trace: Some(TraceSink::new()),
+            ..Experiment::new(Algorithm::DelayedLos)
+        };
+        let result = exp.run_raw(&workload).unwrap();
         *result.trace.expect("tracing was enabled")
     }
 

@@ -15,26 +15,6 @@ use elastisched_sched::{Algorithm, SchedParams};
 use elastisched_workload::{GeneratorConfig, Workload};
 use serde::{Deserialize, Serialize};
 
-/// Generate one calibrated workload on a sweep worker, then drain the
-/// thread-local phase profile and attribute the generation time to the
-/// campaign's workload-gen row. Pre-generation fan-outs never call
-/// `RunMetrics::from_result` on the generating thread, so without the
-/// drain the pending profile would leak into whatever simulation runs
-/// on that worker next.
-fn gen_calibrated(
-    base: &GeneratorConfig,
-    machine: MachineSpec,
-    load: f64,
-    seed: u64,
-) -> Workload {
-    let w = calibrated_workload(base, machine, load, seed);
-    let pending = elastisched_sim::profile::take_pending();
-    crate::telemetry::record_workload_gen(
-        pending.nanos_of(elastisched_sim::Phase::WorkloadGen),
-    );
-    w
-}
-
 /// Fan one named stage of a figure out over the sweep pool, reporting it
 /// to the campaign telemetry and *continuing* when individual points
 /// panic: failed points are warned about on stderr and dropped, so one
@@ -208,7 +188,7 @@ fn load_sweep(
                 n_jobs,
                 ..*base
             };
-            (li, gen_calibrated(&b, machine, load, seed))
+            (li, calibrated_workload(&b, machine, load, seed))
         },
     );
 
@@ -285,7 +265,7 @@ pub fn fig1(cfg: &ReproConfig) -> Figure {
                 n_jobs,
                 ..GeneratorConfig::sdsc_like()
             };
-            (li, gen_calibrated(&base, machine, load, seed))
+            (li, calibrated_workload(&base, machine, load, seed))
         },
     );
     let algorithms = [Algorithm::Easy, Algorithm::Los];
@@ -346,7 +326,7 @@ pub fn cs_sweep(cfg: &ReproConfig, id: &str, p_small: f64) -> Figure {
             .map(|r| cfg.base_seed + r as u64)
             .collect(),
         |_, seed| format!("{id} gen seed={seed}"),
-        |seed| gen_calibrated(&base, machine, 0.9, seed),
+        |seed| calibrated_workload(&base, machine, 0.9, seed),
     );
     // Baselines do not depend on C_s: run once per replication.
     let baseline_metrics: Vec<(Algorithm, Vec<RunMetrics>)> = run_stage(
@@ -646,7 +626,7 @@ pub fn ablation_lookahead(cfg: &ReproConfig) -> Figure {
         ..GeneratorConfig::paper_batch(0.2)
     };
     let workloads: Vec<Workload> = (0..cfg.replications)
-        .map(|r| gen_calibrated(&base, machine, 0.9, cfg.base_seed + r as u64))
+        .map(|r| calibrated_workload(&base, machine, 0.9, cfg.base_seed + r as u64))
         .collect();
     let lookaheads = [1usize, 2, 5, 10, 25, 50, 100];
     let mut tasks = Vec::new();

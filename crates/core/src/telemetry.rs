@@ -82,10 +82,7 @@ static CAMPAIGN: OnceLock<Campaign> = OnceLock::new();
 /// off still installs the registry, so `record_run` / the cost table
 /// work for plain `--progress`-less invocations that asked for one.
 pub fn init(serve_addr: Option<&str>, progress_lines: bool) -> Result<Option<SocketAddr>, String> {
-    let shards = std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(4);
-    let registry = Arc::new(MetricsRegistry::standard(shards));
+    let registry = Arc::new(MetricsRegistry::standard());
     let server = match serve_addr {
         Some(addr) => Some(
             MetricsServer::start(addr, Arc::clone(&registry))
@@ -444,7 +441,7 @@ mod tests {
     fn render_status_shows_progress_and_quantiles() {
         // A private registry (not the process global) keeps this test
         // independent of any active campaign.
-        let reg = MetricsRegistry::standard(1);
+        let reg = MetricsRegistry::standard();
         reg.set_label("stage", "fig7 simulations");
         reg.counter_add(keys::RUNS_TOTAL, 4);
         reg.counter_add(keys::JOBS_TOTAL, 480);

@@ -20,6 +20,7 @@
 //! which moves it between the engine's width classes mid-wait.
 
 use elastisched::{Experiment, MachineSpec};
+use elastisched_metrics::RunAccumulator;
 use elastisched_sched::{Algorithm, SchedParams, StackSpec};
 use elastisched_sim::{Duration, Engine, SimResult};
 use elastisched_test_util::add_procs_eccs;
@@ -93,7 +94,9 @@ proptest! {
             prop_assert_eq!(mat.attribution.jobs, w.len() as u64, "{}", algo);
 
             // Streamed run: identical profile, fold order and all.
-            let st = exp.run_streamed_raw(LublinSource::new(&cfg)).unwrap();
+            let st = exp
+                .run_streamed_with(LublinSource::new(&cfg), RunAccumulator::exact())
+                .unwrap();
             prop_assert_eq!(&st.attribution, &mat.attribution, "{}", algo);
         }
     }
@@ -130,7 +133,8 @@ fn arb_resizing_workload() -> impl Strategy<Value = Workload> {
 }
 
 /// `spec` with attribution on and processor ECCs honoured, run either
-/// materialized or streamed (per-job state reclaimed at completion).
+/// materialized or streamed (per-job state reclaimed at completion, the
+/// folded outcomes collected back into `SimResult::outcomes`).
 fn run_resizing(spec: StackSpec, w: &Workload, streamed: bool) -> SimResult {
     let mut policy = spec.ecc_policy();
     policy.resource_elasticity = true;
@@ -141,7 +145,12 @@ fn run_resizing(spec: StackSpec, w: &Workload, streamed: bool) -> SimResult {
     );
     engine.enable_attribution();
     if streamed {
-        engine.run_streaming(w.source()).unwrap()
+        let mut outcomes = Vec::new();
+        let mut r = engine
+            .run_streaming_folded(w.source(), &mut |o| outcomes.push(o.clone()))
+            .unwrap();
+        r.outcomes = outcomes;
+        r
     } else {
         engine.load(&w.jobs, &w.eccs).unwrap();
         engine.run().unwrap()

@@ -30,9 +30,11 @@ fn figure2_jsonl() -> String {
     let workload = Workload::from_jobs(jobs);
     let mut sink = TraceSink::new();
     sink.disable_timing();
-    let result = Experiment::new(Algorithm::DelayedLos)
-        .run_traced(&workload, sink)
-        .unwrap();
+    let exp = Experiment {
+        trace: Some(sink),
+        ..Experiment::new(Algorithm::DelayedLos)
+    };
+    let result = exp.run_raw(&workload).unwrap();
     let trace = result.trace.expect("tracing was enabled");
     to_jsonl(trace.events())
 }

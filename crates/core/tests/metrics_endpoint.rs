@@ -151,6 +151,51 @@ fn metrics_endpoint_serves_a_live_sweep_end_to_end() {
     // One `"at":` key per sample object in the embedded array.
     assert_eq!(body.matches("\"at\":").count(), m.timeline.samples.len());
 
+    // -- run_raw reports to the campaign too ---------------------------
+    // The raw entry point derives the metrics whenever a campaign is
+    // active, so a raw run publishes its plane's document and adds a
+    // cost-table row exactly as `run` does. EASY and FCFS have not run
+    // in this campaign before, so each row is new.
+    let r = Experiment::new(Algorithm::Easy)
+        .with_timeline(elastisched_sim::TimelineConfig::default())
+        .run_raw(&w)
+        .expect("sampled raw run completes");
+    let (code, body) =
+        http_get(&addr, "/timeline", Duration::from_secs(5)).expect("GET /timeline");
+    assert_eq!(code, 200, "{body}");
+    assert!(
+        body.starts_with("{\"scheduler\":\"EASY\""),
+        "a raw run publishes its timeline:\n{body}"
+    );
+    assert_eq!(body.matches("\"at\":").count(), r.timeline.samples.len());
+
+    let (code, body) =
+        http_get(&addr, "/attribution", Duration::from_secs(5)).expect("GET /attribution");
+    assert_eq!(code, 200, "{body}");
+    assert_eq!(body, "{}", "no attributed run has published a profile yet");
+    let r = Experiment::new(Algorithm::Fcfs)
+        .with_attribution()
+        .run_raw(&w)
+        .expect("attributed raw run completes");
+    assert!(!r.attribution.is_empty(), "attribution was enabled");
+    let (code, body) =
+        http_get(&addr, "/attribution", Duration::from_secs(5)).expect("GET /attribution");
+    assert_eq!(code, 200, "{body}");
+    assert!(
+        body.starts_with("{\"scheduler\":\"FCFS\",\"attribution\":{"),
+        "a raw run publishes its attribution profile:\n{body}"
+    );
+
+    let rows = telemetry::cost_rows();
+    for name in ["EASY", "FCFS"] {
+        let row = rows.iter().find(|(n, _)| n == name).map(|(_, row)| row);
+        assert_eq!(
+            row.map(|row| (row.runs, row.jobs)),
+            Some((1, 60)),
+            "one {name} raw run in the cost table: {rows:?}"
+        );
+    }
+
     // -- error paths -------------------------------------------------
     let (code, _) = http_get(&addr, "/nope", Duration::from_secs(5)).expect("GET /nope");
     assert_eq!(code, 404);
@@ -158,4 +203,7 @@ fn metrics_endpoint_serves_a_live_sweep_end_to_end() {
     // -- campaign aggregation ----------------------------------------
     let table = telemetry::cost_table().expect("runs were recorded");
     assert!(table.contains("Delayed-LOS"), "{table}");
+    // `tune_cs` generated its workloads through `calibrated_workload`,
+    // which reports the generation time on its own row.
+    assert!(table.contains("(workload generation)"), "{table}");
 }

@@ -15,6 +15,7 @@
 //! and the oldest wait is `at - min(submit)` over them, or 0.
 
 use elastisched::{Experiment, MachineSpec};
+use elastisched_metrics::RunAccumulator;
 use elastisched_sched::Algorithm;
 use elastisched_sim::{Duration, JobOutcome, SimTime, TimelineConfig};
 use elastisched_workload::{generate, GeneratorConfig, Workload};
@@ -86,7 +87,7 @@ fn oldest_wait_matches_brute_force_under_backfilling() {
             );
         }
         // The streamed run recycles record slots; same samples.
-        let st = exp.run_streamed_raw(w.source()).unwrap();
+        let st = exp.run_streamed_with(w.source(), RunAccumulator::exact()).unwrap();
         assert_eq!(st.timeline, r.timeline, "{algo}: streamed timeline differs");
     }
 }

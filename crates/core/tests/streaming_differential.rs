@@ -12,6 +12,7 @@
 use elastisched::Experiment;
 use elastisched_metrics::RunAccumulator;
 use elastisched_sched::{Algorithm, StackSpec};
+use elastisched_sim::Engine;
 use elastisched_workload::{
     generate, CwfFile, CwfSource, GeneratorConfig, LublinSource, ScaleArrivals, SwfFile,
     SwfRecord, SwfSource, Workload,
@@ -47,7 +48,9 @@ fn lublin_source_matches_materialized_for_all_algorithms() {
     for algo in algorithms() {
         let exp = Experiment::new(algo);
         let materialized = exp.run(&w).unwrap();
-        let streamed = exp.run_streamed(LublinSource::new(&cfg)).unwrap();
+        let streamed = exp
+            .run_streamed_with(LublinSource::new(&cfg), RunAccumulator::exact())
+            .unwrap();
         assert_eq!(streamed, materialized, "{algo}: streamed Lublin diverged");
         assert_eq!(
             streamed.jobs, 300,
@@ -62,7 +65,9 @@ fn slice_source_matches_materialized() {
     for algo in algorithms() {
         let exp = Experiment::new(algo);
         let materialized = exp.run(&w).unwrap();
-        let streamed = exp.run_streamed(w.source()).unwrap();
+        let streamed = exp
+            .run_streamed_with(w.source(), RunAccumulator::exact())
+            .unwrap();
         assert_eq!(streamed, materialized, "{algo}: streamed slices diverged");
     }
 }
@@ -96,7 +101,7 @@ fn swf_source_matches_materialized() {
         let exp = Experiment::new(algo);
         let materialized = exp.run(&materialized_workload).unwrap();
         let streamed = exp
-            .run_streamed(SwfSource::from_text(&text))
+            .run_streamed_with(SwfSource::from_text(&text), RunAccumulator::exact())
             .unwrap();
         assert_eq!(streamed, materialized, "{algo}: streamed SWF diverged");
     }
@@ -115,7 +120,7 @@ fn cwf_source_matches_materialized() {
         let exp = Experiment::new(algo);
         let materialized = exp.run(&materialized_workload).unwrap();
         let streamed = exp
-            .run_streamed(CwfSource::from_text(&text))
+            .run_streamed_with(CwfSource::from_text(&text), RunAccumulator::exact())
             .unwrap();
         assert_eq!(streamed, materialized, "{algo}: streamed CWF diverged");
     }
@@ -150,7 +155,10 @@ fn scaled_swf_replay_matches_materialized_scaling() {
         let exp = Experiment::new(Algorithm::DelayedLos);
         let materialized = exp.run(&scaled).unwrap();
         let streamed = exp
-            .run_streamed(ScaleArrivals::new(SwfSource::from_text(&text), factor))
+            .run_streamed_with(
+                ScaleArrivals::new(SwfSource::from_text(&text), factor),
+                RunAccumulator::exact(),
+            )
             .unwrap();
         assert_eq!(streamed, materialized, "factor {factor} diverged");
     }
@@ -158,12 +166,25 @@ fn scaled_swf_replay_matches_materialized_scaling() {
 
 #[test]
 fn folded_run_equals_retained_run() {
-    // run_streamed folds outcomes away as they complete; deriving from
-    // the retained-outcome streamed result must give the same metrics.
+    // run_streamed_with folds outcomes away as they complete; deriving
+    // from the same streamed outcomes collected into a Vec must give the
+    // same metrics.
     let cfg = heavy_config();
     let exp = Experiment::new(Algorithm::HybridLosE);
-    let folded = exp.run_streamed(LublinSource::new(&cfg)).unwrap();
-    let raw = exp.run_streamed_raw(LublinSource::new(&cfg)).unwrap();
+    let folded = exp
+        .run_streamed_with(LublinSource::new(&cfg), RunAccumulator::exact())
+        .unwrap();
+    let spec = exp.spec;
+    let engine = Engine::new(
+        exp.machine.build(),
+        spec.build(exp.params),
+        spec.ecc_policy(),
+    );
+    let mut outcomes = Vec::new();
+    let mut raw = engine
+        .run_streaming_folded(LublinSource::new(&cfg), &mut |o| outcomes.push(o.clone()))
+        .unwrap();
+    raw.outcomes = outcomes;
     assert_eq!(raw.outcomes.len(), 300);
     let derived = elastisched_metrics::RunMetrics::from_result(&raw);
     assert_eq!(folded, derived);
@@ -216,8 +237,11 @@ fn streamed_timeline_matches_materialized_for_all_algorithms() {
     };
     for algo in algorithms() {
         let exp = Experiment::new(algo).with_timeline(tl_cfg);
-        let materialized = exp.run_raw(&w).unwrap().timeline;
-        let streamed = exp.run_streamed_raw(LublinSource::new(&cfg)).unwrap().timeline;
+        let materialized = exp.run(&w).unwrap().timeline;
+        let streamed = exp
+            .run_streamed_with(LublinSource::new(&cfg), RunAccumulator::exact())
+            .unwrap()
+            .timeline;
         assert!(
             materialized.decimations > 0,
             "{algo}: budget 16 must force decimation"
@@ -246,7 +270,9 @@ fn stack_experiment_streams_arbitrary_specs() {
         let raw = exp.run_raw(&w).unwrap();
         elastisched_metrics::RunMetrics::from_result(&raw)
     };
-    let streamed = exp.run_streamed(LublinSource::new(&cfg)).unwrap();
+    let streamed = exp
+        .run_streamed_with(LublinSource::new(&cfg), RunAccumulator::exact())
+        .unwrap();
     assert_eq!(streamed, materialized);
 }
 
@@ -266,6 +292,8 @@ fn malleable_stack_streams_identically() {
         materialized.reconfig_grows + materialized.reconfig_shrinks > 0,
         "identity check is vacuous without resizes"
     );
-    let streamed = exp.run_streamed(LublinSource::new(&cfg)).unwrap();
+    let streamed = exp
+        .run_streamed_with(LublinSource::new(&cfg), RunAccumulator::exact())
+        .unwrap();
     assert_eq!(streamed, materialized);
 }

@@ -23,8 +23,9 @@
 
 use crate::report::RunMetrics;
 use crate::stats::Summary;
-use elastisched_sim::{profile, JobOutcome, LogHistogram, Phase, SimResult};
+use elastisched_sim::{JobOutcome, LogHistogram, Phase, PhaseProfile, SimResult};
 use std::collections::BTreeMap;
+use std::time::Instant;
 
 /// Wait-series storage backing the summary's order statistics.
 enum WaitStore {
@@ -47,7 +48,6 @@ pub struct RunAccumulator {
     on_time: usize,
     wait_hist: LogHistogram,
     slowdown_hist: LogHistogram,
-    started: std::time::Instant,
 }
 
 impl RunAccumulator {
@@ -63,7 +63,6 @@ impl RunAccumulator {
             on_time: 0,
             wait_hist: LogHistogram::new(),
             slowdown_hist: LogHistogram::new(),
-            started: std::time::Instant::now(),
         }
     }
 
@@ -122,12 +121,17 @@ impl RunAccumulator {
     /// counters) from `result`. `result.outcomes` is *not* read — a
     /// folded streamed run legitimately leaves it empty.
     ///
-    /// Also assembles the run's phase profile the same way
-    /// [`RunMetrics::from_result`] does: DP/engine-loop time from the
-    /// result's counters, this accumulator's own lifetime as the
-    /// derivation phase, and any pending thread-local `PhaseTimer`
-    /// recordings absorbed (`profile::take_pending`).
-    pub fn finish(mut self, result: &SimResult) -> RunMetrics {
+    /// Also assembles the run's phase profile: DP/engine-loop time from
+    /// the result's counters, and this call as the derivation phase (the
+    /// folds already happened inside the engine loop).
+    pub fn finish(self, result: &SimResult) -> RunMetrics {
+        self.finish_since(result, Instant::now())
+    }
+
+    /// [`RunAccumulator::finish`], charging the derivation phase from
+    /// `started` — [`RunMetrics::from_result`] starts it before its fold
+    /// loop.
+    pub(crate) fn finish_since(mut self, result: &SimResult, started: Instant) -> RunMetrics {
         let n = self.n;
         let mean_of = |sum: f64, count: usize| if count == 0 { 0.0 } else { sum / count as f64 };
         let mean_wait = mean_of(self.wait_sum, n);
@@ -141,12 +145,12 @@ impl RunAccumulator {
             WaitStore::Exact(waits) => Summary::of_unsorted_in_place(waits),
             WaitStore::Bounded(counts) => summary_of_counts(counts, n, mean_wait),
         };
-        let mut phase_profile = profile::take_pending();
+        let mut phase_profile = PhaseProfile::new();
         phase_profile.record(Phase::DpSolve, result.sched_stats.dp_nanos);
         phase_profile.record(Phase::EngineLoop, result.engine.engine_nanos);
         phase_profile.record(
             Phase::MetricsDerivation,
-            self.started.elapsed().as_nanos().min(u64::MAX as u128) as u64,
+            started.elapsed().as_nanos().min(u64::MAX as u128) as u64,
         );
         RunMetrics {
             scheduler: result.scheduler.to_string(),

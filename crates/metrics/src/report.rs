@@ -109,11 +109,11 @@ pub struct RunMetrics {
     #[serde(default)]
     pub cycle_hist: LogHistogram,
     /// Where this run's wall time went, by coarse phase: DP solves and
-    /// the engine loop come from the simulator's own timers, metrics
-    /// derivation is timed here, and workload generation is absorbed
-    /// from any `PhaseTimer` the caller dropped on this thread before
-    /// deriving (see [`RunMetrics::from_result`]). Wall-clock detail,
-    /// excluded from equality like `engine_nanos`.
+    /// the engine loop come from the simulator's own timers, and metrics
+    /// derivation is timed here (see [`RunMetrics::from_result`]).
+    /// Workload generation happens outside any one run, so it is
+    /// reported to the campaign on its own and never appears here.
+    /// Wall-clock detail, excluded from equality like `engine_nanos`.
     #[serde(default)]
     pub phase_profile: PhaseProfile,
     /// Budget-bounded time series of periodic engine samples, populated
@@ -170,13 +170,11 @@ impl PartialEq for RunMetrics {
 impl RunMetrics {
     /// Derive the metrics from a completed simulation.
     ///
-    /// Also assembles the run's [`PhaseProfile`]: the derivation pass
-    /// itself is timed here, DP/engine-loop time is copied from the
-    /// result's counters, and — so callers can attribute workload
-    /// generation with a plain RAII timer — this thread's pending
-    /// [`profile::PhaseTimer`] recordings are **drained and absorbed**
-    /// into the profile (`profile::take_pending`).
+    /// Also assembles the run's [`PhaseProfile`]: DP/engine-loop time is
+    /// copied from the result's counters, and the derivation phase times
+    /// the fold over the outcomes plus the finishing pass.
     pub fn from_result(result: &SimResult) -> RunMetrics {
+        let started = std::time::Instant::now();
         // One fold pass over the outcomes, in completion order, on the
         // exact accumulator — the same path a streamed run drives one
         // completion at a time (see [`crate::accum::RunAccumulator`]),
@@ -186,7 +184,7 @@ impl RunMetrics {
         for o in &result.outcomes {
             acc.record(o);
         }
-        acc.finish(result)
+        acc.finish_since(result, started)
     }
 }
 
@@ -194,7 +192,7 @@ impl RunMetrics {
 mod tests {
     use super::*;
     use elastisched_sim::{
-        profile, Duration, EccStats, JobId, JobOutcome, Phase, SchedStats, SimResult, SimTime,
+        Duration, EccStats, JobId, JobOutcome, Phase, SchedStats, SimResult, SimTime,
     };
 
     fn outcome(id: u64, submit: u64, started: u64, finished: u64, num: u32) -> JobOutcome {
@@ -290,24 +288,21 @@ mod tests {
     }
 
     #[test]
-    fn phase_profile_stamped_and_absorbs_pending_timers() {
-        let _ = profile::take_pending(); // isolate this test thread
-        profile::record_pending(Phase::WorkloadGen, 1234);
+    fn phase_profile_stamped_from_the_run_alone() {
         let mut r = result(vec![outcome(1, 0, 0, 100, 32)]);
         r.sched_stats.dp_nanos = 55;
         r.engine.engine_nanos = 99;
         let m = RunMetrics::from_result(&r);
-        assert_eq!(m.phase_profile.nanos_of(Phase::WorkloadGen), 1234);
         assert_eq!(m.phase_profile.nanos_of(Phase::DpSolve), 55);
         assert_eq!(m.phase_profile.nanos_of(Phase::EngineLoop), 99);
         assert_eq!(m.phase_profile.calls_of(Phase::MetricsDerivation), 1);
-        // The pending profile was drained into this run.
-        assert!(profile::take_pending().is_empty());
+        // Workload generation is reported to the campaign on its own,
+        // never folded into a run's profile.
+        assert_eq!(m.phase_profile.calls_of(Phase::WorkloadGen), 0);
         // Equality ignores the profile (wall-clock diagnostic), so a
-        // re-derivation without the pending timer still compares equal.
+        // re-derivation with other timings still compares equal.
         let again = RunMetrics::from_result(&r);
         assert_eq!(m, again);
-        assert_eq!(again.phase_profile.nanos_of(Phase::WorkloadGen), 0);
     }
 
     #[test]

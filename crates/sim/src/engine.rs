@@ -66,9 +66,9 @@ impl Hasher for JobIdHasher {
 
 type JobIdMap = HashMap<JobId, usize, BuildHasherDefault<JobIdHasher>>;
 
-/// Optional per-completion outcome sink. `Some` on the streaming-folded
-/// path, where outcomes are consumed instead of retained; `None`
-/// everywhere else.
+/// Optional per-completion outcome sink. `Some` on the streamed path,
+/// where outcomes are consumed instead of retained; `None` on
+/// [`Engine::run`].
 type OutcomeFold<'a> = Option<&'a mut dyn FnMut(&JobOutcome)>;
 
 /// Simulation-level failures.
@@ -311,10 +311,11 @@ struct EngineState {
     /// slot is recycled for a later arrival, so the slab tracks peak
     /// *live* jobs, not trace length.
     free_slots: Vec<usize>,
-    /// Set by the streaming entry points: each job is enrolled when it
+    /// Set exactly when outcomes are folded
+    /// ([`Engine::run_streaming_folded`]): each job is enrolled when it
     /// is admitted and its state is reclaimed at completion. Clear on
     /// [`Engine::run`], where [`Engine::load`] enrolled the whole trace
-    /// up front and every record is kept for post-run inspection.
+    /// up front and every record and outcome is kept.
     streamed: bool,
     /// Trace sink, present only when tracing was enabled for this run.
     /// Boxed so the disabled path carries one pointer, not the sink's
@@ -818,7 +819,8 @@ impl<S: Scheduler> Engine<S> {
     }
 
     /// Run to completion while pulling the workload lazily from a
-    /// [`JobSource`].
+    /// [`JobSource`], handing each [`JobOutcome`] to `fold` at completion
+    /// instead of retaining it.
     ///
     /// Semantics are identical to [`Engine::load`] + [`Engine::run`] on
     /// the materialized equivalent of the stream — the differential
@@ -826,9 +828,10 @@ impl<S: Scheduler> Engine<S> {
     /// arrivals are admitted only when the virtual clock reaches them
     /// and each job's record, id-map entry, and wait-view are reclaimed
     /// at completion, so peak memory tracks *live* jobs rather than
-    /// trace length. Outcomes are still retained in
-    /// [`SimResult::outcomes`]; use [`Engine::run_streaming_folded`] to
-    /// bound that too.
+    /// trace length. [`SimResult::outcomes`] comes back empty, so a
+    /// multi-million-job soak holds no per-job state at all past
+    /// completion; aggregate fields of the result (busy area, makespan,
+    /// ECC stats, counters) are unaffected.
     ///
     /// Two contract differences from the materialized path, both
     /// consequences of not holding the whole trace (see
@@ -836,34 +839,24 @@ impl<S: Scheduler> Engine<S> {
     /// first holder is live, and an ECC issued for a reclaimed job
     /// counts as `dropped_stale` even when the materialized path would
     /// have classified it `dropped_policy`.
-    pub fn run_streaming<Src: JobSource>(mut self, source: Src) -> Result<SimResult, SimError> {
-        self.state.streamed = true;
-        self.run_source(source, None)
-    }
-
-    /// [`Engine::run_streaming`], but each [`JobOutcome`] is handed to
-    /// `fold` at completion instead of being retained —
-    /// [`SimResult::outcomes`] comes back empty, so a multi-million-job
-    /// soak holds no per-job state at all past completion. Aggregate
-    /// fields of the result (busy area, makespan, ECC stats, counters)
-    /// are unaffected.
     pub fn run_streaming_folded<Src: JobSource>(
-        mut self,
+        self,
         source: Src,
         fold: &mut dyn FnMut(&JobOutcome),
     ) -> Result<SimResult, SimError> {
-        self.state.streamed = true;
         self.run_source(source, Some(fold))
     }
 
-    /// The one run path behind [`Engine::run`] and the streaming entry
-    /// points: trace preamble, guarded event loop, epilogue.
+    /// The one run path behind [`Engine::run`] and
+    /// [`Engine::run_streaming_folded`]: trace preamble, guarded event
+    /// loop, epilogue.
     fn run_source<Src: JobSource>(
         mut self,
         mut source: Src,
         mut fold: OutcomeFold<'_>,
     ) -> Result<SimResult, SimError> {
         let wall = std::time::Instant::now();
+        self.state.streamed = fold.is_some();
         let mut engine_stats = EngineStats::default();
         // Trace preamble: just the run shape. Submit events are emitted
         // per job at admission.
@@ -1960,6 +1953,18 @@ mod tests {
         simulate(Machine::bluegene_p(), TestFifo::new(), policy, jobs, eccs).unwrap()
     }
 
+    /// A streamed run with its folded outcomes collected back into
+    /// `SimResult::outcomes`, for comparison with a materialized run.
+    fn run_streamed<S: Scheduler>(
+        engine: Engine<S>,
+        source: impl crate::source::JobSource,
+    ) -> Result<SimResult, SimError> {
+        let mut outcomes = Vec::new();
+        let mut result = engine.run_streaming_folded(source, &mut |o| outcomes.push(o.clone()))?;
+        result.outcomes = outcomes;
+        Ok(result)
+    }
+
     #[test]
     fn two_sequential_jobs_complete() {
         let jobs = vec![
@@ -2322,8 +2327,7 @@ mod tests {
                 TestFifo::new(),
                 EccPolicy::time_only(),
             );
-            let st = engine
-                .run_streaming(SliceSource::new(&jobs, &eccs))
+            let st = run_streamed(engine, SliceSource::new(&jobs, &eccs))
                 .unwrap();
             assert_eq!(st.outcomes, mat.outcomes);
             assert_eq!(st.makespan, mat.makespan);
@@ -2371,7 +2375,7 @@ mod tests {
                 TestFifo::new(),
                 EccPolicy::disabled(),
             );
-            let st = engine.run_streaming(SliceSource::new(&jobs, &[])).unwrap();
+            let st = run_streamed(engine, SliceSource::new(&jobs, &[])).unwrap();
             assert_eq!(st.outcomes, mat.outcomes);
             assert!(
                 st.engine.peak_live_jobs <= 2,
@@ -2459,7 +2463,7 @@ mod tests {
                 EccPolicy::time_only(),
             );
             s.enable_timeline(cfg);
-            let st = s.run_streaming(SliceSource::new(&jobs, &eccs)).unwrap();
+            let st = run_streamed(s, SliceSource::new(&jobs, &eccs)).unwrap();
             assert!(!mat.timeline.is_empty());
             // Field-for-field identity, `event_queue_len` included.
             assert_eq!(mat.timeline, st.timeline);
@@ -2492,7 +2496,7 @@ mod tests {
                 EccPolicy::disabled(),
             );
             engine.enable_flight_recorder(&path);
-            let err = engine.run_streaming(Backwards(0)).unwrap_err();
+            let err = run_streamed(engine, Backwards(0)).unwrap_err();
             assert!(matches!(err, SimError::UnorderedSource { .. }), "{err}");
             let text = std::fs::read_to_string(&path).expect("postmortem file written");
             let (snap, events) = elastisched_trace::read_postmortem(&text).unwrap();
@@ -2526,7 +2530,7 @@ mod tests {
                 TestFifo::new(),
                 EccPolicy::disabled(),
             );
-            let err = engine.run_streaming(Backwards(0)).unwrap_err();
+            let err = run_streamed(engine, Backwards(0)).unwrap_err();
             assert!(matches!(err, SimError::UnorderedSource { .. }), "{err}");
         }
 
@@ -2541,7 +2545,7 @@ mod tests {
                 TestFifo::new(),
                 EccPolicy::disabled(),
             );
-            let err = engine.run_streaming(SliceSource::new(&jobs, &[])).unwrap_err();
+            let err = run_streamed(engine, SliceSource::new(&jobs, &[])).unwrap_err();
             assert_eq!(err, SimError::DuplicateJobId(JobId(1)));
         }
 
@@ -2556,7 +2560,7 @@ mod tests {
                 TestFifo::new(),
                 EccPolicy::disabled(),
             );
-            let st = engine.run_streaming(SliceSource::new(&jobs, &[])).unwrap();
+            let st = run_streamed(engine, SliceSource::new(&jobs, &[])).unwrap();
             assert_eq!(st.outcomes.len(), 2);
             assert_eq!(st.makespan, SimTime::from_secs(110));
         }
@@ -2569,7 +2573,7 @@ mod tests {
                 TestFifo::new(),
                 EccPolicy::disabled(),
             );
-            let err = engine.run_streaming(SliceSource::new(&jobs, &[])).unwrap_err();
+            let err = run_streamed(engine, SliceSource::new(&jobs, &[])).unwrap_err();
             assert!(matches!(err, SimError::ImpossibleJob { .. }));
         }
 
@@ -2580,7 +2584,7 @@ mod tests {
                 TestFifo::new(),
                 EccPolicy::disabled(),
             );
-            let st = engine.run_streaming(SliceSource::new(&[], &[])).unwrap();
+            let st = run_streamed(engine, SliceSource::new(&[], &[])).unwrap();
             assert!(st.outcomes.is_empty());
             assert_eq!(st.engine.events, 0);
         }
@@ -2792,7 +2796,7 @@ mod tests {
                 MalleableFifo::new(true),
                 EccPolicy::disabled(),
             );
-            let st = engine.run_streaming(SliceSource::new(&jobs, &[])).unwrap();
+            let st = run_streamed(engine, SliceSource::new(&jobs, &[])).unwrap();
             assert_eq!(mat.reconfig, st.reconfig);
             assert_eq!(mat.outcomes.len(), st.outcomes.len());
             for (a, b) in mat.outcomes.iter().zip(&st.outcomes) {

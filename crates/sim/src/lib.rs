@@ -65,5 +65,5 @@ pub use time::{Duration, SimTime};
 pub use elastisched_trace::{
     metric, metrics, profile, read_postmortem, serve, trace_event, write_postmortem, DpKernel,
     EccTag, LogHistogram, MetricsRegistry, MetricsSnapshot, MetricsServer, Phase, PhaseProfile,
-    PhaseTimer, PostmortemSnapshot, StatusDoc, TraceEvent, TraceSink,
+    PostmortemSnapshot, StatusDoc, TraceEvent, TraceSink,
 };

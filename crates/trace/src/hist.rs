@@ -127,8 +127,7 @@ impl LogHistogram {
     }
 
     /// Merge another histogram into this one. Saturating, commutative,
-    /// and associative — the metrics registry relies on snapshot merges
-    /// being order-independent across thread shards.
+    /// and associative, so per-run histograms fold in any order.
     pub fn merge(&mut self, other: &LogHistogram) {
         for (a, b) in self.counts.iter_mut().zip(other.counts.iter()) {
             *a = a.saturating_add(*b);

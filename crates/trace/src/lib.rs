@@ -44,7 +44,7 @@ pub use export::{from_jsonl, to_chrome_trace, to_jsonl};
 pub use hist::{LogHistogram, HIST_BUCKETS};
 pub use metrics::{MetricId, MetricKind, MetricSpec, MetricsRegistry, MetricsSnapshot};
 pub use postmortem::{read_postmortem, write_postmortem, PostmortemSnapshot};
-pub use profile::{Phase, PhaseProfile, PhaseTimer};
+pub use profile::{Phase, PhaseProfile};
 pub use serve::{MetricsServer, StatusDoc};
 pub use sink::{TraceSink, DEFAULT_CAPACITY};
 
@@ -145,10 +145,10 @@ mod tests {
         }
 
         // First install wins, the second is refused.
-        let installed = metrics::install_global(Arc::new(metrics::MetricsRegistry::standard(2)));
+        let installed = metrics::install_global(Arc::new(metrics::MetricsRegistry::standard()));
         assert!(installed, "no other trace unit test installs a registry");
         assert!(!metrics::install_global(Arc::new(
-            metrics::MetricsRegistry::standard(1)
+            metrics::MetricsRegistry::standard()
         )));
 
         metric!(|reg| reg.counter_add(metrics::keys::RUNS_TOTAL, 2));

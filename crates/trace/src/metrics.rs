@@ -1,14 +1,14 @@
-//! Sharded, lock-free metrics registry: the live-counter plane.
+//! Lock-free metrics registry: the live-counter plane.
 //!
 //! Where [`crate::sink`] is a post-hoc event log, this module is the
 //! *live* surface: a fixed set of metrics declared up front
 //! ([`MetricSpec`]), addressed by integer handle ([`MetricId`]), and
-//! backed by per-thread **shards** of relaxed atomics so sweep workers
-//! and the engine loop can bump counters concurrently without sharing a
-//! cache line, let alone a lock. Readers call [`MetricsRegistry::snapshot`],
-//! which merges the shards into a plain serializable value — the
-//! snapshot-merge API the HTTP endpoint ([`crate::serve`]) renders as
-//! Prometheus text exposition or JSON.
+//! backed by one relaxed atomic per counter (one atomic histogram per
+//! histogram), so sweep workers and the engine can bump them
+//! concurrently without a lock. Readers call
+//! [`MetricsRegistry::snapshot`], which copies them into a plain
+//! serializable value — the API the HTTP endpoint ([`crate::serve`])
+//! renders as Prometheus text exposition or JSON.
 //!
 //! # Cost model
 //!
@@ -20,19 +20,14 @@
 //!   branch on an `Option` that is `None`. The engine flushes its
 //!   counters **once per run**, never per event, so even that branch is
 //!   off the per-event hot path.
-//! * **enabled**: a relaxed `fetch_add` on a shard picked by a cached
-//!   thread-local index — no contention between worker threads.
-//!
-//! # Sharding
-//!
-//! Each thread is lazily assigned a small id (a global round-robin
-//! counter cached in a thread-local); the registry masks it by its
-//! power-of-two shard count. Two threads may share a shard when there
-//! are more threads than shards — still correct, just occasionally
-//! contended. Counter reads sum across shards; they are monotone but
-//! not a consistent cut (standard for scrape-style metrics).
+//! * **enabled**: a relaxed `fetch_add` on the metric's one atomic.
+//!   Writers are the engine's once-per-run flush, the audit-failure
+//!   bumps, and the campaign hooks (once per run and per sweep point),
+//!   so no writer runs per event and contention is negligible. Reads
+//!   are monotone but not a consistent cut across metrics (standard
+//!   for scrape-style metrics).
 
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 use serde::{Deserialize, Serialize};
@@ -66,7 +61,7 @@ pub struct MetricSpec {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MetricId(pub usize);
 
-/// A merge-friendly histogram made of atomics, one per shard.
+/// A merge-friendly histogram made of atomics.
 struct AtomicHistogram {
     counts: [AtomicU64; HIST_BUCKETS],
     n: AtomicU64,
@@ -115,22 +110,14 @@ impl AtomicHistogram {
     }
 }
 
-/// One shard: a counter cell per counter spec and an atomic histogram
-/// per histogram spec. Gauges are registry-level (sets are rare and
-/// last-write-wins — sharding them would make reads ambiguous).
-struct Shard {
-    counters: Vec<AtomicU64>,
-    hists: Vec<AtomicHistogram>,
-}
-
-/// The sharded registry. Cheap to update from any thread; snapshot to
-/// read. See the module docs for the cost model.
+/// The registry. Cheap to update from any thread; snapshot to read.
+/// See the module docs for the cost model.
 pub struct MetricsRegistry {
     specs: Vec<MetricSpec>,
     /// spec index → slot within its kind's storage.
     slot_of: Vec<usize>,
-    shards: Vec<Shard>,
-    shard_mask: usize,
+    counters: Vec<AtomicU64>,
+    hists: Vec<AtomicHistogram>,
     gauges: Vec<AtomicU64>, // f64 bits
     labels: Mutex<Vec<(String, String)>>,
     /// Published JSON documents served verbatim by the HTTP endpoint
@@ -138,31 +125,9 @@ pub struct MetricsRegistry {
     docs: Mutex<Vec<(String, String)>>,
 }
 
-/// Round-robin source of thread ids for shard selection.
-static NEXT_THREAD_ID: AtomicUsize = AtomicUsize::new(0);
-
-thread_local! {
-    static THREAD_SHARD_SEED: std::cell::Cell<usize> =
-        const { std::cell::Cell::new(usize::MAX) };
-}
-
-#[inline]
-fn thread_seed() -> usize {
-    THREAD_SHARD_SEED.with(|c| {
-        let mut v = c.get();
-        if v == usize::MAX {
-            v = NEXT_THREAD_ID.fetch_add(1, Ordering::Relaxed);
-            c.set(v);
-        }
-        v
-    })
-}
-
 impl MetricsRegistry {
-    /// Build a registry over `specs` with roughly `shards` shards
-    /// (rounded up to a power of two, clamped to `[1, 64]`).
-    pub fn new(specs: Vec<MetricSpec>, shards: usize) -> Self {
-        let shard_count = shards.clamp(1, 64).next_power_of_two();
+    /// Build a registry over `specs`.
+    pub fn new(specs: Vec<MetricSpec>) -> Self {
         let mut slot_of = Vec::with_capacity(specs.len());
         let (mut n_counters, mut n_gauges, mut n_hists) = (0usize, 0usize, 0usize);
         for spec in &specs {
@@ -181,27 +146,20 @@ impl MetricsRegistry {
                 }
             }
         }
-        let shards = (0..shard_count)
-            .map(|_| Shard {
-                counters: (0..n_counters).map(|_| AtomicU64::new(0)).collect(),
-                hists: (0..n_hists).map(|_| AtomicHistogram::new()).collect(),
-            })
-            .collect();
         MetricsRegistry {
             specs,
             slot_of,
-            shards,
-            shard_mask: shard_count - 1,
+            counters: (0..n_counters).map(|_| AtomicU64::new(0)).collect(),
+            hists: (0..n_hists).map(|_| AtomicHistogram::new()).collect(),
             gauges: (0..n_gauges).map(|_| AtomicU64::new(0f64.to_bits())).collect(),
             labels: Mutex::new(Vec::new()),
             docs: Mutex::new(Vec::new()),
         }
     }
 
-    /// The well-known workspace metric set (see [`keys`]), sharded for
-    /// `shards` concurrent writers.
-    pub fn standard(shards: usize) -> Self {
-        Self::new(STANDARD_SPECS.to_vec(), shards)
+    /// The well-known workspace metric set (see [`keys`]).
+    pub fn standard() -> Self {
+        Self::new(STANDARD_SPECS.to_vec())
     }
 
     /// The registered metric specs, in [`MetricId`] order.
@@ -210,29 +168,22 @@ impl MetricsRegistry {
     }
 
     #[inline]
-    fn shard(&self) -> &Shard {
-        &self.shards[thread_seed() & self.shard_mask]
-    }
-
-    #[inline]
     fn slot(&self, id: MetricId, kind: MetricKind) -> usize {
         debug_assert_eq!(self.specs[id.0].kind, kind, "metric kind mismatch");
         self.slot_of[id.0]
     }
 
-    /// Add `delta` to a counter on the current thread's shard.
+    /// Add `delta` to a counter.
     #[inline]
     pub fn counter_add(&self, id: MetricId, delta: u64) {
         let slot = self.slot(id, MetricKind::Counter);
-        self.shard().counters[slot].fetch_add(delta, Ordering::Relaxed);
+        self.counters[slot].fetch_add(delta, Ordering::Relaxed);
     }
 
-    /// Current counter total, summed across shards (saturating).
+    /// Current counter total.
     pub fn counter_value(&self, id: MetricId) -> u64 {
         let slot = self.slot(id, MetricKind::Counter);
-        self.shards.iter().fold(0u64, |acc, s| {
-            acc.saturating_add(s.counters[slot].load(Ordering::Relaxed))
-        })
+        self.counters[slot].load(Ordering::Relaxed)
     }
 
     /// Set a gauge (last write wins across threads).
@@ -248,11 +199,11 @@ impl MetricsRegistry {
         f64::from_bits(self.gauges[slot].load(Ordering::Relaxed))
     }
 
-    /// Record one sample into a histogram on the current thread's shard.
+    /// Record one sample into a histogram.
     #[inline]
     pub fn observe(&self, id: MetricId, v: u64) {
         let slot = self.slot(id, MetricKind::Histogram);
-        self.shard().hists[slot].observe(v);
+        self.hists[slot].observe(v);
     }
 
     /// Fold a pre-aggregated [`LogHistogram`] into a histogram metric
@@ -264,7 +215,7 @@ impl MetricsRegistry {
             return;
         }
         let slot = self.slot(id, MetricKind::Histogram);
-        self.shard().hists[slot].merge_log(h);
+        self.hists[slot].merge_log(h);
     }
 
     /// Attach or replace a free-form label (rendered on the
@@ -296,7 +247,7 @@ impl MetricsRegistry {
         docs.iter().find(|(k, _)| k == key).map(|(_, v)| v.clone())
     }
 
-    /// Merge every shard into a plain, serializable snapshot.
+    /// Copy every metric into a plain, serializable snapshot.
     pub fn snapshot(&self) -> MetricsSnapshot {
         let mut counters = Vec::new();
         let mut gauges = Vec::new();
@@ -315,24 +266,17 @@ impl MetricsRegistry {
                     value: self.gauge_value(id),
                 }),
                 MetricKind::Histogram => {
-                    let slot = self.slot_of[i];
+                    let ah = &self.hists[self.slot_of[i]];
                     let mut hist = LogHistogram::new();
-                    let mut sum = 0u64;
-                    for shard in &self.shards {
-                        let ah = &shard.hists[slot];
-                        let mut part = LogHistogram::new();
-                        for (b, c) in ah.counts.iter().enumerate() {
-                            part.counts[b] = c.load(Ordering::Relaxed);
-                        }
-                        part.n = ah.n.load(Ordering::Relaxed);
-                        part.max = ah.max.load(Ordering::Relaxed);
-                        sum = sum.saturating_add(ah.sum.load(Ordering::Relaxed));
-                        hist.merge(&part);
+                    for (b, c) in ah.counts.iter().enumerate() {
+                        hist.counts[b] = c.load(Ordering::Relaxed);
                     }
+                    hist.n = ah.n.load(Ordering::Relaxed);
+                    hist.max = ah.max.load(Ordering::Relaxed);
                     histograms.push(HistSnap {
                         name: spec.name.to_string(),
                         help: spec.help.to_string(),
-                        sum,
+                        sum: ah.sum.load(Ordering::Relaxed),
                         hist,
                     });
                 }
@@ -356,14 +300,14 @@ impl MetricsRegistry {
     }
 }
 
-/// One merged counter in a [`MetricsSnapshot`].
+/// One counter in a [`MetricsSnapshot`].
 #[derive(Debug, Clone, Serialize, Deserialize, PartialEq)]
 pub struct CounterSnap {
     /// Metric name.
     pub name: String,
     /// Help text.
     pub help: String,
-    /// Summed total across shards.
+    /// Counter total.
     pub value: u64,
 }
 
@@ -378,7 +322,7 @@ pub struct GaugeSnap {
     pub value: f64,
 }
 
-/// One merged histogram in a [`MetricsSnapshot`].
+/// One histogram in a [`MetricsSnapshot`].
 #[derive(Debug, Clone, Serialize, Deserialize, PartialEq)]
 pub struct HistSnap {
     /// Metric name.
@@ -388,7 +332,7 @@ pub struct HistSnap {
     /// Sample sum (exact for `observe`d samples, midpoint-estimated for
     /// merged [`LogHistogram`]s).
     pub sum: u64,
-    /// Merged bucket counts.
+    /// Bucket counts.
     pub hist: LogHistogram,
 }
 
@@ -401,17 +345,17 @@ pub struct LabelEntry {
     pub value: String,
 }
 
-/// A merged, serializable view of the registry at one instant. This is
+/// A serializable view of the registry at one instant. This is
 /// the `/status` JSON payload and the input to the Prometheus renderer.
 #[derive(Debug, Clone, Serialize, Deserialize, PartialEq, Default)]
 pub struct MetricsSnapshot {
-    /// Merged counters in registration order.
+    /// Counters in registration order.
     #[serde(default)]
     pub counters: Vec<CounterSnap>,
     /// Gauge levels in registration order.
     #[serde(default)]
     pub gauges: Vec<GaugeSnap>,
-    /// Merged histograms in registration order.
+    /// Histograms in registration order.
     #[serde(default)]
     pub histograms: Vec<HistSnap>,
     /// Free-form labels.
@@ -1082,7 +1026,7 @@ mod tests {
 
     #[test]
     fn concurrent_counter_adds_sum_exactly() {
-        let reg = Arc::new(MetricsRegistry::standard(8));
+        let reg = Arc::new(MetricsRegistry::standard());
         std::thread::scope(|scope| {
             for _ in 0..8 {
                 let reg = Arc::clone(&reg);
@@ -1098,7 +1042,7 @@ mod tests {
 
     #[test]
     fn gauges_are_last_write_wins() {
-        let reg = MetricsRegistry::standard(4);
+        let reg = MetricsRegistry::standard();
         reg.gauge_set(keys::SWEEP_ETA_SECONDS, 12.5);
         assert_eq!(reg.gauge_value(keys::SWEEP_ETA_SECONDS), 12.5);
         reg.gauge_set(keys::SWEEP_ETA_SECONDS, 3.0);
@@ -1107,7 +1051,7 @@ mod tests {
 
     #[test]
     fn histogram_observe_and_merge_agree_in_snapshot() {
-        let reg = MetricsRegistry::standard(2);
+        let reg = MetricsRegistry::standard();
         reg.observe(keys::POINT_MILLIS, 10);
         reg.observe(keys::POINT_MILLIS, 1000);
         let mut pre = LogHistogram::new();
@@ -1135,7 +1079,7 @@ mod tests {
 
     #[test]
     fn prometheus_rendering_is_well_formed() {
-        let reg = MetricsRegistry::standard(1);
+        let reg = MetricsRegistry::standard();
         reg.set_label("campaign", "unit \"test\"\nline");
         reg.counter_add(keys::RUNS_TOTAL, 3);
         reg.gauge_set(keys::SWEEP_ETA_SECONDS, 1.5);
@@ -1179,7 +1123,7 @@ mod tests {
 
     #[test]
     fn snapshot_round_trips_through_json() {
-        let reg = MetricsRegistry::standard(2);
+        let reg = MetricsRegistry::standard();
         reg.counter_add(keys::RUNS_TOTAL, 2);
         reg.observe(keys::POINT_MILLIS, 42);
         reg.set_label("campaign", "roundtrip");

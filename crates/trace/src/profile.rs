@@ -1,26 +1,17 @@
-//! RAII phase profiler: where does a run's wall time actually go?
+//! Phase profiler: where does a run's wall time actually go?
 //!
 //! A simulation run decomposes into a handful of coarse phases —
 //! generating the workload, solving DP selections, turning the event
 //! crank, and deriving `RunMetrics` at the end. This module gives each
-//! a slot in a tiny fixed-size [`PhaseProfile`] and two ways to fill
-//! it:
-//!
-//! * **RAII timers** ([`PhaseTimer`]): start one, let it drop, and the
-//!   elapsed wall time lands in a thread-local *pending* profile that
-//!   the next `RunMetrics` derivation on the same thread absorbs via
-//!   [`take_pending`]. Panic-safe: the `Drop` impl runs during unwind,
-//!   so a panicking phase still records what it spent.
-//! * **Direct recording** ([`PhaseProfile::record`]): for phases whose
-//!   duration is already measured elsewhere (the engine's
-//!   `engine_nanos`, the scheduler's sampled `dp_nanos`).
+//! a slot in a tiny fixed-size [`PhaseProfile`], filled with
+//! [`PhaseProfile::record`] from durations measured where the work
+//! happens (the engine's `engine_nanos`, the scheduler's sampled
+//! `dp_nanos`, the metrics derivation's own clock, workload
+//! generation's).
 //!
 //! Profiles are plain `Copy` data: they merge with saturating adds, so
 //! a sweep can fold thousands of per-run profiles into one per-scheduler
 //! cost row without overflow anxiety.
-
-use std::cell::RefCell;
-use std::time::Instant;
 
 use serde::{Deserialize, Serialize};
 
@@ -150,96 +141,9 @@ impl PhaseProfile {
     }
 }
 
-thread_local! {
-    /// Pending per-thread profile filled by dropped [`PhaseTimer`]s and
-    /// drained by [`take_pending`].
-    static PENDING: RefCell<PhaseProfile> = const { RefCell::new(PhaseProfile {
-        nanos: [0; Phase::COUNT],
-        calls: [0; Phase::COUNT],
-    }) };
-}
-
-/// Drain this thread's pending profile (what [`PhaseTimer`]s recorded
-/// since the last drain), leaving it empty.
-pub fn take_pending() -> PhaseProfile {
-    PENDING.with(|p| std::mem::take(&mut *p.borrow_mut()))
-}
-
-/// Record directly into this thread's pending profile, for durations
-/// measured without a timer.
-pub fn record_pending(phase: Phase, nanos: u64) {
-    PENDING.with(|p| p.borrow_mut().record(phase, nanos));
-}
-
-/// RAII wall-clock timer for one [`Phase`]. Records into the
-/// thread-local pending profile when dropped (including during panic
-/// unwind).
-#[must_use = "a phase timer records on drop; binding it to _ drops immediately"]
-pub struct PhaseTimer {
-    phase: Phase,
-    start: Instant,
-}
-
-impl PhaseTimer {
-    /// Start timing `phase` now.
-    pub fn start(phase: Phase) -> Self {
-        PhaseTimer {
-            phase,
-            start: Instant::now(),
-        }
-    }
-}
-
-impl Drop for PhaseTimer {
-    fn drop(&mut self) {
-        let nanos = self.start.elapsed().as_nanos().min(u64::MAX as u128) as u64;
-        record_pending(self.phase, nanos);
-    }
-}
-
-/// Time a closure under `phase` and return its value.
-pub fn timed<T>(phase: Phase, f: impl FnOnce() -> T) -> T {
-    let _timer = PhaseTimer::start(phase);
-    f()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn timer_records_into_pending_on_drop() {
-        let _ = take_pending(); // isolate from other tests on this thread
-        {
-            let _t = PhaseTimer::start(Phase::WorkloadGen);
-            std::thread::sleep(std::time::Duration::from_millis(2));
-        }
-        let p = take_pending();
-        assert_eq!(p.calls_of(Phase::WorkloadGen), 1);
-        assert!(p.nanos_of(Phase::WorkloadGen) >= 1_000_000);
-        // Drained: a second take sees nothing.
-        assert!(take_pending().is_empty());
-    }
-
-    #[test]
-    fn timer_records_during_panic_unwind() {
-        let _ = take_pending();
-        let result = std::panic::catch_unwind(|| {
-            let _t = PhaseTimer::start(Phase::EngineLoop);
-            panic!("boom");
-        });
-        assert!(result.is_err());
-        let p = take_pending();
-        assert_eq!(p.calls_of(Phase::EngineLoop), 1);
-    }
-
-    #[test]
-    fn timed_returns_the_closure_value() {
-        let _ = take_pending();
-        let v = timed(Phase::MetricsDerivation, || 41 + 1);
-        assert_eq!(v, 42);
-        assert_eq!(take_pending().calls_of(Phase::MetricsDerivation), 1);
-    }
 
     #[test]
     fn merge_saturates_and_is_associative() {

@@ -36,12 +36,12 @@ use serde::{Deserialize, Serialize};
 use crate::metrics::{MetricsRegistry, MetricsSnapshot};
 
 /// The `/status` JSON payload: process-relative uptime plus the full
-/// merged registry snapshot.
+/// registry snapshot.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct StatusDoc {
     /// Seconds since the server started.
     pub uptime_secs: f64,
-    /// Merged registry snapshot at response time.
+    /// Registry snapshot at response time.
     pub snapshot: MetricsSnapshot,
 }
 
@@ -239,7 +239,7 @@ mod tests {
     use crate::metrics::{keys, MetricsRegistry};
 
     fn server_with_data() -> MetricsServer {
-        let registry = Arc::new(MetricsRegistry::standard(2));
+        let registry = Arc::new(MetricsRegistry::standard());
         registry.counter_add(keys::RUNS_TOTAL, 5);
         registry.set_label("campaign", "serve-test");
         MetricsServer::start("127.0.0.1:0", registry).expect("bind ephemeral port")
@@ -273,7 +273,7 @@ mod tests {
 
     #[test]
     fn timeline_route_serves_published_doc_or_empty_object() {
-        let registry = Arc::new(MetricsRegistry::standard(2));
+        let registry = Arc::new(MetricsRegistry::standard());
         let server =
             MetricsServer::start("127.0.0.1:0", Arc::clone(&registry)).expect("bind ephemeral");
         let addr = server.addr().to_string();
@@ -293,7 +293,7 @@ mod tests {
 
     #[test]
     fn attribution_route_serves_published_doc_or_empty_object() {
-        let registry = Arc::new(MetricsRegistry::standard(2));
+        let registry = Arc::new(MetricsRegistry::standard());
         let server =
             MetricsServer::start("127.0.0.1:0", Arc::clone(&registry)).expect("bind ephemeral");
         let addr = server.addr().to_string();

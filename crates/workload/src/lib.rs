@@ -15,7 +15,7 @@
 //! * offered-load computation and load rescaling ([`load`], [`set`]);
 //! * streaming job sources ([`source`]): lazy SWF/CWF readers, the
 //!   generator as an unbounded stream, and the arrival-scaling adapter,
-//!   all feeding `Engine::run_streaming` in bounded memory.
+//!   all feeding `Engine::run_streaming_folded` in bounded memory.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

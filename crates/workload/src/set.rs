@@ -83,8 +83,8 @@ impl Workload {
 
     /// A borrowed streaming view over this workload: jobs and ECCs merged
     /// in time order with jobs first at ties — the same total order
-    /// `Engine::load` establishes, so `Engine::run_streaming` over this
-    /// source reproduces the materialized run exactly.
+    /// `Engine::load` establishes, so `Engine::run_streaming_folded`
+    /// over this source reproduces the materialized run exactly.
     pub fn source(&self) -> elastisched_sim::SliceSource<'_> {
         elastisched_sim::SliceSource::new(&self.jobs, &self.eccs)
     }

@@ -2,9 +2,10 @@
 //! the trace.
 //!
 //! Everything here implements [`JobSource`] (defined in
-//! `elastisched-sim`, consumed by `Engine::run_streaming`), which pulls
-//! one time-ordered item at a time so a million-job archive replays in
-//! memory proportional to the number of *live* jobs:
+//! `elastisched-sim`, consumed by `Engine::run_streaming_folded`),
+//! which pulls one time-ordered item at a time so a million-job
+//! archive replays in memory proportional to the number of *live*
+//! jobs:
 //!
 //! * [`SwfSource`] — lazy line-at-a-time reader over Standard Workload
 //!   Format text (any [`BufRead`]), yielding exactly the jobs

@@ -13,21 +13,16 @@ use elastisched::prelude::*;
 use elastisched_metrics::{
     breakdown, gantt, jain_fairness, occupancy, sparkline, utilization_profile, validate_schedule,
 };
-use elastisched_sim::{Engine, TimelineConfig};
+use elastisched_sim::TimelineConfig;
 
 fn analyze(algo: Algorithm, w: &Workload) {
-    let mut scheduler = algo.build(Default::default());
-    let mut engine = Engine::new(
-        Machine::bluegene_p(),
-        &mut scheduler,
-        algo.ecc_policy(),
-    );
-    engine.enable_timeline(TimelineConfig {
-        stride: Duration::from_secs(600),
-        ..TimelineConfig::default()
-    });
-    engine.load(&w.jobs, &w.eccs).expect("valid workload");
-    let r = engine.run().expect("simulation completes");
+    let r = Experiment::new(algo)
+        .with_timeline(TimelineConfig {
+            stride: Duration::from_secs(600),
+            ..TimelineConfig::default()
+        })
+        .run_raw(w)
+        .expect("simulation completes");
 
     println!("=== {} ===", algo.name());
     // Independent feasibility check.

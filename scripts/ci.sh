@@ -132,6 +132,15 @@ cargo test --offline --locked --quiet -p elastisched-workload --test format_prop
 echo "== clippy (deny warnings) =="
 cargo clippy --offline --locked --workspace --all-targets -- -D warnings
 
+echo "== examples (each runs once) =="
+# clippy --all-targets compiles the examples; this runs them, so an
+# example that panics fails the gate. schedule_analysis asserts that its
+# schedules are feasible.
+for example in elastic_commands heterogeneous_mix quickstart schedule_analysis \
+    trace_tools tune_skip_count; do
+    cargo run --release --offline --locked --quiet -p elastisched --example "$example" >/dev/null
+done
+
 echo "== soak smoke (50k-job streamed Lublin replay, bounded RSS) =="
 # A bounded end-to-end pass through the streaming pipeline: source ->
 # lazy admission -> reclaim -> folded metrics. Fails if the run's
