@@ -8,11 +8,13 @@
 //! * **exact** — keeps the per-job wait series (O(jobs) memory) and
 //!   produces *bit-identical* numbers to [`RunMetrics::from_result`];
 //!   `from_result` itself is implemented on this path.
-//! * **bounded** — groups waits by whole seconds in a `BTreeMap`
-//!   (memory proportional to *distinct* wait values, not jobs — an
-//!   archive-scale replay sees thousands of distinct waits across
-//!   millions of jobs). Waits are whole seconds in this simulator, so
-//!   every summary field is still exact *except* `std_dev`, whose
+//! * **bounded** — groups waits by whole seconds into ascending
+//!   `(wait, count)` runs (memory proportional to *distinct* wait
+//!   values, not jobs — the benchmark's 250k-job archive replay sees
+//!   98,070 of them). New waits collect in an unsorted tail that is
+//!   sorted and merged into the runs every [`MERGE_EVERY`] records and
+//!   at the end. Waits are whole seconds in this simulator, so every
+//!   summary field is still exact *except* `std_dev`, whose
 //!   floating-point accumulation order differs (grouped ascending vs
 //!   completion order) — equal to the exact value up to ulp-level
 //!   rounding.
@@ -24,15 +26,64 @@
 use crate::report::RunMetrics;
 use crate::stats::Summary;
 use elastisched_sim::{JobOutcome, LogHistogram, Phase, PhaseProfile, SimResult};
-use std::collections::BTreeMap;
 use std::time::Instant;
+
+/// Bounded mode's tail length: the waits recorded between two merges.
+const MERGE_EVERY: usize = 8192;
 
 /// Wait-series storage backing the summary's order statistics.
 enum WaitStore {
     /// The full series, in completion order.
     Exact(Vec<f64>),
-    /// Whole-second wait → occurrence count.
-    Bounded(BTreeMap<u64, u64>),
+    /// Whole-second waits grouped by value.
+    Bounded(WaitRuns),
+}
+
+/// Whole-second waits as ascending `(wait, count)` runs with distinct
+/// waits, plus an unsorted tail of recent waits not merged in yet.
+#[derive(Default)]
+struct WaitRuns {
+    runs: Vec<(u64, u64)>,
+    tail: Vec<u64>,
+    /// The merge's output buffer, swapped with `runs` after each merge.
+    spare: Vec<(u64, u64)>,
+}
+
+impl WaitRuns {
+    fn record(&mut self, wait: u64) {
+        self.tail.push(wait);
+        if self.tail.len() >= MERGE_EVERY {
+            self.merge();
+        }
+    }
+
+    /// Sort the tail and merge it into the runs, adding up the counts
+    /// of a wait present in both.
+    fn merge(&mut self) {
+        self.tail.sort_unstable();
+        self.spare.clear();
+        let (mut i, mut t) = (0, 0);
+        while t < self.tail.len() {
+            let v = self.tail[t];
+            let mut count = 0;
+            while self.tail.get(t) == Some(&v) {
+                count += 1;
+                t += 1;
+            }
+            while self.runs.get(i).is_some_and(|r| r.0 < v) {
+                self.spare.push(self.runs[i]);
+                i += 1;
+            }
+            if self.runs.get(i).is_some_and(|r| r.0 == v) {
+                count += self.runs[i].1;
+                i += 1;
+            }
+            self.spare.push((v, count));
+        }
+        self.spare.extend_from_slice(&self.runs[i..]);
+        std::mem::swap(&mut self.runs, &mut self.spare);
+        self.tail.clear();
+    }
 }
 
 /// Folds job completions into [`RunMetrics`] incrementally. See the
@@ -82,7 +133,7 @@ impl RunAccumulator {
     /// values; `std_dev` exact up to ulp-level rounding, everything else
     /// bit-identical.
     pub fn bounded() -> Self {
-        RunAccumulator::with_store(WaitStore::Bounded(BTreeMap::new()))
+        RunAccumulator::with_store(WaitStore::Bounded(WaitRuns::default()))
     }
 
     /// Completions folded so far.
@@ -98,7 +149,7 @@ impl RunAccumulator {
         let runtime = o.runtime.as_secs_f64();
         match &mut self.store {
             WaitStore::Exact(waits) => waits.push(wait),
-            WaitStore::Bounded(counts) => *counts.entry(o.wait.as_secs()).or_insert(0) += 1,
+            WaitStore::Bounded(runs) => runs.record(o.wait.as_secs()),
         }
         self.wait_sum += wait;
         self.runtime_sum += runtime;
@@ -143,7 +194,10 @@ impl RunAccumulator {
         };
         let wait_summary = match &mut self.store {
             WaitStore::Exact(waits) => Summary::of_unsorted_in_place(waits),
-            WaitStore::Bounded(counts) => summary_of_counts(counts, n, mean_wait),
+            WaitStore::Bounded(runs) => {
+                runs.merge();
+                summary_of_counts(&runs.runs, n, mean_wait)
+            }
         };
         let mut phase_profile = PhaseProfile::new();
         phase_profile.record(Phase::DpSolve, result.sched_stats.dp_nanos);
@@ -196,18 +250,19 @@ impl RunAccumulator {
     }
 }
 
-/// [`Summary`] over a grouped whole-second series: order statistics are
-/// exact (computed from cumulative counts with the same interpolation as
-/// the sorted-series path); `mean` is the caller's completion-order sum;
+/// [`Summary`] over a grouped whole-second series, given as ascending
+/// `(wait, count)` runs with distinct waits: order statistics are exact
+/// (computed from cumulative counts with the same interpolation as the
+/// sorted-series path); `mean` is the caller's completion-order sum;
 /// `std_dev` groups the squared deviations by value, ascending — equal
 /// to the completion-order accumulation up to ulp-level rounding.
-fn summary_of_counts(counts: &BTreeMap<u64, u64>, n: usize, mean: f64) -> Summary {
+fn summary_of_counts(counts: &[(u64, u64)], n: usize, mean: f64) -> Summary {
     if n == 0 {
         return Summary::of(&[]);
     }
     let var_sum: f64 = counts
         .iter()
-        .map(|(&v, &c)| {
+        .map(|&(v, c)| {
             let d = v as f64 - mean;
             c as f64 * d * d
         })
@@ -221,17 +276,17 @@ fn summary_of_counts(counts: &BTreeMap<u64, u64>, n: usize, mean: f64) -> Summar
         n,
         mean,
         std_dev,
-        min: *counts.keys().next().expect("non-empty") as f64,
+        min: counts.first().expect("non-empty").0 as f64,
         median: quantile_of_counts(counts, n, 0.5),
         p95: quantile_of_counts(counts, n, 0.95),
-        max: *counts.keys().next_back().expect("non-empty") as f64,
+        max: counts.last().expect("non-empty").0 as f64,
     }
 }
 
 /// The value at (possibly interpolated) rank `q·(n−1)` of the grouped
 /// series — the same linear interpolation `quantile_of_sorted` applies
 /// to an explicit sorted series.
-fn quantile_of_counts(counts: &BTreeMap<u64, u64>, n: usize, q: f64) -> f64 {
+fn quantile_of_counts(counts: &[(u64, u64)], n: usize, q: f64) -> f64 {
     let q = q.clamp(0.0, 1.0);
     let pos = q * (n - 1) as f64;
     let lo = pos.floor() as u64;
@@ -239,7 +294,7 @@ fn quantile_of_counts(counts: &BTreeMap<u64, u64>, n: usize, q: f64) -> f64 {
     let mut lo_val = 0.0;
     let mut hi_val = 0.0;
     let mut seen = 0u64;
-    for (&v, &c) in counts {
+    for &(v, c) in counts {
         let last_rank_here = seen + c - 1;
         if lo >= seen && lo <= last_rank_here {
             lo_val = v as f64;
@@ -336,9 +391,10 @@ mod tests {
         assert_eq!(folded.slowdown_hist, direct.slowdown_hist);
     }
 
-    #[test]
-    fn bounded_fold_agrees_with_exact() {
-        let r = result(mixed_outcomes());
+    /// Fold `outcomes` in both modes: everything but `std_dev` must be
+    /// bit-identical, and `std_dev` equal up to ulp-level rounding.
+    fn assert_bounded_agrees_with_exact(outcomes: Vec<JobOutcome>) {
+        let r = result(outcomes);
         let mut exact = RunAccumulator::exact();
         let mut bounded = RunAccumulator::bounded();
         for o in &r.outcomes {
@@ -367,13 +423,49 @@ mod tests {
     }
 
     #[test]
+    fn bounded_fold_agrees_with_exact() {
+        assert_bounded_agrees_with_exact(mixed_outcomes());
+    }
+
+    #[test]
+    fn bounded_fold_agrees_with_exact_across_merges() {
+        // 20,000 completions: two full merge batches plus a tail merged
+        // at `finish`. Waits cycle through 600 values every batch sees
+        // again (equal keys in the runs and the tail), and every 7th job
+        // waits a value no earlier job did.
+        let jobs = 20_000u64;
+        assert!(jobs as usize > 2 * MERGE_EVERY);
+        let outcomes = (0..jobs)
+            .map(|i| {
+                let wait = if i % 7 == 0 { 1_000 + i } else { (i * 37) % 600 };
+                let submit = i * 3;
+                let started = submit + wait;
+                outcome(i + 1, submit, started, started + 10 + i % 50, 32)
+            })
+            .collect();
+        assert_bounded_agrees_with_exact(outcomes);
+    }
+
+    #[test]
+    fn wait_runs_merge_adds_equal_keys_and_keeps_order() {
+        let mut w = WaitRuns::default();
+        for v in [5, 1, 5, 9] {
+            w.record(v);
+        }
+        w.merge();
+        for v in [9, 0, 5, 12] {
+            w.record(v);
+        }
+        w.merge();
+        assert_eq!(w.runs, vec![(0, 1), (1, 1), (5, 3), (9, 2), (12, 1)]);
+        assert!(w.tail.is_empty());
+    }
+
+    #[test]
     fn grouped_quantiles_match_sorted_series() {
         // 1,1,1,2,5,5,9 → check every interpolation case.
         let series = [1.0, 1.0, 1.0, 2.0, 5.0, 5.0, 9.0];
-        let mut counts = BTreeMap::new();
-        for &v in &series {
-            *counts.entry(v as u64).or_insert(0u64) += 1;
-        }
+        let counts = [(1, 3), (2, 1), (5, 2), (9, 1)];
         for q in [0.0, 0.1, 0.25, 0.5, 0.75, 0.9, 0.95, 1.0] {
             let grouped = quantile_of_counts(&counts, series.len(), q);
             let direct = crate::stats::quantile(&series, q);

@@ -270,10 +270,73 @@ fn rescaled_finish(now: SimTime, finish: SimTime, old_alloc: u32, new_alloc: u32
     now + Duration::from_secs(scaled)
 }
 
+/// Running-set aggregates the timeline sampler and wait attribution
+/// read every sample or cycle. Each site that starts, finishes or
+/// resizes a running job, or applies an ECC to one, subtracts the job's
+/// old [`Held::of`] share and adds its new one, so the planes read
+/// counters instead of walking the running set with an id lookup per
+/// job.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct Held {
+    /// Processors held by running dedicated jobs.
+    dedicated: u32,
+    /// Processors held by running jobs that absorbed at least one ECC.
+    ecc_jobs: u32,
+    /// Expand-ECC headroom of those jobs: width above the preferred
+    /// request not explained by malleable grows.
+    ecc_gain: u32,
+    /// Width held through malleable grows, `Σ min(mal_gain, num)`.
+    malleable: u32,
+}
+
+impl Held {
+    /// The share of one running job, whose width is `rec.alloc`.
+    fn of(rec: &JobRecord) -> Held {
+        let num = rec.alloc;
+        let ecc = rec.ecc_count > 0;
+        Held {
+            dedicated: if rec.spec.class.is_dedicated() {
+                num
+            } else {
+                0
+            },
+            ecc_jobs: if ecc { num } else { 0 },
+            ecc_gain: if ecc {
+                num.saturating_sub(rec.spec.num).saturating_sub(rec.mal_gain)
+            } else {
+                0
+            },
+            malleable: rec.mal_gain.min(num),
+        }
+    }
+
+    fn add(&mut self, s: Held) {
+        self.dedicated += s.dedicated;
+        self.ecc_jobs += s.ecc_jobs;
+        self.ecc_gain += s.ecc_gain;
+        self.malleable += s.malleable;
+    }
+
+    fn sub(&mut self, s: Held) {
+        self.dedicated -= s.dedicated;
+        self.ecc_jobs -= s.ecc_jobs;
+        self.ecc_gain -= s.ecc_gain;
+        self.malleable -= s.malleable;
+    }
+
+    /// A running job's share changed from `old` to `new`.
+    fn replace(&mut self, old: Held, new: Held) {
+        self.sub(old);
+        self.add(new);
+    }
+}
+
 struct EngineState {
     now: SimTime,
     machine: Machine,
     running: RunningSet,
+    /// Aggregates of `running`, kept in step with it (see [`Held`]).
+    held: Held,
     records: Vec<JobRecord>,
     id_map: JobIdMap,
     queue: EventQueue,
@@ -338,6 +401,31 @@ impl EngineState {
             Some(&i) => Some(&mut self.records[i]),
             None => None,
         }
+    }
+
+    /// [`Held`] recomputed from a walk over the running set, from each
+    /// entry's width: what the kept counters must equal (checked by the
+    /// audit and by debug builds).
+    #[cfg(any(feature = "audit", debug_assertions))]
+    fn walk_held(&self) -> Held {
+        let mut held = Held::default();
+        for rj in self.running.iter() {
+            let Some(rec) = self.record(rj.id) else {
+                continue;
+            };
+            if rec.spec.class.is_dedicated() {
+                held.dedicated += rj.num;
+            }
+            if rec.ecc_count > 0 {
+                held.ecc_jobs += rj.num;
+                held.ecc_gain += rj
+                    .num
+                    .saturating_sub(rec.spec.num)
+                    .saturating_sub(rec.mal_gain);
+            }
+            held.malleable += rec.mal_gain.min(rj.num);
+        }
+        held
     }
 
     /// Bring the waiting-jobs snapshot back to exactness. Head starts
@@ -425,10 +513,12 @@ impl SchedContext for EngineState {
         // Allocate before mutating state so a machine refusal leaves the
         // job safely in the queue.
         self.machine.allocate(alloc, now)?;
-        self.records[idx].state = JobState::Running {
+        let rec = &mut self.records[idx];
+        rec.state = JobState::Running {
             started: now,
             finish: kill_by,
         };
+        self.held.add(Held::of(rec));
         self.running.insert(RunningJob {
             id,
             num: alloc,
@@ -525,6 +615,7 @@ impl SchedContext for EngineState {
         let cost = self.reconfig_cost.charge(shrink, unit);
         let new_finish = rescaled_finish(now, finish, rec.alloc, rec.alloc - shrink) + cost;
         let rec = self.record_mut(id).expect("checked above");
+        let old = Held::of(rec);
         rec.alloc -= shrink;
         rec.mal_gain = rec.mal_gain.saturating_sub(shrink);
         rec.est_dur = new_finish - started;
@@ -536,6 +627,8 @@ impl SchedContext for EngineState {
             started,
             finish: new_finish,
         };
+        let new = Held::of(rec);
+        self.held.replace(old, new);
         self.running.update_num(id, alloc);
         self.running.update_finish(id, new_finish);
         self.queue
@@ -583,6 +676,7 @@ impl SchedContext for EngineState {
             .allocate(grow, now)
             .expect("fit was checked above");
         let rec = self.record_mut(id).expect("checked above");
+        let old = Held::of(rec);
         rec.alloc += grow;
         rec.mal_gain += grow;
         rec.est_dur = new_finish - started;
@@ -594,6 +688,8 @@ impl SchedContext for EngineState {
             started,
             finish: new_finish,
         };
+        let new = Held::of(rec);
+        self.held.replace(old, new);
         self.running.update_num(id, alloc);
         self.running.update_finish(id, new_finish);
         self.queue
@@ -667,6 +763,7 @@ impl<S: Scheduler> Engine<S> {
                 now: SimTime::ZERO,
                 machine,
                 running: RunningSet::new(),
+                held: Held::default(),
                 records: Vec::new(),
                 id_map: JobIdMap::default(),
                 queue: EventQueue::new(),
@@ -1049,6 +1146,11 @@ impl<S: Scheduler> Engine<S> {
                 self.state.machine.used(),
                 "running set and machine disagree on allocation"
             );
+            debug_assert_eq!(
+                self.state.held,
+                self.state.walk_held(),
+                "held aggregates disagree with the running set"
+            );
         }
         Ok(())
     }
@@ -1059,18 +1161,6 @@ impl<S: Scheduler> Engine<S> {
     fn take_sample(state: &mut EngineState, scheduler: &S, at: SimTime) -> TimelineSample {
         let total = state.machine.total();
         let used = state.machine.used();
-        let mut dedicated_procs = 0u32;
-        let mut ecc_procs = 0u32;
-        for rj in state.running.iter() {
-            if let Some(rec) = state.record(rj.id) {
-                if rec.spec.class.is_dedicated() {
-                    dedicated_procs += rj.num;
-                }
-                if rec.ecc_count > 0 {
-                    ecc_procs += rj.num;
-                }
-            }
-        }
         // Views are arrival-ordered, so the first *live* one is the
         // oldest waiting job. Dead (already-started) views are skipped
         // the same way compaction classifies them, resuming where the
@@ -1097,8 +1187,8 @@ impl<S: Scheduler> Engine<S> {
                 f64::from(used) / f64::from(total)
             },
             free: state.machine.free(),
-            dedicated_procs,
-            ecc_procs,
+            dedicated_procs: state.held.dedicated,
+            ecc_procs: state.held.ecc_jobs,
             queue_depth: scheduler.waiting_len() as u32,
             oldest_wait_secs,
             running: state.running.len() as u32,
@@ -1113,10 +1203,11 @@ impl<S: Scheduler> Engine<S> {
         }
     }
 
-    /// Post-cycle attribution pass: one pass over the running set
-    /// measures the headroom each blocking cause holds — processors held
-    /// by dedicated jobs, gained through expand-procs ECCs, or held above
-    /// preferred width by malleable grows — and names the capacity lead
+    /// Post-cycle attribution pass: the headroom each blocking cause
+    /// holds — processors held by dedicated jobs, gained through
+    /// expand-procs ECCs, or held above preferred width by malleable
+    /// grows — comes from the engine's [`Held`] counters, and one
+    /// hash-free pass over the running set names the capacity lead
     /// blocker. [`AttrState::cycle`] then derives one cause per waiting
     /// width class and charges only the jobs whose cause changed. Costs
     /// O(running + width classes + cause changes) per cycle, entered
@@ -1126,39 +1217,24 @@ impl<S: Scheduler> Engine<S> {
         let Some(attr) = state.attr.as_deref_mut() else {
             return;
         };
-        let mut room = Headroom {
-            free: state.machine.free(),
-            dedicated: 0,
-            ecc: 0,
-            malleable: 0,
-            blocker: JobId(u64::MAX),
-        };
         // The capacity lead blocker is the largest single allocation;
         // ties break toward the lower id so both run paths agree
         // regardless of running-set iteration order.
+        let mut blocker = JobId(u64::MAX);
         let mut blocker_num = 0u32;
-        for rj in state.running.iter() {
-            if let Some(&idx) = state.id_map.get(&rj.id) {
-                let rec = &state.records[idx];
-                if rec.spec.class.is_dedicated() {
-                    room.dedicated += rj.num;
-                }
-                // Width above the preferred request splits between the
-                // malleable layer's grows (tracked exactly in
-                // `mal_gain`) and expand-procs ECCs (the rest).
-                room.malleable += rec.mal_gain.min(rj.num);
-                if rec.ecc_count > 0 {
-                    room.ecc += rj
-                        .num
-                        .saturating_sub(rec.spec.num)
-                        .saturating_sub(rec.mal_gain);
-                }
-            }
-            if rj.num > blocker_num || (rj.num == blocker_num && rj.id < room.blocker) {
-                room.blocker = rj.id;
+        for rj in state.running.as_slice() {
+            if rj.num > blocker_num || (rj.num == blocker_num && rj.id < blocker) {
+                blocker = rj.id;
                 blocker_num = rj.num;
             }
         }
+        let room = Headroom {
+            free: state.machine.free(),
+            dedicated: state.held.dedicated,
+            ecc: state.held.ecc_gain,
+            malleable: state.held.malleable,
+            blocker,
+        };
         let id_map = &state.id_map;
         attr.cycle(t, &room, |id| id_map.get(&id).copied());
     }
@@ -1305,6 +1381,18 @@ impl<S: Scheduler> Engine<S> {
                     ),
                 ));
             }
+        }
+        // Running-set aggregates: the counters every start, completion,
+        // resize and running ECC updates must equal a fresh walk.
+        let walked = self.state.walk_held();
+        if self.state.held != walked {
+            return Err(Self::audit_fail(
+                "capacity",
+                format!(
+                    "held aggregates {:?} but the running set gives {walked:?}",
+                    self.state.held
+                ),
+            ));
         }
         // Streamed-reclamation slab: every record slot is either live
         // (id-mapped) or free, never both, never neither.
@@ -1573,10 +1661,12 @@ impl<S: Scheduler> Engine<S> {
                 // the original completion event dangling.
                 _ => return Ok(()),
             };
+            let share = Held::of(rec);
             rec.state = JobState::Completed {
                 started,
                 finished: now,
             };
+            self.state.held.sub(share);
             (rec.alloc, started)
         };
         self.state
@@ -1793,6 +1883,7 @@ impl<S: Scheduler> Engine<S> {
                     SimTime::from_secs(finish.as_secs().saturating_sub(amount.as_secs())).max(now)
                 };
                 let rec = self.state.record_mut(id).expect("checked above");
+                let old = Held::of(rec);
                 rec.est_dur = new_finish - started;
                 rec.actual_dur = rec.est_dur;
                 rec.completion_epoch += 1;
@@ -1803,6 +1894,8 @@ impl<S: Scheduler> Engine<S> {
                     started,
                     finish: new_finish,
                 };
+                let new = Held::of(rec);
+                self.state.held.replace(old, new);
                 self.state.running.update_finish(id, new_finish);
                 self.state
                     .queue
@@ -1832,9 +1925,12 @@ impl<S: Scheduler> Engine<S> {
                     .allocate(grow, now)
                     .map_err(|e| SimError::Start(e.to_string()))?;
                 let rec = self.state.record_mut(id).expect("checked above");
+                let old = Held::of(rec);
                 rec.alloc += grow;
                 rec.ecc_count += 1;
                 let alloc = rec.alloc;
+                let new = Held::of(rec);
+                self.state.held.replace(old, new);
                 self.state.running.update_num(id, alloc);
                 self.state.ecc_stats.applied_running += 1;
                 trace_event!(
@@ -1858,9 +1954,12 @@ impl<S: Scheduler> Engine<S> {
                     self.state.ecc_stats.dropped_stale += 1;
                     return Ok(());
                 }
+                let old = Held::of(rec);
                 rec.alloc -= shrink;
                 rec.ecc_count += 1;
                 let alloc = rec.alloc;
+                let new = Held::of(rec);
+                self.state.held.replace(old, new);
                 self.state.running.update_num(id, alloc);
                 self.state
                     .machine

@@ -15,16 +15,22 @@
 //!
 //! Disabled (the default), the engine carries one `Option` that is
 //! `None`: a single branch per scheduling cycle, nothing per event.
-//! Enabled, a due sample costs one pass over the running set (a handful
-//! of entries on a unit-granular machine), O(1) counter reads, and the
-//! search for the oldest waiting job. That search walks the engine's
+//! Enabled, a due sample costs O(1) counter reads and the search for
+//! the oldest waiting job. The processors held by dedicated and by
+//! ECC'd jobs are running counters the engine updates at every start,
+//! completion, resize and running ECC, so a sample does not walk the
+//! running set. The oldest-wait search walks the engine's
 //! arrival-ordered wait views past dead (already started) ones, but it
 //! resumes where the previous sample found the oldest live view, so
 //! each dead view is passed over at most once between two compactions
 //! of the view buffer — amortized O(1) per start, not O(dead views) per
 //! sample. Between due points a cycle costs one time comparison.
 //! Decimation is an in-place retain over at most `budget` samples and
-//! runs O(log(makespan/stride)) times per run.
+//! runs O(log(makespan/stride)) times per run. On 40 seeded 2,000-job
+//! hybrid-los+e runs at load 1.0 (one process, off and on runs
+//! interleaved, 8 rounds, a 2-vCPU x86-64 host) the sampler costs
+//! +6–7% over both planes off, down from +16–18% when each sample
+//! walked the running set with an id lookup per job.
 //!
 //! # Determinism
 //!

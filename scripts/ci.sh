@@ -94,6 +94,11 @@ echo "== audit layer (always-on schedule checks + postmortem dump) =="
 # injected capacity skew yields a recoverable violation plus a
 # parseable flight-recorder postmortem.
 cargo test --offline --locked --quiet -p elastisched-sim --features audit
+# The plane suites under the same feature: the audit's cross-check of
+# the engine's running-set aggregates then covers all 19 registry
+# algorithms and both resizing stacks (hybrid-los+m+e, easy+d+m+e).
+cargo test --offline --locked --quiet -p elastisched --features elastisched-sim/audit \
+    --test golden_planes --test attribution_properties
 
 echo "== differential oracles (reference DP kernels, legacy schedulers, resource profile) =="
 # The policy stack must be metric-identical to the pre-stack scheduler
