@@ -7,6 +7,11 @@
 //! feasible start of a `(num, dur)` request. With `S` breakpoints, both
 //! [`ResourceProfile::earliest_start`] and
 //! [`ResourceProfile::try_reserve`] are O(S).
+//!
+//! A window that [`ResourceProfile::earliest_start`] returned already
+//! fits, so [`ResourceProfile::reserve_fitted`] books it with the range
+//! subtraction alone; `try_reserve` checks the window first and changes
+//! nothing when it does not fit.
 
 use elastisched_sim::{Duration, RunningSet, SimTime};
 
@@ -89,6 +94,20 @@ impl ResourceProfile {
         }
     }
 
+    /// Move the profile start forward to `now`, dropping the segments
+    /// that end at or before it. Free capacity from `now` on is
+    /// unchanged; a profile kept across cycles calls this so its past
+    /// does not pile up.
+    pub fn trim_before(&mut self, now: SimTime) {
+        let i = self.times.partition_point(|&t| t <= now);
+        if i == 0 {
+            return; // `now` is before the profile start
+        }
+        self.times.drain(..i - 1);
+        self.free.drain(..i - 1);
+        self.times[0] = now;
+    }
+
     /// Total machine capacity.
     pub fn total(&self) -> u32 {
         self.total
@@ -150,6 +169,29 @@ impl ResourceProfile {
         if self.min_free(start, dur) < num {
             return Err(ReserveError);
         }
+        self.subtract(start, dur, num);
+        Ok(())
+    }
+
+    /// Subtract `num` processors over `[start, start + dur)`, a window
+    /// known to fit: one that [`ResourceProfile::earliest_start`] just
+    /// returned for the same `(num, dur)`. Skips `try_reserve`'s second
+    /// check of the window (debug builds still assert it).
+    pub fn reserve_fitted(&mut self, start: SimTime, dur: Duration, num: u32) {
+        if dur == Duration::ZERO || num == 0 {
+            return;
+        }
+        let start = start.max(self.times[0]);
+        debug_assert!(
+            self.min_free(start, dur) >= num,
+            "reserve_fitted on a window that does not fit"
+        );
+        self.subtract(start, dur, num);
+    }
+
+    /// The range subtraction behind both reserve methods; `dur > 0` and
+    /// `start` at or after the profile start.
+    fn subtract(&mut self, start: SimTime, dur: Duration, num: u32) {
         let end = start + dur;
         // `end > start`, so splitting at `end` leaves `lo` in place.
         let lo = self.ensure_breakpoint(start);
@@ -157,7 +199,6 @@ impl ResourceProfile {
         for f in &mut self.free[lo..hi] {
             *f -= num;
         }
-        Ok(())
     }
 
     /// The earliest time `t ≥ from` at which `num` processors are free for
@@ -336,6 +377,40 @@ mod tests {
         let before = p.clone();
         p.try_reserve(t(0), Duration::ZERO, 320).unwrap();
         p.try_reserve(t(0), d(10), 0).unwrap();
+        p.reserve_fitted(t(0), Duration::ZERO, 320);
+        p.reserve_fitted(t(0), d(10), 0);
         assert_eq!(p, before);
+    }
+
+    #[test]
+    fn trim_before_keeps_the_future() {
+        let mut p = sample_profile();
+        p.try_reserve(t(200), d(100), 320).unwrap();
+        let before = p.clone();
+        for now in [0, 30, 50, 120, 250, 300, 1_000] {
+            p.trim_before(t(now));
+            p.check_invariants();
+            for s in now..now + 400 {
+                assert_eq!(p.free_at(t(s)), before.free_at(t(s)), "free_at({s})");
+            }
+            assert_eq!(
+                p.earliest_start(t(now), 320, d(10)),
+                before.earliest_start(t(now), 320, d(10))
+            );
+        }
+        assert_eq!(p.segments(), 1);
+    }
+
+    #[test]
+    fn reserve_fitted_books_what_try_reserve_books() {
+        let mut checked = sample_profile();
+        let mut fitted = sample_profile();
+        for (num, dur) in [(128, 30), (192, 10), (64, 200), (320, 5)] {
+            let at = checked.earliest_start(t(0), num, d(dur)).unwrap();
+            checked.try_reserve(at, d(dur), num).unwrap();
+            fitted.reserve_fitted(at, d(dur), num);
+            assert_eq!(fitted, checked);
+        }
+        fitted.check_invariants();
     }
 }

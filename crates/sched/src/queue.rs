@@ -26,9 +26,15 @@ impl WaitingJob {
 }
 
 /// The FIFO queue of waiting batch jobs (`W^b`).
+///
+/// [`BatchQueue::version`] counts every mutation except
+/// [`BatchQueue::push_back`]: while it holds still, the queue is what it
+/// was plus arrivals at the tail. Conservative backfilling relies on
+/// that to keep its reservations across cycles.
 #[derive(Debug, Clone)]
 pub struct BatchQueue {
     jobs: VecDeque<WaitingJob>,
+    version: u64,
 }
 
 impl Default for BatchQueue {
@@ -38,6 +44,7 @@ impl Default for BatchQueue {
         // walk a six-step doubling chain mid-run.
         BatchQueue {
             jobs: VecDeque::with_capacity(256),
+            version: 0,
         }
     }
 }
@@ -58,7 +65,16 @@ impl BatchQueue {
         self.jobs.is_empty()
     }
 
-    /// Append a newly arrived job (FIFO order).
+    /// The mutation counter: bumped by every change to the queue except
+    /// [`BatchQueue::push_back`] (and a no-op [`BatchQueue::apply_ecc`]
+    /// or removal of an absent job).
+    pub fn version(&self) -> u64 {
+        self.version
+    }
+
+    /// Append a newly arrived job (FIFO order). Leaves
+    /// [`BatchQueue::version`] unchanged: the jobs already queued keep
+    /// their positions and contents.
     pub fn push_back(&mut self, view: JobView) {
         self.jobs.push_back(WaitingJob::new(view));
     }
@@ -67,6 +83,7 @@ impl BatchQueue {
     /// used by `Move_Dedicated_Head_To_Batch_Head` (Algorithm 3), which
     /// sets `scount = C_s` so the job starts as soon as capacity allows.
     pub fn push_front_with_scount(&mut self, view: JobView, scount: u32) {
+        self.version += 1;
         self.jobs.push_front(WaitingJob { view, scount });
     }
 
@@ -84,6 +101,7 @@ impl BatchQueue {
                 _ => break,
             }
         }
+        self.version += 1;
         self.jobs.insert(pos, WaitingJob { view, scount });
     }
 
@@ -92,13 +110,15 @@ impl BatchQueue {
         self.jobs.front()
     }
 
-    /// Mutable head access (for `scount++`).
+    /// Mutable head access (for `scount++`). Counts as a mutation.
     pub fn head_mut(&mut self) -> Option<&mut WaitingJob> {
+        self.version += 1;
         self.jobs.front_mut()
     }
 
     /// Remove and return the head job.
     pub fn pop_head(&mut self) -> Option<WaitingJob> {
+        self.version += 1;
         self.jobs.pop_front()
     }
 
@@ -117,12 +137,14 @@ impl BatchQueue {
     /// Remove and return the job at position `i`, preserving FIFO order
     /// of the rest.
     pub fn remove_at(&mut self, i: usize) -> Option<WaitingJob> {
+        self.version += 1;
         self.jobs.remove(i)
     }
 
     /// Remove one job by id; returns it if present.
     pub fn remove(&mut self, id: JobId) -> Option<WaitingJob> {
         let pos = self.jobs.iter().position(|j| j.view.id == id)?;
+        self.version += 1;
         self.jobs.remove(pos)
     }
 
@@ -133,6 +155,7 @@ impl BatchQueue {
             Some(j) => {
                 j.view.num = num;
                 j.view.dur = dur;
+                self.version += 1;
                 true
             }
             None => false,
@@ -324,6 +347,39 @@ mod tests {
         q.push_back(batch_view(1, 0, 32, 10));
         q.head_mut().unwrap().scount += 1;
         assert_eq!(q.head().unwrap().scount, 1);
+    }
+
+    #[test]
+    fn version_counts_every_mutation_but_push_back() {
+        let mut q = BatchQueue::new();
+        q.push_back(batch_view(1, 0, 32, 10));
+        q.push_back(batch_view(2, 5, 64, 10));
+        q.push_back(batch_view(3, 9, 96, 10));
+        q.push_back(batch_view(4, 9, 32, 10));
+        assert_eq!(q.version(), 0, "push_back only appends");
+        let mut last = q.version();
+        let mut bumped = |q: &BatchQueue, what: &str| {
+            assert_eq!(q.version(), last + 1, "{what} must bump the version");
+            last = q.version();
+        };
+        q.push_front_with_scount(ded_view(8, 0, 64, 10, 100), 2);
+        bumped(&q, "push_front_with_scount");
+        q.insert_priority(ded_view(9, 0, 64, 10, 50), 0);
+        bumped(&q, "insert_priority");
+        assert!(q.apply_ecc(JobId(2), 128, Duration::from_secs(20)));
+        bumped(&q, "apply_ecc");
+        q.head_mut().unwrap().scount += 1;
+        bumped(&q, "head_mut");
+        q.pop_head().unwrap();
+        bumped(&q, "pop_head");
+        q.remove_at(1).unwrap();
+        bumped(&q, "remove_at");
+        q.remove(JobId(3)).unwrap();
+        bumped(&q, "remove");
+        assert!(!q.apply_ecc(JobId(77), 32, Duration::from_secs(1)));
+        assert!(q.remove(JobId(77)).is_none());
+        q.push_back(batch_view(5, 12, 32, 10));
+        assert_eq!(q.version(), last, "no-op updates and push_back keep it");
     }
 
     #[test]

@@ -5,8 +5,9 @@
 //! This suite checks the profile against a brute force that keeps one
 //! free-capacity value per second: every `try_reserve` must succeed or
 //! fail exactly when the per-second array says so (and change nothing
-//! when it fails), and every `earliest_start` must return the first
-//! feasible second.
+//! when it fails), every `earliest_start` must return the first
+//! feasible second, and `reserve_fitted` at that second must book what
+//! the per-second array books.
 
 use elastisched_sched::ResourceProfile;
 use elastisched_sim::{Duration, SimTime};
@@ -174,6 +175,31 @@ proptest! {
                 dur,
                 total
             );
+        }
+    }
+
+    /// Conservative's booking: `reserve_fitted` at the window
+    /// `earliest_start` returned leaves the profile equal to the
+    /// per-second array booking the same first feasible second.
+    #[test]
+    fn reserve_fitted_books_the_earliest_window(
+        case in arb_profile(),
+        requests in prop::collection::vec((0u64..700, 1u32..=14, 0u64..300), 1..16),
+    ) {
+        let (origin, total, reservations) = case;
+        let (mut profile, mut brute) = build(origin, total, &reservations);
+        for (from, num, dur) in requests {
+            let Some(at) = profile.earliest_start(t(from), num, d(dur)) else {
+                continue;
+            };
+            if at.as_secs() + dur > HORIZON {
+                continue; // past the per-second array
+            }
+            profile.reserve_fitted(at, d(dur), num);
+            prop_assert!(brute.try_reserve(at.as_secs(), dur, num));
+        }
+        for s in 0..HORIZON {
+            prop_assert_eq!(profile.free_at(t(s)), brute.at(s), "free_at({})", s);
         }
     }
 }

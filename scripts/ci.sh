@@ -100,18 +100,23 @@ cargo test --offline --locked --quiet -p elastisched-sim --features audit
 cargo test --offline --locked --quiet -p elastisched --features elastisched-sim/audit \
     --test golden_planes --test attribution_properties
 
-echo "== differential oracles (reference DP kernels, legacy schedulers, resource profile) =="
+echo "== differential oracles (reference DP kernels, legacy schedulers, resource profile, fresh Conservative core) =="
 # The policy stack must be metric-identical to the pre-stack scheduler
 # implementations (kept verbatim behind the legacy-schedulers feature),
 # and the bitset DP kernels to the scalar reference kernels. Feature
 # unification already enables both features for every sched test target
 # (self dev-dependency), so these are plain test invocations — named
 # here so a failure is attributed to an oracle, not a unit test. The
-# legacy suite is also the oracle for Conservative's "nothing free now"
-# early exit and the ordered backfills' fit filter (its load-1.0 backlog
-# case reaches both often). The legacy Conservative shares
-# ResourceProfile, so it cannot see a profile bug: profile_oracle checks
-# the profile itself against a per-second brute force. The dp:: unit
+# legacy suite is also an oracle for Conservative's early exit (the walk
+# stops at the last job that could start now) and the ordered
+# backfills' fit filter (its load-1.0 backlog case reaches both often).
+# Conservative's other oracle is conservative_fresh_oracle: a core built
+# anew every cycle (so it always rebuilds its profile and walks from the
+# head) must schedule exactly like the one that keeps its profile across
+# cycles, on the -D and +m stacks and with ECCs too.
+# The legacy Conservative shares ResourceProfile, so it cannot see a
+# profile bug: profile_oracle checks the profile itself against a
+# per-second brute force. The dp:: unit
 # tests pin the kernels' layout boundaries (the packed one-word layer at
 # 121 and exactly 128 bits, word rows past it, a retained table growing
 # across the boundary) against the reference kernels.
@@ -120,6 +125,7 @@ cargo test --offline --locked --quiet -p elastisched-sched --test legacy_differe
 cargo test --offline --locked --quiet -p elastisched-sched --test registry_properties
 cargo test --offline --locked --quiet -p elastisched-sched --test dp_properties
 cargo test --offline --locked --quiet -p elastisched-sched --test profile_oracle
+cargo test --offline --locked --quiet -p elastisched-sched --test conservative_fresh_oracle
 
 echo "== malleable degeneracy oracle (+m ≡ base on rigid workloads) =="
 # The +m layer must be bit-identical to its base stack whenever no job
