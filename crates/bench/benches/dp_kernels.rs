@@ -20,7 +20,9 @@ use rand::{Rng, SeedableRng};
 
 fn sizes(n: usize, unit: u32, max_units: u32, seed: u64) -> Vec<u32> {
     let mut rng = StdRng::seed_from_u64(seed);
-    (0..n).map(|_| rng.gen_range(1..=max_units) * unit).collect()
+    (0..n)
+        .map(|_| rng.gen_range(1..=max_units) * unit)
+        .collect()
 }
 
 fn items(n: usize, unit: u32, max_units: u32, seed: u64) -> Vec<DpItem> {

@@ -6,7 +6,11 @@ use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criteri
 use elastisched::prelude::*;
 
 fn batch_workload() -> Workload {
-    let mut w = generate(&GeneratorConfig::paper_batch(0.5).with_jobs(500).with_seed(1));
+    let mut w = generate(
+        &GeneratorConfig::paper_batch(0.5)
+            .with_jobs(500)
+            .with_seed(1),
+    );
     w.scale_to_load(320, 0.9);
     w
 }

@@ -15,7 +15,11 @@ use elastisched_sim::{Duration, Event, EventQueue, JobId, SimTime};
 const JOBS: usize = 500;
 
 fn batch_workload() -> Workload {
-    let mut w = generate(&GeneratorConfig::paper_batch(0.5).with_jobs(JOBS).with_seed(1));
+    let mut w = generate(
+        &GeneratorConfig::paper_batch(0.5)
+            .with_jobs(JOBS)
+            .with_seed(1),
+    );
     w.scale_to_load(320, 0.9);
     w
 }
@@ -53,7 +57,13 @@ impl Queue for HeapEventQueue {
 /// Replay the engine's traffic shape against a queue.
 fn replay<Q: Queue>(arrivals: &[SimTime], q: &mut Q) {
     for (i, &at) in arrivals.iter().enumerate() {
-        q.push(at, Event::Completion { job: JobId(i as u64), epoch: 0 });
+        q.push(
+            at,
+            Event::Completion {
+                job: JobId(i as u64),
+                epoch: 0,
+            },
+        );
     }
     let mut out = Vec::new();
     let mut i = 0u64;
@@ -62,10 +72,7 @@ fn replay<Q: Queue>(arrivals: &[SimTime], q: &mut Q) {
             if matches!(ev, Event::Completion { .. }) {
                 // Stand-in completion: a deterministic pseudo-runtime.
                 i += 1;
-                q.push(
-                    at + Duration::from_secs(1000 + i * 7 % 5000),
-                    Event::Wakeup,
-                );
+                q.push(at + Duration::from_secs(1000 + i * 7 % 5000), Event::Wakeup);
             }
         }
     }

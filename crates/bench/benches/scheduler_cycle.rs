@@ -8,7 +8,11 @@ use elastisched::prelude::*;
 
 /// A burst workload: `n` jobs all submitted at time zero.
 fn burst(n: u64, seed: u64) -> Workload {
-    let mut w = generate(&GeneratorConfig::paper_batch(0.5).with_jobs(n as usize).with_seed(seed));
+    let mut w = generate(
+        &GeneratorConfig::paper_batch(0.5)
+            .with_jobs(n as usize)
+            .with_seed(seed),
+    );
     for j in &mut w.jobs {
         j.submit = SimTime::ZERO;
     }
@@ -25,11 +29,9 @@ fn bench_deep_queue(c: &mut Criterion) {
             Algorithm::DelayedLos,
             Algorithm::Conservative,
         ] {
-            group.bench_with_input(
-                BenchmarkId::new(algo.name(), n),
-                &w,
-                |b, w| b.iter(|| Experiment::new(algo).run(black_box(w)).unwrap()),
-            );
+            group.bench_with_input(BenchmarkId::new(algo.name(), n), &w, |b, w| {
+                b.iter(|| Experiment::new(algo).run(black_box(w)).unwrap())
+            });
         }
     }
     group.finish();

@@ -49,7 +49,11 @@ fn bench_cwf_roundtrip(c: &mut Criterion) {
 
 fn bench_calibration(c: &mut Criterion) {
     c.bench_function("scale_to_load_5000", |b| {
-        let base = generate(&GeneratorConfig::paper_batch(0.5).with_jobs(5_000).with_seed(1));
+        let base = generate(
+            &GeneratorConfig::paper_batch(0.5)
+                .with_jobs(5_000)
+                .with_seed(1),
+        );
         b.iter(|| {
             let mut w = base.clone();
             w.scale_to_load(320, black_box(0.9))

@@ -205,7 +205,11 @@ fn main() -> ExitCode {
     };
     let opts = Opts { quick, out };
     if opts.quick {
-        eprintln!("(quick mode: {} jobs, {} loads)", cfg.n_jobs, cfg.loads.len());
+        eprintln!(
+            "(quick mode: {} jobs, {} loads)",
+            cfg.n_jobs,
+            cfg.loads.len()
+        );
     }
     let result = run(&target, &cfg, &opts);
     if telemetry_requested {

@@ -324,8 +324,7 @@ fn cmd_timeline(args: &Args) -> Result<(), String> {
         .map_err(|e| e.to_string())?;
     print!("{}", elastisched::render_timeline(&r.timeline));
     if let Some(path) = args.get("jsonl") {
-        std::fs::write(path, r.timeline.to_jsonl())
-            .map_err(|e| format!("writing {path}: {e}"))?;
+        std::fs::write(path, r.timeline.to_jsonl()).map_err(|e| format!("writing {path}: {e}"))?;
         println!(
             "wrote JSONL timeline ({} samples) to {path}",
             r.timeline.samples.len()
@@ -343,8 +342,7 @@ fn cmd_timeline(args: &Args) -> Result<(), String> {
 
 fn cmd_explain(args: &Args) -> Result<(), String> {
     if let Some(path) = args.get("postmortem") {
-        let text =
-            std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
+        let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
         print!("{}", elastisched::explain_postmortem(&text)?);
         return Ok(());
     }
@@ -408,7 +406,11 @@ fn cmd_tune(args: &Args) -> Result<(), String> {
     let candidates: Vec<u32> = match args.get("cs") {
         Some(list) => list
             .split(',')
-            .map(|t| t.trim().parse::<u32>().map_err(|_| format!("bad C_s {t:?}")))
+            .map(|t| {
+                t.trim()
+                    .parse::<u32>()
+                    .map_err(|_| format!("bad C_s {t:?}"))
+            })
             .collect::<Result<_, _>>()?,
         None => vec![0, 1, 2, 3, 5, 7, 10, 14, 20],
     };
@@ -421,13 +423,18 @@ fn cmd_tune(args: &Args) -> Result<(), String> {
         reps,
         seed,
     );
-    println!(
-        "tuning C_s for Delayed-LOS (P_S={ps}, load={load}, {jobs} jobs × {reps} seeds):"
-    );
+    println!("tuning C_s for Delayed-LOS (P_S={ps}, load={load}, {jobs} jobs × {reps} seeds):");
     println!("{:>5} {:>12} {:>14}", "C_s", "utilization", "mean wait (s)");
     for c in &tuning.candidates {
-        let marker = if c.cs == tuning.best { "  ← best" } else { "" };
-        println!("{:>5} {:>12.4} {:>14.1}{marker}", c.cs, c.utilization, c.mean_wait);
+        let marker = if c.cs == tuning.best {
+            "  ← best"
+        } else {
+            ""
+        };
+        println!(
+            "{:>5} {:>12.4} {:>14.1}{marker}",
+            c.cs, c.utilization, c.mean_wait
+        );
     }
     Ok(())
 }
@@ -460,12 +467,9 @@ fn cmd_top(args: &Args) -> Result<(), String> {
     let addr = args
         .get("addr")
         .ok_or("--addr is required (host:port of a process started with --serve-metrics)")?;
-    let (code, body) = elastisched_sim::serve::http_get(
-        addr,
-        "/status",
-        std::time::Duration::from_secs(3),
-    )
-    .map_err(|e| format!("cannot reach {addr}: {e}"))?;
+    let (code, body) =
+        elastisched_sim::serve::http_get(addr, "/status", std::time::Duration::from_secs(3))
+            .map_err(|e| format!("cannot reach {addr}: {e}"))?;
     if code != 200 {
         return Err(format!("{addr} returned HTTP {code} for /status"));
     }
@@ -508,7 +512,8 @@ fn main() -> ExitCode {
     // and must not grab the registry).
     let telemetry_requested = args.get("serve-metrics").is_some() || args.has("progress");
     if cmd != "top" && telemetry_requested {
-        if let Err(e) = elastisched::telemetry::init(args.get("serve-metrics"), args.has("progress"))
+        if let Err(e) =
+            elastisched::telemetry::init(args.get("serve-metrics"), args.has("progress"))
         {
             eprintln!("error: {e}");
             return ExitCode::FAILURE;

@@ -29,9 +29,7 @@ pub fn calibrated_workload(
     };
     let mut w = generate(&cfg);
     w.scale_to_load(machine.total, load);
-    crate::telemetry::record_workload_gen(
-        started.elapsed().as_nanos().min(u64::MAX as u128) as u64,
-    );
+    crate::telemetry::record_workload_gen(started.elapsed().as_nanos().min(u64::MAX as u128) as u64);
     w
 }
 
@@ -83,8 +81,12 @@ pub fn search_beta_arr(
     if let Some(i) = (0..GRID)
         .filter(|&i| (grid_loads[i] - load) * (grid_loads[i + 1] - load) <= 0.0)
         .min_by(|&a, &b| {
-            let ea = (grid_loads[a] - load).abs().min((grid_loads[a + 1] - load).abs());
-            let eb = (grid_loads[b] - load).abs().min((grid_loads[b + 1] - load).abs());
+            let ea = (grid_loads[a] - load)
+                .abs()
+                .min((grid_loads[a + 1] - load).abs());
+            let eb = (grid_loads[b] - load)
+                .abs()
+                .min((grid_loads[b + 1] - load).abs());
             ea.partial_cmp(&eb).unwrap()
         })
     {

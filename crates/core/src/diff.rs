@@ -84,9 +84,7 @@ pub fn decisions(sink: &TraceSink) -> Vec<Decision> {
                 TraceEvent::HeadSkip { job, scount, .. } => {
                     format!("skip head job {job} (scount -> {scount})")
                 }
-                TraceEvent::DpSelect {
-                    kernel, chosen, ..
-                } => {
+                TraceEvent::DpSelect { kernel, chosen, .. } => {
                     let ids: Vec<String> = chosen.iter().map(|id| id.to_string()).collect();
                     format!("{kernel:?}_DP selects [{}]", ids.join(", "))
                 }
@@ -106,11 +104,7 @@ pub fn decisions(sink: &TraceSink) -> Vec<Decision> {
 /// Lockstep replay: the first index where the two decision sequences
 /// disagree (time or label), `None` when identical end to end.
 pub fn first_divergence(a: &[Decision], b: &[Decision]) -> Option<FirstDivergence> {
-    let common = a
-        .iter()
-        .zip(b.iter())
-        .take_while(|(x, y)| x == y)
-        .count();
+    let common = a.iter().zip(b.iter()).take_while(|(x, y)| x == y).count();
     if common == a.len() && common == b.len() {
         return None;
     }
@@ -123,11 +117,7 @@ pub fn first_divergence(a: &[Decision], b: &[Decision]) -> Option<FirstDivergenc
 
 /// Run both experiments over `workload` — attribution and tracing
 /// forced on — and assemble the full comparison.
-pub fn diff_runs(
-    a: &Experiment,
-    b: &Experiment,
-    workload: &Workload,
-) -> Result<RunDiff, SimError> {
+pub fn diff_runs(a: &Experiment, b: &Experiment, workload: &Workload) -> Result<RunDiff, SimError> {
     let run = |exp: &Experiment| -> Result<(RunMetrics, Vec<Decision>), SimError> {
         let exp = Experiment {
             attribution: true,
@@ -254,11 +244,7 @@ pub fn render_diff(d: &RunDiff) -> String {
         "metric", "A", "B", "delta"
     );
     let mut frow = |name: &str, a: f64, b: f64| {
-        let _ = writeln!(
-            out,
-            "  {name:<22} {a:>14.3} {b:>14.3} {:>12.3}",
-            b - a
-        );
+        let _ = writeln!(out, "  {name:<22} {a:>14.3} {b:>14.3} {:>12.3}", b - a);
     };
     frow("utilization", d.a.utilization, d.b.utilization);
     frow("mean wait (s)", d.a.mean_wait, d.b.mean_wait);
@@ -319,7 +305,11 @@ mod tests {
     use elastisched_workload::{generate, GeneratorConfig};
 
     fn workload() -> Workload {
-        generate(&GeneratorConfig::paper_batch(0.5).with_jobs(120).with_seed(7))
+        generate(
+            &GeneratorConfig::paper_batch(0.5)
+                .with_jobs(120)
+                .with_seed(7),
+        )
     }
 
     #[test]
@@ -343,7 +333,10 @@ mod tests {
             &w,
         )
         .unwrap();
-        let div = d.divergence.clone().expect("EASY and Delayed-LOS must diverge");
+        let div = d
+            .divergence
+            .clone()
+            .expect("EASY and Delayed-LOS must diverge");
         // The divergence names at least one concrete decision.
         assert!(div.a.is_some() || div.b.is_some());
         // And the attribution profiles shift between cause buckets.

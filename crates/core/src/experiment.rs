@@ -258,7 +258,11 @@ mod tests {
 
     #[test]
     fn determinism_same_seed_same_metrics() {
-        let w = generate(&GeneratorConfig::paper_batch(0.2).with_jobs(100).with_seed(9));
+        let w = generate(
+            &GeneratorConfig::paper_batch(0.2)
+                .with_jobs(100)
+                .with_seed(9),
+        );
         let a = Experiment::new(Algorithm::DelayedLos).run(&w).unwrap();
         let b = Experiment::new(Algorithm::DelayedLos).run(&w).unwrap();
         assert_eq!(a, b);
@@ -317,7 +321,9 @@ mod tests {
     fn streamed_derivation_phase_times_only_the_finish() {
         // The accumulator folds inside the engine loop, so the derivation
         // phase of a folded run is `finish` alone: far below the loop.
-        let cfg = GeneratorConfig::paper_batch(0.5).with_jobs(3000).with_seed(8);
+        let cfg = GeneratorConfig::paper_batch(0.5)
+            .with_jobs(3000)
+            .with_seed(8);
         let m = Experiment::new(Algorithm::Easy)
             .run_streamed_with(LublinSource::new(&cfg), RunAccumulator::bounded())
             .unwrap();

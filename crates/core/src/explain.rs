@@ -81,7 +81,9 @@ fn describe(ev: &TraceEvent, job: Option<u64>) -> Option<String> {
                 if *cache_hit { ", cached" } else { "" }
             )
         }
-        TraceEvent::Promote { .. } => "promoted from the dedicated queue to the batch head".to_string(),
+        TraceEvent::Promote { .. } => {
+            "promoted from the dedicated queue to the batch head".to_string()
+        }
         TraceEvent::Backfill { .. } => "backfilled ahead of the blocked head".to_string(),
         TraceEvent::Reconfig {
             grow,
@@ -269,8 +271,14 @@ mod tests {
         let text = std::fs::read_to_string(&path).expect("read back");
         let _ = std::fs::remove_file(&path);
         let rendered = explain_postmortem(&text).expect("renders");
-        assert!(rendered.contains("postmortem: audit violation [capacity]"), "{rendered}");
-        assert!(rendered.contains("at t=100s under Delayed-LOS"), "{rendered}");
+        assert!(
+            rendered.contains("postmortem: audit violation [capacity]"),
+            "{rendered}"
+        );
+        assert!(
+            rendered.contains("at t=100s under Delayed-LOS"),
+            "{rendered}"
+        );
         assert!(rendered.contains("queue head:"), "{rendered}");
         // Ring replay reuses the per-job describer without a focus job.
         assert!(rendered.contains("Basic_DP"), "{rendered}");

@@ -184,10 +184,7 @@ fn load_sweep(
         wl_inputs,
         |_, (_, load, seed)| format!("{id} gen load={load:.2} seed={seed}"),
         |(li, load, seed)| {
-            let b = GeneratorConfig {
-                n_jobs,
-                ..*base
-            };
+            let b = GeneratorConfig { n_jobs, ..*base };
             (li, calibrated_workload(&b, machine, load, seed))
         },
     );
@@ -203,18 +200,14 @@ fn load_sweep(
     let results: Vec<(usize, usize, RunMetrics)> = run_stage(
         &format!("{id} simulations"),
         tasks,
-        |_, (_, li, wi, algo, _)| {
-            format!("{id} {} load={:.2} wl{wi}", algo.name(), loads[*li])
-        },
+        |_, (_, li, wi, algo, _)| format!("{id} {} load={:.2} wl{wi}", algo.name(), loads[*li]),
         |(ai, li, wi, algo, params)| {
             let exp = Experiment {
                 params,
                 machine,
                 ..Experiment::new(algo)
             };
-            let m = exp
-                .run(&workloads[wi].1)
-                .expect("simulation must complete");
+            let m = exp.run(&workloads[wi].1).expect("simulation must complete");
             (ai, li, m)
         },
     );
@@ -398,9 +391,7 @@ pub fn cs_sweep(cfg: &ReproConfig, id: &str, p_small: f64) -> Figure {
     });
     Figure {
         id: id.to_string(),
-        title: format!(
-            "Batch workload: metric variation with C_s (Load=0.9, P_S={p_small})"
-        ),
+        title: format!("Batch workload: metric variation with C_s (Load=0.9, P_S={p_small})"),
         x_label: "Maximum skip count C_s".to_string(),
         series,
     }
@@ -612,7 +603,10 @@ pub fn baselines(cfg: &ReproConfig) -> Figure {
             (Algorithm::Conservative, SchedParams::default()),
             (Algorithm::Easy, SchedParams::default()),
             (Algorithm::Adaptive, SchedParams::default()),
-            (Algorithm::DelayedLos, SchedParams::with_cs(default_cs_for_ps(0.5))),
+            (
+                Algorithm::DelayedLos,
+                SchedParams::with_cs(default_cs_for_ps(0.5)),
+            ),
         ],
     )
 }
@@ -648,7 +642,10 @@ pub fn ablation_lookahead(cfg: &ReproConfig) -> Figure {
                 machine,
                 ..Experiment::new(Algorithm::DelayedLos)
             };
-            (i, exp.run(&workloads[wi]).expect("simulation must complete"))
+            (
+                i,
+                exp.run(&workloads[wi]).expect("simulation must complete"),
+            )
         },
     );
     let mut points = Vec::new();
@@ -704,11 +701,7 @@ pub fn ablation_overestimate(cfg: &ReproConfig) -> Figure {
             base.overestimate_factor = factor;
             let w = calibrated_workload(&base, machine, 0.9, seed);
             let exp = Experiment::new(algo).on_machine(machine);
-            (
-                fi,
-                ai,
-                exp.run(&w).expect("simulation must complete"),
-            )
+            (fi, ai, exp.run(&w).expect("simulation must complete"))
         },
     );
     let mut series: Vec<Series> = algorithms
@@ -793,7 +786,10 @@ mod tests {
         assert!(figs[0].series_for("Delayed-LOS-E").is_some());
         assert!(figs[1].series_for("Hybrid-LOS-E").is_some());
         let t6 = table6(&figs[0]);
-        assert_eq!(t6.baselines, vec!["LOS-E".to_string(), "EASY-E".to_string()]);
+        assert_eq!(
+            t6.baselines,
+            vec!["LOS-E".to_string(), "EASY-E".to_string()]
+        );
         let t7 = table7(&figs[1]);
         assert_eq!(t7.ours, "Hybrid-LOS-E");
     }

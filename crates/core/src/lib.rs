@@ -57,13 +57,13 @@ pub use diff::{
 };
 pub use experiment::{Experiment, MachineSpec, StackExperiment};
 pub use explain::{explain_job, explain_postmortem};
-pub use timeline_view::render_timeline;
 pub use figures::{
     default_cs_for_ps, improvement_table, Figure, ImprovementTable, ReproConfig, Series,
     SeriesPoint,
 };
 pub use plot::{render_svg, write_figure_svgs, Metric};
 pub use sweep::{parallel_map, try_parallel_map, PointFailure};
+pub use timeline_view::render_timeline;
 pub use tune::{tune_cs, CsCandidate, CsTuning};
 
 /// The most common imports in one place.

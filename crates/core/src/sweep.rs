@@ -127,8 +127,7 @@ where
         return (results, failures);
     }
     let (task_tx, task_rx) = channel::unbounded::<(usize, I)>();
-    let (result_tx, result_rx) =
-        channel::unbounded::<(usize, Result<O, PointFailure>)>();
+    let (result_tx, result_rx) = channel::unbounded::<(usize, Result<O, PointFailure>)>();
     for pair in inputs.into_iter().enumerate() {
         task_tx.send(pair).expect("channel open");
     }
@@ -176,8 +175,7 @@ where
     O: Send,
     F: Fn(I) -> O + Sync,
 {
-    let (results, failures) =
-        try_parallel_map(inputs, |idx, _| format!("task {idx}"), f);
+    let (results, failures) = try_parallel_map(inputs, |idx, _| format!("task {idx}"), f);
     if let Some(first) = failures.first() {
         panic!(
             "{} of {} parallel task(s) panicked; first: {first}",
@@ -294,7 +292,11 @@ mod tests {
         // panic message.
         assert_eq!(failures[0].index, 3);
         assert_eq!(failures[0].name, "point x=3");
-        assert!(failures[0].message.contains("boom at 3"), "{}", failures[0].message);
+        assert!(
+            failures[0].message.contains("boom at 3"),
+            "{}",
+            failures[0].message
+        );
         assert_eq!(failures[6].index, 63);
     }
 

@@ -143,7 +143,8 @@ pub fn set_label(key: &str, value: &str) {
 pub fn begin_stage(name: &str, planned: usize) {
     let Some(c) = active() else { return };
     c.registry.set_label("stage", name);
-    c.registry.gauge_set(keys::SWEEP_POINTS_PLANNED, planned as f64);
+    c.registry
+        .gauge_set(keys::SWEEP_POINTS_PLANNED, planned as f64);
     c.registry.gauge_set(keys::SWEEP_POINTS_DONE, 0.0);
     c.registry.gauge_set(keys::SWEEP_ETA_SECONDS, 0.0);
     c.registry.gauge_set(keys::SWEEP_POINTS_PER_SEC, 0.0);
@@ -188,8 +189,10 @@ pub fn point_finished(name: &str, elapsed: Duration, ok: bool) {
     if !ok {
         c.registry.counter_add(keys::SWEEP_POINT_FAILURES_TOTAL, 1);
     }
-    c.registry
-        .observe(keys::POINT_MILLIS, elapsed.as_millis().min(u64::MAX as u128) as u64);
+    c.registry.observe(
+        keys::POINT_MILLIS,
+        elapsed.as_millis().min(u64::MAX as u128) as u64,
+    );
 
     let mut slot = c.progress.lock().expect("progress lock");
     let Some(p) = slot.as_mut() else { return };
@@ -307,9 +310,12 @@ pub fn record_run(m: &RunMetrics) {
 /// cost row. No-op without a campaign.
 pub fn record_workload_gen(nanos: u64) {
     let Some(c) = active() else { return };
-    c.registry.counter_add(keys::PHASE_WORKLOAD_GEN_NANOS, nanos);
+    c.registry
+        .counter_add(keys::PHASE_WORKLOAD_GEN_NANOS, nanos);
     let mut costs = c.costs.lock().expect("costs lock");
-    let row = costs.entry("(workload generation)".to_string()).or_default();
+    let row = costs
+        .entry("(workload generation)".to_string())
+        .or_default();
     row.runs += 1;
     row.profile.record(Phase::WorkloadGen, nanos);
 }

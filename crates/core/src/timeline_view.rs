@@ -44,7 +44,10 @@ pub fn render_timeline(tl: &RunTimeline) -> String {
         last.at.as_secs(),
         tl.stride_secs,
         if tl.decimations > 0 {
-            format!(", {}× decimated from {}s", tl.decimations, tl.base_stride_secs)
+            format!(
+                ", {}× decimated from {}s",
+                tl.decimations, tl.base_stride_secs
+            )
         } else {
             String::new()
         },
@@ -66,7 +69,10 @@ pub fn render_timeline(tl: &RunTimeline) -> String {
     );
     let _ = writeln!(out, "  util        |{util_track}| (0..1)");
     let _ = writeln!(out, "  queue depth |{queue_track}| (max {queue_max:.0})");
-    let _ = writeln!(out, "  running     |{running_track}| (max {running_max:.0})");
+    let _ = writeln!(
+        out,
+        "  running     |{running_track}| (max {running_max:.0})"
+    );
     let _ = writeln!(out, "  oldest wait |{wait_track}| (max {wait_max:.0}s)");
 
     let _ = writeln!(

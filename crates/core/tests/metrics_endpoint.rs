@@ -69,8 +69,7 @@ fn metrics_endpoint_serves_a_live_sweep_end_to_end() {
     let addr = addr.to_string();
 
     // -- /metrics: Prometheus text exposition ------------------------
-    let (code, body) =
-        http_get(&addr, "/metrics", Duration::from_secs(5)).expect("GET /metrics");
+    let (code, body) = http_get(&addr, "/metrics", Duration::from_secs(5)).expect("GET /metrics");
     assert_eq!(code, 200, "{body}");
     assert_exposition_well_formed(&body);
     assert!(
@@ -117,8 +116,7 @@ fn metrics_endpoint_serves_a_live_sweep_end_to_end() {
     assert!(rendered.contains("runs"), "{rendered}");
 
     // -- /timeline: empty until a sampled run publishes one ----------
-    let (code, body) =
-        http_get(&addr, "/timeline", Duration::from_secs(5)).expect("GET /timeline");
+    let (code, body) = http_get(&addr, "/timeline", Duration::from_secs(5)).expect("GET /timeline");
     assert_eq!(code, 200, "{body}");
     assert_eq!(body, "{}", "no sampled run has published a timeline yet");
 
@@ -129,8 +127,7 @@ fn metrics_endpoint_serves_a_live_sweep_end_to_end() {
         .run(&w)
         .expect("sampled run completes");
     assert!(!m.timeline.is_empty(), "sampler was enabled");
-    let (code, body) =
-        http_get(&addr, "/timeline", Duration::from_secs(5)).expect("GET /timeline");
+    let (code, body) = http_get(&addr, "/timeline", Duration::from_secs(5)).expect("GET /timeline");
     assert_eq!(code, 200, "{body}");
     assert!(
         body.starts_with("{\"scheduler\":\"Delayed-LOS\""),
@@ -160,8 +157,7 @@ fn metrics_endpoint_serves_a_live_sweep_end_to_end() {
         .with_timeline(elastisched_sim::TimelineConfig::default())
         .run_raw(&w)
         .expect("sampled raw run completes");
-    let (code, body) =
-        http_get(&addr, "/timeline", Duration::from_secs(5)).expect("GET /timeline");
+    let (code, body) = http_get(&addr, "/timeline", Duration::from_secs(5)).expect("GET /timeline");
     assert_eq!(code, 200, "{body}");
     assert!(
         body.starts_with("{\"scheduler\":\"EASY\""),

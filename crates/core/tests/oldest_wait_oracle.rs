@@ -87,7 +87,9 @@ fn oldest_wait_matches_brute_force_under_backfilling() {
             );
         }
         // The streamed run recycles record slots; same samples.
-        let st = exp.run_streamed_with(w.source(), RunAccumulator::exact()).unwrap();
+        let st = exp
+            .run_streamed_with(w.source(), RunAccumulator::exact())
+            .unwrap();
         assert_eq!(st.timeline, r.timeline, "{algo}: streamed timeline differs");
     }
 }

@@ -14,8 +14,8 @@ use elastisched_metrics::RunAccumulator;
 use elastisched_sched::{Algorithm, StackSpec};
 use elastisched_sim::Engine;
 use elastisched_workload::{
-    generate, CwfFile, CwfSource, GeneratorConfig, LublinSource, ScaleArrivals, SwfFile,
-    SwfRecord, SwfSource, Workload,
+    generate, CwfFile, CwfSource, GeneratorConfig, LublinSource, ScaleArrivals, SwfFile, SwfRecord,
+    SwfSource, Workload,
 };
 
 /// A workload exercising everything at once: dedicated jobs, ET and RT
@@ -77,7 +77,11 @@ fn swf_source_matches_materialized() {
     // A batch-only workload round-tripped through SWF text: the
     // materialized path parses the whole file, the streamed path reads
     // it line by line.
-    let w = generate(&GeneratorConfig::paper_batch(0.4).with_jobs(250).with_seed(7));
+    let w = generate(
+        &GeneratorConfig::paper_batch(0.4)
+            .with_jobs(250)
+            .with_seed(7),
+    );
     let file = SwfFile {
         comments: vec!["Computer: Synthetic BlueGene/P".to_string()],
         records: w
@@ -95,8 +99,7 @@ fn swf_source_matches_materialized() {
             .collect(),
     };
     let text = file.to_text();
-    let materialized_workload =
-        Workload::from_jobs(SwfFile::parse(&text).unwrap().to_job_specs());
+    let materialized_workload = Workload::from_jobs(SwfFile::parse(&text).unwrap().to_job_specs());
     for algo in [Algorithm::Easy, Algorithm::DelayedLos] {
         let exp = Experiment::new(algo);
         let materialized = exp.run(&materialized_workload).unwrap();
@@ -131,7 +134,11 @@ fn scaled_swf_replay_matches_materialized_scaling() {
     // The §III load knob over a streamed archive log: scale-then-load
     // must equal stream-through-ScaleArrivals. Stretching factors are
     // exactly equivalent (no new instant collisions).
-    let w = generate(&GeneratorConfig::paper_batch(0.5).with_jobs(200).with_seed(3));
+    let w = generate(
+        &GeneratorConfig::paper_batch(0.5)
+            .with_jobs(200)
+            .with_seed(3),
+    );
     let file = SwfFile {
         comments: Vec::new(),
         records: w
@@ -202,20 +209,29 @@ fn bounded_accumulator_matches_on_every_aggregate() {
         .run_streamed_with(LublinSource::new(&cfg), RunAccumulator::bounded())
         .unwrap();
     assert_eq!(bounded.jobs, materialized.jobs);
-    assert_eq!(bounded.mean_wait.to_bits(), materialized.mean_wait.to_bits());
+    assert_eq!(
+        bounded.mean_wait.to_bits(),
+        materialized.mean_wait.to_bits()
+    );
     assert_eq!(bounded.slowdown.to_bits(), materialized.slowdown.to_bits());
     assert_eq!(
         bounded.mean_bounded_slowdown.to_bits(),
         materialized.mean_bounded_slowdown.to_bits()
     );
-    assert_eq!(bounded.utilization.to_bits(), materialized.utilization.to_bits());
+    assert_eq!(
+        bounded.utilization.to_bits(),
+        materialized.utilization.to_bits()
+    );
     assert_eq!(bounded.makespan, materialized.makespan);
     assert_eq!(bounded.eccs_applied, materialized.eccs_applied);
     assert_eq!(bounded.dp_cache_hits, materialized.dp_cache_hits);
     assert_eq!(bounded.dp_cache_misses, materialized.dp_cache_misses);
     assert_eq!(bounded.wait_summary.n, materialized.wait_summary.n);
     assert_eq!(bounded.wait_summary.min, materialized.wait_summary.min);
-    assert_eq!(bounded.wait_summary.median, materialized.wait_summary.median);
+    assert_eq!(
+        bounded.wait_summary.median,
+        materialized.wait_summary.median
+    );
     assert_eq!(bounded.wait_summary.p95, materialized.wait_summary.p95);
     assert_eq!(bounded.wait_summary.max, materialized.wait_summary.max);
     let rel = (bounded.wait_summary.std_dev - materialized.wait_summary.std_dev).abs()

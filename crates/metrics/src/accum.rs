@@ -333,7 +333,11 @@ mod tests {
     }
 
     fn result(outcomes: Vec<JobOutcome>) -> SimResult {
-        let makespan = outcomes.iter().map(|o| o.finished).max().unwrap_or(SimTime::ZERO);
+        let makespan = outcomes
+            .iter()
+            .map(|o| o.finished)
+            .max()
+            .unwrap_or(SimTime::ZERO);
         let busy: f64 = outcomes
             .iter()
             .map(|o| o.num as f64 * o.runtime.as_secs_f64())
@@ -385,8 +389,14 @@ mod tests {
         let direct = RunMetrics::from_result(&r);
         assert_eq!(folded, direct);
         // Bit-level, beyond the PartialEq subset:
-        assert_eq!(folded.wait_summary.std_dev.to_bits(), direct.wait_summary.std_dev.to_bits());
-        assert_eq!(folded.mean_bounded_slowdown.to_bits(), direct.mean_bounded_slowdown.to_bits());
+        assert_eq!(
+            folded.wait_summary.std_dev.to_bits(),
+            direct.wait_summary.std_dev.to_bits()
+        );
+        assert_eq!(
+            folded.mean_bounded_slowdown.to_bits(),
+            direct.mean_bounded_slowdown.to_bits()
+        );
         assert_eq!(folded.wait_hist, direct.wait_hist);
         assert_eq!(folded.slowdown_hist, direct.slowdown_hist);
     }
@@ -414,7 +424,10 @@ mod tests {
             / e.wait_summary.std_dev.max(1e-12);
         assert!(rel < 1e-12, "std_dev diverged beyond ulp noise: {rel}");
         assert_eq!(e.mean_wait.to_bits(), b.mean_wait.to_bits());
-        assert_eq!(e.mean_bounded_slowdown.to_bits(), b.mean_bounded_slowdown.to_bits());
+        assert_eq!(
+            e.mean_bounded_slowdown.to_bits(),
+            b.mean_bounded_slowdown.to_bits()
+        );
         assert_eq!(e.wait_hist, b.wait_hist);
         assert_eq!(e.slowdown_hist, b.slowdown_hist);
         assert_eq!(e.dedicated_jobs, b.dedicated_jobs);
@@ -437,7 +450,11 @@ mod tests {
         assert!(jobs as usize > 2 * MERGE_EVERY);
         let outcomes = (0..jobs)
             .map(|i| {
-                let wait = if i % 7 == 0 { 1_000 + i } else { (i * 37) % 600 };
+                let wait = if i % 7 == 0 {
+                    1_000 + i
+                } else {
+                    (i * 37) % 600
+                };
                 let submit = i * 3;
                 let started = submit + wait;
                 outcome(i + 1, submit, started, started + 10 + i % 50, 32)

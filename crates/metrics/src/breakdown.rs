@@ -68,10 +68,7 @@ pub fn breakdown(outcomes: &[JobOutcome], small_threshold: u32) -> Breakdown {
             "small",
             outcomes.iter().filter(|o| o.num <= small_threshold),
         ),
-        large: ClassMetrics::of(
-            "large",
-            outcomes.iter().filter(|o| o.num > small_threshold),
-        ),
+        large: ClassMetrics::of("large", outcomes.iter().filter(|o| o.num > small_threshold)),
         batch: ClassMetrics::of(
             "batch",
             outcomes.iter().filter(|o| o.requested_start.is_none()),

@@ -125,7 +125,11 @@ mod tests {
     fn shifted_sample_fails_uniform_cdf() {
         let xs: Vec<f64> = uniform_sample(2_000, 2).iter().map(|x| x * 0.8).collect();
         let r = ks_test_cdf(&xs, |x| x.clamp(0.0, 1.0));
-        assert!(r.rejects_at(0.01), "shifted sample accepted: p={}", r.p_value);
+        assert!(
+            r.rejects_at(0.01),
+            "shifted sample accepted: p={}",
+            r.p_value
+        );
     }
 
     #[test]

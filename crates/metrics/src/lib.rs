@@ -23,9 +23,9 @@ pub use breakdown::{breakdown, Breakdown, ClassMetrics};
 pub use ks::{ks_test_cdf, ks_test_two_sample, KsResult};
 pub use report::RunMetrics;
 pub use special::{gamma_cdf, gamma_p, hyper_gamma_cdf, ln_gamma};
-pub use timeline::{gantt, sparkline, utilization_profile};
-pub use validate::{occupancy, validate_schedule, Occupancy, Violation};
 pub use stats::{
     improvement_higher_is_better, improvement_lower_is_better, jain_fairness, mean, median,
     quantile, std_dev, Summary,
 };
+pub use timeline::{gantt, sparkline, utilization_profile};
+pub use validate::{occupancy, validate_schedule, Occupancy, Violation};

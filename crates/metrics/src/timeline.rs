@@ -90,7 +90,11 @@ pub fn gantt(outcomes: &[JobOutcome], width: usize, max_rows: usize) -> String {
             *c = '·'; // waiting
         }
         for c in line.iter_mut().take(f + 1).skip(s) {
-            *c = if o.requested_start.is_some() { '#' } else { '=' };
+            *c = if o.requested_start.is_some() {
+                '#'
+            } else {
+                '='
+            };
         }
         let _ = writeln!(
             out,

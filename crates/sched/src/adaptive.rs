@@ -150,10 +150,7 @@ mod tests {
         let mut a = Adaptive::new();
         assert_eq!(a.observed_small_fraction(32), 0.5);
         for i in 0..10u64 {
-            a.on_arrival(
-                JobSpec::batch(i + 1, 0, if i < 8 { 32 } else { 320 }, 10)
-                    .to_view(),
-            );
+            a.on_arrival(JobSpec::batch(i + 1, 0, if i < 8 { 32 } else { 320 }, 10).to_view());
         }
         assert!((a.observed_small_fraction(32) - 0.8).abs() < 1e-9);
     }

@@ -192,7 +192,9 @@ impl BatchPolicy for ConservativeCore {
                 held_back = true;
                 continue;
             }
-            let job = queue.remove_at(pos - started).expect("reserved jobs are queued");
+            let job = queue
+                .remove_at(pos - started)
+                .expect("reserved jobs are queued");
             ctx.start(job.view.id).expect("profile guarantees fit");
             ded_commit(&mut ded, now, num, dur);
             started += 1;

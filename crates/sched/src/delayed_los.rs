@@ -166,7 +166,9 @@ pub(crate) fn delayed_los_cycle(
         let tracing = ctx.trace().is_some();
         let hits_before = work.solver.stats().cache_hits;
         let candidates = work.ids.len() as u32;
-        let sel = work.solver.reservation(&work.items, free, freeze.frec, unit);
+        let sel = work
+            .solver
+            .reservation(&work.items, free, freeze.frec, unit);
         telemetry.reservation_dp_calls += 1;
         let mut chosen_trace: Vec<u64> = Vec::new();
         if tracing {

@@ -638,7 +638,11 @@ fn solve_incremental<T: Candidate>(
         Some(l) if table.unit == unit => (Layout::new(l.c1max.max(c1q), l.c2max.max(c2q)), true),
         _ => (Layout::new(c1q, c2q), true),
     };
-    let from = if relayout { 0 } else { table.common_prefix(packed) };
+    let from = if relayout {
+        0
+    } else {
+        table.common_prefix(packed)
+    };
     let bits = table.scratch.ensure((n + 1) * lay.layer);
     if from == 0 {
         lay.init(bits);
@@ -943,8 +947,8 @@ impl DpSolver {
             // costs less than reading the clock twice would, and on
             // misses the kernel itself is now cheap enough that
             // unsampled clocking would dominate it.
-            let t0 = (timed && stats.cache_misses & (DP_NANOS_SAMPLE_EVERY - 1) == 0)
-                .then(Instant::now);
+            let t0 =
+                (timed && stats.cache_misses & (DP_NANOS_SAMPLE_EVERY - 1) == 0).then(Instant::now);
             if incremental {
                 let table = if tag == TAG_BASIC {
                     inc_basic
@@ -1388,10 +1392,7 @@ mod tests {
 
     #[test]
     fn reservation_dp_empty_and_zero_capacity() {
-        assert_eq!(
-            reservation_dp(&[], 320, 320, 32),
-            Selection::default()
-        );
+        assert_eq!(reservation_dp(&[], 320, 320, 32), Selection::default());
         let items = [DpItem {
             num: 32,
             extends: false,
@@ -1493,7 +1494,11 @@ mod tests {
                 })
                 .collect();
             let sel = reservation_dp(&items, cap, cap, 1);
-            assert_eq!(sel, reservation_dp_reference(&items, cap, cap, 1), "cap {cap}");
+            assert_eq!(
+                sel,
+                reservation_dp_reference(&items, cap, cap, 1),
+                "cap {cap}"
+            );
             assert!(sel.used_now <= cap);
         }
     }
@@ -1667,8 +1672,7 @@ mod tests {
                                 "items {items:?} cap_now {cap_now} cap_freeze {cap_freeze}"
                             );
                             // And the reported selection is consistent.
-                            let now: u32 =
-                                sel.chosen.iter().map(|&i| items[i].num).sum();
+                            let now: u32 = sel.chosen.iter().map(|&i| items[i].num).sum();
                             let fr: u32 = sel
                                 .chosen
                                 .iter()

@@ -54,9 +54,8 @@ pub(crate) fn easy_cycle(
     while let Some(w) = queue.get(i) {
         let (id, num, dur) = (w.view.id, w.view.num, w.view.dur);
         let delays_head = shadow.extends(now, dur);
-        let can_start = num <= ctx.free()
-            && (!delays_head || num <= extra)
-            && ded_allows(&ded, now, num, dur);
+        let can_start =
+            num <= ctx.free() && (!delays_head || num <= extra) && ded_allows(&ded, now, num, dur);
         if !can_start {
             i += 1;
             continue;

@@ -75,7 +75,10 @@ mod tests {
         let r = run(&jobs);
         assert_eq!(started(&r, 1), 100, "dedicated on time");
         assert_eq!(started(&r, 3), 20, "short batch fills the gap");
-        assert!(started(&r, 2) >= 150, "long batch waits for the dedicated job");
+        assert!(
+            started(&r, 2) >= 150,
+            "long batch waits for the dedicated job"
+        );
     }
 
     #[test]

@@ -74,7 +74,9 @@ pub(crate) fn los_cycle(
     let tracing = ctx.trace().is_some();
     let hits_before = work.solver.stats().cache_hits;
     let candidates = work.ids.len() as u32;
-    let sel = work.solver.reservation(&work.items, free, freeze.frec, ctx.unit());
+    let sel = work
+        .solver
+        .reservation(&work.items, free, freeze.frec, ctx.unit());
     let mut chosen_trace: Vec<u64> = Vec::new();
     if tracing {
         chosen_trace.extend(sel.chosen.iter().map(|&i| work.ids[i].0));

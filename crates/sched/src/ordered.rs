@@ -144,7 +144,9 @@ impl BatchPolicy for OrderedCore {
         let now = ctx.now();
         // Start in policy order while the policy-head fits.
         let (head_i, head_num) = loop {
-            let Some(i) = self.min_index(queue) else { return };
+            let Some(i) = self.min_index(queue) else {
+                return;
+            };
             let w = queue.get(i).expect("index from scan");
             let (id, num, dur) = (w.view.id, w.view.num, w.view.dur);
             if num <= ctx.free() && ded_allows(&ded, now, num, dur) {
@@ -311,8 +313,11 @@ mod tests {
             "Largest-First-BF"
         );
         assert_eq!(
-            PolicyStack::with_dedicated(OrderedCore::with_backfill(OrderPolicy::SmallestJobFirst), 0)
-                .name(),
+            PolicyStack::with_dedicated(
+                OrderedCore::with_backfill(OrderPolicy::SmallestJobFirst),
+                0
+            )
+            .name(),
             "Smallest-First-BF-D"
         );
     }

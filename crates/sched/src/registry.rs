@@ -208,9 +208,7 @@ impl StackSpec {
                         Box::new(PolicyStack::batch_only($core)) as Box<dyn Scheduler + Send>
                     }
                     (true, false) => Box::new(PolicyStack::with_dedicated($core, $scount)),
-                    (false, true) => {
-                        Box::new(PolicyStack::with_malleable(BatchOnly::new($core)))
-                    }
+                    (false, true) => Box::new(PolicyStack::with_malleable(BatchOnly::new($core))),
                     (true, true) => Box::new(PolicyStack::with_malleable(WithDedicated::new(
                         $core, $scount,
                     ))),
@@ -287,9 +285,7 @@ impl FromStr for StackSpec {
                 "d" | "ded" | "dedicated" => spec.dedicated = true,
                 "m" | "mal" | "malleable" => spec.malleable = true,
                 "e" | "ecc" | "elastic" => spec.elastic = true,
-                other => {
-                    return Err(format!("unknown stack flag {other:?} in stack spec {s:?}"))
-                }
+                other => return Err(format!("unknown stack flag {other:?} in stack spec {s:?}")),
             }
         }
         Ok(spec)

@@ -77,9 +77,9 @@ impl Shape {
             Shape::Malleable => Box::new(PolicyStack::<WithMalleable<_>>::with_malleable(
                 BatchOnly::new(core),
             )),
-            Shape::DedicatedMalleable => Box::new(
-                PolicyStack::<WithMalleable<_>>::with_malleable(WithDedicated::new(core, 0)),
-            ),
+            Shape::DedicatedMalleable => Box::new(PolicyStack::<WithMalleable<_>>::with_malleable(
+                WithDedicated::new(core, 0),
+            )),
         }
     }
 }

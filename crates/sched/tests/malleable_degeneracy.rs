@@ -51,7 +51,11 @@ fn assert_degenerate(base: StackSpec, mal: StackSpec, w: &Workload, ctx: &str) {
 
 #[test]
 fn malleable_layer_degenerates_on_rigid_workloads_for_every_core() {
-    let batch = generate(&GeneratorConfig::paper_batch(0.7).with_jobs(250).with_seed(11));
+    let batch = generate(
+        &GeneratorConfig::paper_batch(0.7)
+            .with_jobs(250)
+            .with_seed(11),
+    );
     let hetero = generate(
         &GeneratorConfig::paper_heterogeneous(0.5, 0.3)
             .with_jobs(250)

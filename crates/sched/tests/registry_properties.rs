@@ -19,8 +19,16 @@ use elastisched_workload::{generate, GeneratorConfig, Workload};
 
 fn batch_only_workloads() -> Vec<Workload> {
     vec![
-        generate(&GeneratorConfig::paper_batch(0.8).with_jobs(250).with_seed(7)),
-        generate(&GeneratorConfig::paper_batch(0.3).with_jobs(250).with_seed(8)),
+        generate(
+            &GeneratorConfig::paper_batch(0.8)
+                .with_jobs(250)
+                .with_seed(7),
+        ),
+        generate(
+            &GeneratorConfig::paper_batch(0.3)
+                .with_jobs(250)
+                .with_seed(8),
+        ),
     ]
 }
 

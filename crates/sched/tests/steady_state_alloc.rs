@@ -172,7 +172,11 @@ fn full_run_allocation_floor() {
     use elastisched_sim::{Engine, Machine};
     use elastisched_workload::{generate, GeneratorConfig};
 
-    let w = generate(&GeneratorConfig::paper_batch(0.5).with_jobs(500).with_seed(1));
+    let w = generate(
+        &GeneratorConfig::paper_batch(0.5)
+            .with_jobs(500)
+            .with_seed(1),
+    );
     // Warm-up: first run pays lazy one-time global setup.
     {
         let scheduler = Algorithm::DelayedLos.build(SchedParams::default());
@@ -203,6 +207,9 @@ fn full_run_allocation_floor() {
 
     assert_eq!(m.jobs, 500);
     assert!(load <= 14, "load allocated {load} times (floor 14)");
-    assert!(metrics <= 4, "metrics derivation allocated {metrics} times (floor 4)");
+    assert!(
+        metrics <= 4,
+        "metrics derivation allocated {metrics} times (floor 4)"
+    );
     assert!(total <= 48, "full run allocated {total} times (floor 48)");
 }

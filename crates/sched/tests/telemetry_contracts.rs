@@ -86,10 +86,7 @@ fn hybrid_promotes_every_dedicated_job_exactly_once() {
         }
     }
     let t = run_hybrid(&jobs, 7);
-    let dedicated = jobs
-        .iter()
-        .filter(|j| j.class.is_dedicated())
-        .count() as u64;
+    let dedicated = jobs.iter().filter(|j| j.class.is_dedicated()).count() as u64;
     assert_eq!(t.dedicated_promotions, dedicated);
     assert!(t.cycles > 0);
 }

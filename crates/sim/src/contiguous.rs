@@ -165,11 +165,8 @@ impl ContiguousMachine {
     pub fn compact(&mut self) -> usize {
         let mut cursor = 0u32;
         let mut moved = 0usize;
-        let entries: Vec<(u32, JobId, u32)> = self
-            .allocs
-            .iter()
-            .map(|(&s, &(j, l))| (s, j, l))
-            .collect();
+        let entries: Vec<(u32, JobId, u32)> =
+            self.allocs.iter().map(|(&s, &(j, l))| (s, j, l)).collect();
         let mut new_allocs = BTreeMap::new();
         for (start, job, len) in entries {
             if start != cursor {
@@ -305,7 +302,10 @@ mod tests {
         assert_eq!(m.largest_hole(), 3);
         assert!(m.fragmentation() > 0.0);
         assert_eq!(m.allocate(jid(4), 5), Err(ContigError::Fragmented));
-        assert_eq!(m.allocate(jid(4), 7), Err(ContigError::InsufficientCapacity));
+        assert_eq!(
+            m.allocate(jid(4), 7),
+            Err(ContigError::InsufficientCapacity)
+        );
     }
 
     #[test]
@@ -346,12 +346,24 @@ mod tests {
         // Build fragmentation: 1(3) 2(4) 3(3); free 1 and 3; then a
         // 5-unit job arrives.
         let events = vec![
-            ReplayEvent::Start { job: jid(1), units: 3 },
-            ReplayEvent::Start { job: jid(2), units: 4 },
-            ReplayEvent::Start { job: jid(3), units: 3 },
+            ReplayEvent::Start {
+                job: jid(1),
+                units: 3,
+            },
+            ReplayEvent::Start {
+                job: jid(2),
+                units: 4,
+            },
+            ReplayEvent::Start {
+                job: jid(3),
+                units: 3,
+            },
             ReplayEvent::Finish { job: jid(1) },
             ReplayEvent::Finish { job: jid(3) },
-            ReplayEvent::Start { job: jid(4), units: 5 },
+            ReplayEvent::Start {
+                job: jid(4),
+                units: 5,
+            },
         ];
         let without = replay(10, &events, false);
         assert_eq!(without.blocked, 1);
@@ -368,7 +380,10 @@ mod tests {
         let events: Vec<ReplayEvent> = (1..=20)
             .flat_map(|i| {
                 [
-                    ReplayEvent::Start { job: jid(i), units: 10 },
+                    ReplayEvent::Start {
+                        job: jid(i),
+                        units: 10,
+                    },
                     ReplayEvent::Finish { job: jid(i) },
                 ]
             })

@@ -157,9 +157,7 @@ impl EccStats {
 /// and how much work same-instant cycle coalescing saved. Purely
 /// diagnostic — none of these affect simulation semantics, and
 /// `RunMetrics` equality ignores them.
-#[derive(
-    Debug, Clone, Copy, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize,
-)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub struct EngineStats {
     /// Events dispatched over the whole run.
     pub events: u64,
@@ -302,7 +300,8 @@ impl Held {
             },
             ecc_jobs: if ecc { num } else { 0 },
             ecc_gain: if ecc {
-                num.saturating_sub(rec.spec.num).saturating_sub(rec.mal_gain)
+                num.saturating_sub(rec.spec.num)
+                    .saturating_sub(rec.mal_gain)
             } else {
                 0
             },
@@ -524,11 +523,16 @@ impl SchedContext for EngineState {
             num: alloc,
             finish: kill_by,
         });
-        self.queue.push(completes, Event::Completion { job: id, epoch });
+        self.queue
+            .push(completes, Event::Completion { job: id, epoch });
         // Snapshot upkeep: starting the snapshot head (the FIFO-discipline
         // common case) is a cursor bump; anything else defers to a
         // compaction at the next borrow.
-        if self.wait_views.get(self.wait_head).is_some_and(|v| v.id == id) {
+        if self
+            .wait_views
+            .get(self.wait_head)
+            .is_some_and(|v| v.id == id)
+        {
             self.wait_head += 1;
         } else {
             self.wait_stale += 1;
@@ -1594,11 +1598,7 @@ impl<S: Scheduler> Engine<S> {
 
     fn handle_arrival(&mut self, id: JobId) -> Result<(), SimError> {
         let now = self.state.now;
-        let &idx = self
-            .state
-            .id_map
-            .get(&id)
-            .expect("arrival for unknown job");
+        let &idx = self.state.id_map.get(&id).expect("arrival for unknown job");
         let wait_pos = self.state.wait_views.len() as u32;
         let rec = &mut self.state.records[idx];
         debug_assert_eq!(rec.state, JobState::Future, "double arrival");
@@ -1805,8 +1805,10 @@ impl<S: Scheduler> Engine<S> {
                     }
                     EccKind::ReduceTime => {
                         // A queued job keeps at least one second of work.
-                        rec.est_dur =
-                            rec.est_dur.saturating_sub(amount).max(Duration::from_secs(1));
+                        rec.est_dur = rec
+                            .est_dur
+                            .saturating_sub(amount)
+                            .max(Duration::from_secs(1));
                         rec.actual_dur = rec
                             .actual_dur
                             .saturating_sub(amount)
@@ -2316,9 +2318,15 @@ mod tests {
         assert!(tr.cycle_hist.is_empty());
         // Job 2 waits 70 s; the Finish event carries the same accounting
         // as the outcome record.
-        assert!(tr
-            .events()
-            .any(|e| matches!(e, TraceEvent::Finish { job: 2, wait: 70, runtime: 50, .. })));
+        assert!(tr.events().any(|e| matches!(
+            e,
+            TraceEvent::Finish {
+                job: 2,
+                wait: 70,
+                runtime: 50,
+                ..
+            }
+        )));
     }
 
     #[test]
@@ -2347,7 +2355,11 @@ mod tests {
         let r = engine.run().unwrap();
         let tl = &r.timeline;
         assert!(!tl.is_empty());
-        assert!(tl.samples.len() <= 32, "budget exceeded: {}", tl.samples.len());
+        assert!(
+            tl.samples.len() <= 32,
+            "budget exceeded: {}",
+            tl.samples.len()
+        );
         assert!(tl.decimations > 0, "a dense run must have decimated");
         assert_eq!(tl.samples[0].at, SimTime::ZERO, "first cycle retained");
         assert_eq!(
@@ -2426,8 +2438,7 @@ mod tests {
                 TestFifo::new(),
                 EccPolicy::time_only(),
             );
-            let st = run_streamed(engine, SliceSource::new(&jobs, &eccs))
-                .unwrap();
+            let st = run_streamed(engine, SliceSource::new(&jobs, &eccs)).unwrap();
             assert_eq!(st.outcomes, mat.outcomes);
             assert_eq!(st.makespan, mat.makespan);
             assert_eq!(st.busy_area, mat.busy_area);
@@ -2453,7 +2464,10 @@ mod tests {
                     folded.push(o.clone())
                 })
                 .unwrap();
-            assert!(st.outcomes.is_empty(), "folded run must not retain outcomes");
+            assert!(
+                st.outcomes.is_empty(),
+                "folded run must not retain outcomes"
+            );
             assert_eq!(folded, mat.outcomes);
             assert_eq!(st.makespan, mat.makespan);
             assert_eq!(st.busy_area, mat.busy_area);
@@ -2653,7 +2667,10 @@ mod tests {
             // Part of the documented streaming contract: uniqueness is
             // only enforced among live jobs, so an id recycled after its
             // first holder completed is a fresh job.
-            let jobs = vec![JobSpec::batch(1, 0, 320, 10), JobSpec::batch(1, 100, 320, 10)];
+            let jobs = vec![
+                JobSpec::batch(1, 0, 320, 10),
+                JobSpec::batch(1, 100, 320, 10),
+            ];
             let engine = Engine::new(
                 Machine::bluegene_p(),
                 TestFifo::new(),
@@ -2774,7 +2791,11 @@ mod tests {
             )
             .unwrap();
             let o2 = r.outcomes.iter().find(|o| o.id == JobId(2)).unwrap();
-            assert_eq!(o2.started, SimTime::from_secs(10), "head admitted via shrink");
+            assert_eq!(
+                o2.started,
+                SimTime::from_secs(10),
+                "head admitted via shrink"
+            );
             let o1 = r.outcomes.iter().find(|o| o.id == JobId(1)).unwrap();
             // Work-conserving stretch: 90 s remaining at t=10 over
             // 256→192 procs is ceil(90·256/192) = 120 s, plus the
@@ -2844,7 +2865,10 @@ mod tests {
             assert_eq!(mal.reconfig.total(), 0);
             let base = run_jobs(&jobs, &[], EccPolicy::disabled());
             for (a, b) in mal.outcomes.iter().zip(&base.outcomes) {
-                assert_eq!((a.id, a.started, a.finished, a.num), (b.id, b.started, b.finished, b.num));
+                assert_eq!(
+                    (a.id, a.started, a.finished, a.num),
+                    (b.id, b.started, b.finished, b.num)
+                );
             }
         }
 
@@ -2869,8 +2893,7 @@ mod tests {
             assert_eq!(o1.num, 96, "never shrunk below the range floor");
             let o2 = r.outcomes.iter().find(|o| o.id == JobId(2)).unwrap();
             assert_eq!(
-                o2.started,
-                o1.finished,
+                o2.started, o1.finished,
                 "head still had to wait for the full machine"
             );
         }
@@ -2899,7 +2922,10 @@ mod tests {
             assert_eq!(mat.reconfig, st.reconfig);
             assert_eq!(mat.outcomes.len(), st.outcomes.len());
             for (a, b) in mat.outcomes.iter().zip(&st.outcomes) {
-                assert_eq!((a.id, a.started, a.finished, a.num), (b.id, b.started, b.finished, b.num));
+                assert_eq!(
+                    (a.id, a.started, a.finished, a.num),
+                    (b.id, b.started, b.finished, b.num)
+                );
             }
         }
     }

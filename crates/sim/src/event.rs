@@ -347,7 +347,9 @@ impl EventQueue {
         // full drain + sort), and the 8× shrink trigger gives a draining
         // queue the same hysteresis on the way down. Buckets are bare
         // index pairs, so a resize moves no per-bucket buffers.
-        let nb = (self.len * 2).next_power_of_two().clamp(MIN_BUCKETS, 1 << 22);
+        let nb = (self.len * 2)
+            .next_power_of_two()
+            .clamp(MIN_BUCKETS, 1 << 22);
         self.buckets.clear();
         self.buckets.resize(nb, EMPTY);
         if let (Some(first), Some(last)) = (entries.first(), entries.last()) {

@@ -44,15 +44,15 @@ pub use attribution::{AttrNotes, AttributionProfile, BlockerShare, WaitAttributi
 pub use contiguous::{ContigError, ContiguousMachine, Extent, ReplayEvent, ReplayStats};
 pub use ecc::{EccKind, EccPolicy, EccSpec};
 pub use engine::{simulate, EccStats, Engine, EngineStats, SimError, SimResult};
-pub use sampler::{
-    RunTimeline, TimelineConfig, TimelineSample, TimelineSampler, DEFAULT_TIMELINE_BUDGET,
-    DEFAULT_TIMELINE_STRIDE,
-};
 pub use event::{Event, EventQueue};
 pub use job::{JobClass, JobId, JobOutcome, JobRecord, JobSpec, JobState};
 pub use machine::{Machine, MachineError};
 pub use reconfig::{ReconfigCost, ReconfigStats};
 pub use running::{RunningJob, RunningSet};
+pub use sampler::{
+    RunTimeline, TimelineConfig, TimelineSample, TimelineSampler, DEFAULT_TIMELINE_BUDGET,
+    DEFAULT_TIMELINE_STRIDE,
+};
 pub use sched_api::{
     JobView, SchedContext, SchedStats, Scheduler, StartError, DP_NANOS_SAMPLE_EVERY,
 };
@@ -64,6 +64,6 @@ pub use time::{Duration, SimTime};
 // stay off the trace crate directly.
 pub use elastisched_trace::{
     metric, metrics, profile, read_postmortem, serve, trace_event, write_postmortem, DpKernel,
-    EccTag, LogHistogram, MetricsRegistry, MetricsSnapshot, MetricsServer, Phase, PhaseProfile,
+    EccTag, LogHistogram, MetricsRegistry, MetricsServer, MetricsSnapshot, Phase, PhaseProfile,
     PostmortemSnapshot, StatusDoc, TraceEvent, TraceSink,
 };

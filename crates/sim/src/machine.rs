@@ -31,13 +31,19 @@ impl fmt::Display for MachineError {
                 write!(f, "requested {requested} processors but only {free} free")
             }
             MachineError::BadGranularity { requested, unit } => {
-                write!(f, "request of {requested} processors violates allocation unit {unit}")
+                write!(
+                    f,
+                    "request of {requested} processors violates allocation unit {unit}"
+                )
             }
             MachineError::ReleaseUnderflow { released, used } => {
                 write!(f, "released {released} processors but only {used} in use")
             }
             MachineError::TooLarge { requested, total } => {
-                write!(f, "requested {requested} processors on a {total}-processor machine")
+                write!(
+                    f,
+                    "requested {requested} processors on a {total}-processor machine"
+                )
             }
         }
     }

@@ -52,7 +52,9 @@ impl Scheduler for Fifo {
 }
 
 fn jobs() -> Vec<JobSpec> {
-    (0..8).map(|i| JobSpec::batch(i + 1, i * 10, 256, 300)).collect()
+    (0..8)
+        .map(|i| JobSpec::batch(i + 1, i * 10, 256, 300))
+        .collect()
 }
 
 #[test]
@@ -60,7 +62,11 @@ fn clean_run_passes_every_audit_check() {
     // Attribution on: the wait-conservation check (`sum(cause buckets)
     // == total wait`, enforced as a hard audit error under this
     // feature) runs for every completing job.
-    let mut engine = Engine::new(Machine::bluegene_p(), Fifo::default(), EccPolicy::disabled());
+    let mut engine = Engine::new(
+        Machine::bluegene_p(),
+        Fifo::default(),
+        EccPolicy::disabled(),
+    );
     engine.enable_attribution();
     engine.load(&jobs(), &[]).unwrap();
     let r = engine.run().expect("a clean run must not trip the audit");
@@ -156,7 +162,11 @@ fn held_aggregates_survive_resizes_running_eccs_and_dedicated_jobs() {
     assert_eq!(r.ecc.applied_running, 7, "{:?}", r.ecc);
     let ded = r.outcomes.iter().find(|o| o.id == JobId(3)).unwrap();
     assert_eq!(ded.started, SimTime::from_secs(500));
-    assert!(r.timeline.samples.iter().any(|s| s.dedicated_procs > 0 && s.ecc_procs > 0));
+    assert!(r
+        .timeline
+        .samples
+        .iter()
+        .any(|s| s.dedicated_procs > 0 && s.ecc_procs > 0));
 }
 
 #[test]
@@ -167,7 +177,11 @@ fn injected_capacity_skew_trips_the_audit_and_dumps_a_postmortem() {
     ));
     let _ = std::fs::remove_file(&path);
 
-    let mut engine = Engine::new(Machine::bluegene_p(), Fifo::default(), EccPolicy::disabled());
+    let mut engine = Engine::new(
+        Machine::bluegene_p(),
+        Fifo::default(),
+        EccPolicy::disabled(),
+    );
     engine.load(&jobs(), &[]).unwrap();
     engine.enable_flight_recorder(&path);
     engine.inject_capacity_skew_for_test();
@@ -203,7 +217,11 @@ fn streaming_folded_run_dumps_a_postmortem_on_audit_violation() {
     let _ = std::fs::remove_file(&path);
 
     let jobs = jobs();
-    let mut engine = Engine::new(Machine::bluegene_p(), Fifo::default(), EccPolicy::disabled());
+    let mut engine = Engine::new(
+        Machine::bluegene_p(),
+        Fifo::default(),
+        EccPolicy::disabled(),
+    );
     engine.enable_flight_recorder(&path);
     engine.inject_capacity_skew_for_test();
     let err = engine

@@ -120,7 +120,11 @@ fn reduce_time_on_queued_job_floors_at_one_second() {
         JobSpec::batch(1, 0, 320, 100),
         JobSpec::batch(2, 10, 320, 50),
     ];
-    let eccs = vec![EccSpec::reduce_time(JobId(2), SimTime::from_secs(20), 10_000)];
+    let eccs = vec![EccSpec::reduce_time(
+        JobId(2),
+        SimTime::from_secs(20),
+        10_000,
+    )];
     let r = run(&jobs, &eccs, EccPolicy::time_only());
     let o2 = r.outcomes.iter().find(|o| o.id.0 == 2).unwrap();
     assert_eq!(o2.runtime, Duration::from_secs(1));
@@ -237,11 +241,8 @@ fn wakeup_requests_fire_cycles() {
         cycles: counter.clone(),
         asked: false,
     };
-    let mut engine = elastisched_sim::Engine::new(
-        Machine::bluegene_p(),
-        sched,
-        EccPolicy::disabled(),
-    );
+    let mut engine =
+        elastisched_sim::Engine::new(Machine::bluegene_p(), sched, EccPolicy::disabled());
     // One job so there is at least one event; the job never starts (the
     // policy ignores it)… that would starve. Give it zero jobs instead:
     engine.load(&[], &[]).unwrap();
@@ -368,7 +369,10 @@ fn engine_rejects_misbehaving_scheduler_calls() {
             "Hostile"
         }
     }
-    let jobs = vec![JobSpec::batch(1, 0, 256, 100), JobSpec::batch(2, 0, 128, 50)];
+    let jobs = vec![
+        JobSpec::batch(1, 0, 256, 100),
+        JobSpec::batch(2, 0, 128, 50),
+    ];
     let r = simulate(
         Machine::bluegene_p(),
         Hostile::default(),

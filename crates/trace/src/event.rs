@@ -218,9 +218,9 @@ impl TraceEvent {
             | TraceEvent::Promote { job, .. }
             | TraceEvent::Backfill { job, .. }
             | TraceEvent::Reconfig { job, .. } => Some(*job),
-            TraceEvent::RunMeta { .. }
-            | TraceEvent::Cycle { .. }
-            | TraceEvent::DpSelect { .. } => None,
+            TraceEvent::RunMeta { .. } | TraceEvent::Cycle { .. } | TraceEvent::DpSelect { .. } => {
+                None
+            }
         }
     }
 

@@ -59,7 +59,12 @@ impl Serialize for Doc {
 }
 
 fn obj(fields: Vec<(&str, Value)>) -> Value {
-    Value::Map(fields.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
+    Value::Map(
+        fields
+            .into_iter()
+            .map(|(k, v)| (k.to_string(), v))
+            .collect(),
+    )
 }
 
 fn s(text: impl Into<String>) -> Value {
@@ -131,9 +136,11 @@ pub fn to_chrome_trace<'a>(events: impl IntoIterator<Item = &'a TraceEvent>) -> 
     let (total, unit, sched_name) = events
         .iter()
         .find_map(|e| match e {
-            TraceEvent::RunMeta { total, unit, scheduler } => {
-                Some((*total, *unit, scheduler.clone()))
-            }
+            TraceEvent::RunMeta {
+                total,
+                unit,
+                scheduler,
+            } => Some((*total, *unit, scheduler.clone())),
             _ => None,
         })
         .unwrap_or((1, 1, "unknown".to_string()));
@@ -148,13 +155,19 @@ pub fn to_chrome_trace<'a>(events: impl IntoIterator<Item = &'a TraceEvent>) -> 
         ("name", s("process_name")),
         ("ph", s("M")),
         ("pid", u(MACHINE_PID)),
-        ("args", obj(vec![("name", s(format!("machine ({total} procs)")))])),
+        (
+            "args",
+            obj(vec![("name", s(format!("machine ({total} procs)")))]),
+        ),
     ]));
     out.push(obj(vec![
         ("name", s("process_name")),
         ("ph", s("M")),
         ("pid", u(SCHED_PID)),
-        ("args", obj(vec![("name", s(format!("scheduler ({sched_name})")))])),
+        (
+            "args",
+            obj(vec![("name", s(format!("scheduler ({sched_name})")))]),
+        ),
     ]));
     for g in 0..ngroups {
         out.push(obj(vec![
@@ -201,10 +214,20 @@ pub fn to_chrome_trace<'a>(events: impl IntoIterator<Item = &'a TraceEvent>) -> 
                 let n = (num.div_ceil(unit)).max(1) as usize;
                 running.insert(
                     *job,
-                    JobAlloc { groups: alloc.take(n), since: *at, procs: *num },
+                    JobAlloc {
+                        groups: alloc.take(n),
+                        since: *at,
+                        procs: *num,
+                    },
                 );
             }
-            TraceEvent::Ecc { job, at, num, queued: false, .. } => {
+            TraceEvent::Ecc {
+                job,
+                at,
+                num,
+                queued: false,
+                ..
+            } => {
                 // Split the slice at the ECC so the new width is visible.
                 if let Some(mut ja) = running.remove(job) {
                     flush(&mut out, *job, &ja, *at);
@@ -227,7 +250,12 @@ pub fn to_chrome_trace<'a>(events: impl IntoIterator<Item = &'a TraceEvent>) -> 
                     alloc.release(&ja.groups);
                 }
             }
-            TraceEvent::Cycle { at, queue_depth, free, .. } => {
+            TraceEvent::Cycle {
+                at,
+                queue_depth,
+                free,
+                ..
+            } => {
                 out.push(obj(vec![
                     ("name", s("queue depth")),
                     ("ph", s("C")),
@@ -257,7 +285,13 @@ pub fn to_chrome_trace<'a>(events: impl IntoIterator<Item = &'a TraceEvent>) -> 
                     vec![("job", u(*job)), ("scount", u(*scount as u64))],
                 ));
             }
-            TraceEvent::DpSelect { at, kernel, candidates, chosen, cache_hit } => {
+            TraceEvent::DpSelect {
+                at,
+                kernel,
+                candidates,
+                chosen,
+                cache_hit,
+            } => {
                 let name = match kernel {
                     DpKernel::Basic => "basic_dp",
                     DpKernel::Reservation => "reservation_dp",
@@ -267,15 +301,19 @@ pub fn to_chrome_trace<'a>(events: impl IntoIterator<Item = &'a TraceEvent>) -> 
                     *at,
                     vec![
                         ("candidates", u(*candidates as u64)),
-                        (
-                            "chosen",
-                            Value::Seq(chosen.iter().map(|&j| u(j)).collect()),
-                        ),
+                        ("chosen", Value::Seq(chosen.iter().map(|&j| u(j)).collect())),
                         ("cache_hit", Value::Bool(*cache_hit)),
                     ],
                 ));
             }
-            TraceEvent::Reconfig { job, at, grow, delta, num, .. } => {
+            TraceEvent::Reconfig {
+                job,
+                at,
+                grow,
+                delta,
+                num,
+                ..
+            } => {
                 // Same slice split as a running ECC, so the scheduler's
                 // resize is visible on the machine tracks too.
                 if let Some(mut ja) = running.remove(job) {
@@ -293,7 +331,11 @@ pub fn to_chrome_trace<'a>(events: impl IntoIterator<Item = &'a TraceEvent>) -> 
                     running.insert(*job, ja);
                 }
                 out.push(instant(
-                    if *grow { "malleable_grow" } else { "malleable_shrink" },
+                    if *grow {
+                        "malleable_grow"
+                    } else {
+                        "malleable_shrink"
+                    },
                     *at,
                     vec![("job", u(*job)), ("delta", u(*delta as u64))],
                 ));
@@ -317,8 +359,7 @@ pub fn to_chrome_trace<'a>(events: impl IntoIterator<Item = &'a TraceEvent>) -> 
         flush(&mut out, *job, ja, end.max(ja.since));
     }
 
-    serde_json::to_string(&Doc(obj(vec![("traceEvents", Value::Seq(out))])))
-        .unwrap_or_default()
+    serde_json::to_string(&Doc(obj(vec![("traceEvents", Value::Seq(out))]))).unwrap_or_default()
 }
 
 /// A scheduler-track instant ("i") event.
@@ -341,10 +382,24 @@ mod tests {
 
     fn tiny_trace() -> Vec<TraceEvent> {
         vec![
-            TraceEvent::RunMeta { total: 4, unit: 2, scheduler: "LOS".into() },
-            TraceEvent::Submit { job: 1, at: 0, num: 2, dur: 10, dedicated: false },
+            TraceEvent::RunMeta {
+                total: 4,
+                unit: 2,
+                scheduler: "LOS".into(),
+            },
+            TraceEvent::Submit {
+                job: 1,
+                at: 0,
+                num: 2,
+                dur: 10,
+                dedicated: false,
+            },
             TraceEvent::Queued { job: 1, at: 0 },
-            TraceEvent::HeadSkip { job: 1, at: 0, scount: 1 },
+            TraceEvent::HeadSkip {
+                job: 1,
+                at: 0,
+                scount: 1,
+            },
             TraceEvent::DpSelect {
                 at: 0,
                 kernel: DpKernel::Basic,
@@ -352,7 +407,11 @@ mod tests {
                 chosen: vec![1],
                 cache_hit: false,
             },
-            TraceEvent::Start { job: 1, at: 0, num: 2 },
+            TraceEvent::Start {
+                job: 1,
+                at: 0,
+                num: 2,
+            },
             TraceEvent::Ecc {
                 job: 1,
                 at: 5,
@@ -361,8 +420,20 @@ mod tests {
                 num: 4,
                 queued: false,
             },
-            TraceEvent::Cycle { at: 5, events: 1, queue_depth: 0, free: 0, nanos: 0 },
-            TraceEvent::Finish { job: 1, at: 10, num: 4, wait: 0, runtime: 10 },
+            TraceEvent::Cycle {
+                at: 5,
+                events: 1,
+                queue_depth: 0,
+                free: 0,
+                nanos: 0,
+            },
+            TraceEvent::Finish {
+                job: 1,
+                at: 10,
+                num: 4,
+                wait: 0,
+                runtime: 10,
+            },
         ]
     }
 
@@ -444,9 +515,23 @@ mod tests {
     #[test]
     fn chrome_trace_closes_unfinished_jobs() {
         let evs = vec![
-            TraceEvent::RunMeta { total: 2, unit: 2, scheduler: "EASY".into() },
-            TraceEvent::Start { job: 9, at: 1, num: 2 },
-            TraceEvent::Cycle { at: 8, events: 1, queue_depth: 0, free: 0, nanos: 0 },
+            TraceEvent::RunMeta {
+                total: 2,
+                unit: 2,
+                scheduler: "EASY".into(),
+            },
+            TraceEvent::Start {
+                job: 9,
+                at: 1,
+                num: 2,
+            },
+            TraceEvent::Cycle {
+                at: 8,
+                events: 1,
+                queue_depth: 0,
+                free: 0,
+                nanos: 0,
+            },
         ];
         let text = to_chrome_trace(&evs);
         let doc: std::collections::HashMap<String, Vec<ChromeEvent>> =

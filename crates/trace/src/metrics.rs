@@ -151,7 +151,9 @@ impl MetricsRegistry {
             slot_of,
             counters: (0..n_counters).map(|_| AtomicU64::new(0)).collect(),
             hists: (0..n_hists).map(|_| AtomicHistogram::new()).collect(),
-            gauges: (0..n_gauges).map(|_| AtomicU64::new(0f64.to_bits())).collect(),
+            gauges: (0..n_gauges)
+                .map(|_| AtomicU64::new(0f64.to_bits()))
+                .collect(),
             labels: Mutex::new(Vec::new()),
             docs: Mutex::new(Vec::new()),
         }
@@ -365,7 +367,9 @@ pub struct MetricsSnapshot {
 
 /// Escape a label value per the Prometheus text exposition rules.
 fn escape_label(v: &str) -> String {
-    v.replace('\\', "\\\\").replace('"', "\\\"").replace('\n', "\\n")
+    v.replace('\\', "\\\\")
+        .replace('"', "\\\"")
+        .replace('\n', "\\n")
 }
 
 /// Render an `f64` the exposition format accepts (non-finite → 0).
@@ -380,7 +384,10 @@ fn fmt_f64(v: f64) -> String {
 impl MetricsSnapshot {
     /// Look up a counter total by metric name.
     pub fn counter(&self, name: &str) -> Option<u64> {
-        self.counters.iter().find(|c| c.name == name).map(|c| c.value)
+        self.counters
+            .iter()
+            .find(|c| c.name == name)
+            .map(|c| c.value)
     }
 
     /// Look up a gauge level by metric name.
@@ -419,12 +426,7 @@ impl MetricsSnapshot {
         for h in &self.histograms {
             out.push_str(&format!("# HELP {} {}\n", h.name, h.help));
             out.push_str(&format!("# TYPE {} histogram\n", h.name));
-            let top = h
-                .hist
-                .counts
-                .iter()
-                .rposition(|&c| c > 0)
-                .unwrap_or(0);
+            let top = h.hist.counts.iter().rposition(|&c| c > 0).unwrap_or(0);
             let mut cum = 0u64;
             for b in 0..=top {
                 cum = cum.saturating_add(h.hist.counts[b]);
@@ -916,10 +918,16 @@ mod tests {
                 keys::PHASE_METRICS_DERIVATION_NANOS,
                 "elastisched_phase_metrics_derivation_nanos_total",
             ),
-            (keys::SWEEP_POINTS_PLANNED, "elastisched_sweep_points_planned"),
+            (
+                keys::SWEEP_POINTS_PLANNED,
+                "elastisched_sweep_points_planned",
+            ),
             (keys::SWEEP_POINTS_DONE, "elastisched_sweep_points_done"),
             (keys::SWEEP_ETA_SECONDS, "elastisched_sweep_eta_seconds"),
-            (keys::SWEEP_POINTS_PER_SEC, "elastisched_sweep_points_per_sec"),
+            (
+                keys::SWEEP_POINTS_PER_SEC,
+                "elastisched_sweep_points_per_sec",
+            ),
             (keys::JOBS_PER_SEC, "elastisched_jobs_per_sec"),
             (keys::EVENTS_PER_SEC, "elastisched_events_per_sec"),
             (keys::POINT_MILLIS, "elastisched_sweep_point_millis"),
@@ -940,7 +948,10 @@ mod tests {
                 keys::ENGINE_PEAK_LIVE_JOBS,
                 "elastisched_engine_peak_live_jobs",
             ),
-            (keys::JOBS_RECLAIMED_TOTAL, "elastisched_jobs_reclaimed_total"),
+            (
+                keys::JOBS_RECLAIMED_TOTAL,
+                "elastisched_jobs_reclaimed_total",
+            ),
             (
                 keys::AUDIT_CAPACITY_VIOLATIONS_TOTAL,
                 "elastisched_audit_capacity_violations_total",
@@ -991,7 +1002,10 @@ mod tests {
                 keys::AUDIT_ATTRIBUTION_VIOLATIONS_TOTAL,
                 "elastisched_audit_attribution_violations_total",
             ),
-            (keys::RECONFIG_GROWS_TOTAL, "elastisched_reconfig_grows_total"),
+            (
+                keys::RECONFIG_GROWS_TOTAL,
+                "elastisched_reconfig_grows_total",
+            ),
             (
                 keys::RECONFIG_SHRINKS_TOTAL,
                 "elastisched_reconfig_shrinks_total",

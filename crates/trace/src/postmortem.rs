@@ -118,7 +118,13 @@ mod tests {
     #[test]
     fn postmortem_round_trips_through_a_file() {
         let events = vec![
-            TraceEvent::Submit { job: 9, at: 40, num: 32, dur: 600, dedicated: false },
+            TraceEvent::Submit {
+                job: 9,
+                at: 40,
+                num: 32,
+                dur: 600,
+                dedicated: false,
+            },
             TraceEvent::Queued { job: 9, at: 40 },
         ];
         let path = std::env::temp_dir().join(format!(
@@ -155,7 +161,10 @@ mod tests {
         assert!(read_postmortem("").is_err());
         assert!(read_postmortem("not json\n").is_err());
         // A valid header with a corrupt event line is still an error.
-        let mut text = serde_json::to_string(&Header { postmortem: snapshot() }).unwrap();
+        let mut text = serde_json::to_string(&Header {
+            postmortem: snapshot(),
+        })
+        .unwrap();
         text.push_str("\nnot an event\n");
         assert!(read_postmortem(&text).is_err());
     }
@@ -164,7 +173,10 @@ mod tests {
     fn events_after_header_may_be_empty() {
         let text = format!(
             "{}\n",
-            serde_json::to_string(&Header { postmortem: snapshot() }).unwrap()
+            serde_json::to_string(&Header {
+                postmortem: snapshot()
+            })
+            .unwrap()
         );
         let (snap, evs) = read_postmortem(&text).unwrap();
         assert_eq!(snap.at_secs, 42);

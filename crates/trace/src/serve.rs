@@ -324,8 +324,8 @@ mod tests {
         let server = server_with_data();
         let addr = server.addr().to_string();
         drop(server); // joins the serving thread
-        // Connecting may briefly succeed while the OS drains the backlog,
-        // but a request must not be answered.
+                      // Connecting may briefly succeed while the OS drains the backlog,
+                      // but a request must not be answered.
         if let Ok((code, _)) = http_get(&addr, "/metrics", Duration::from_millis(500)) {
             panic!("server answered after shutdown: {code}");
         }

@@ -193,10 +193,18 @@ mod tests {
 
     #[test]
     fn paper_workload_characterization_matches_knobs() {
-        let w = generate(&GeneratorConfig::paper_batch(0.8).with_jobs(4000).with_seed(6));
+        let w = generate(
+            &GeneratorConfig::paper_batch(0.8)
+                .with_jobs(4000)
+                .with_seed(6),
+        );
         let c = characterize(&w);
         assert_eq!(c.jobs, 4000);
-        assert!((c.small_fraction - 0.8).abs() < 0.02, "{}", c.small_fraction);
+        assert!(
+            (c.small_fraction - 0.8).abs() < 0.02,
+            "{}",
+            c.small_fraction
+        );
         // The Lublin model correlates size and runtime positively.
         assert!(
             c.size_runtime_correlation > 0.1,

@@ -292,7 +292,12 @@ impl CwfFile {
             records.push(rec.with_proc_range(j.min_procs, j.max_procs));
         }
         for e in &w.eccs {
-            records.push(CwfRecord::ecc(e.job.0, e.issue_at.as_secs(), e.kind, e.amount));
+            records.push(CwfRecord::ecc(
+                e.job.0,
+                e.issue_at.as_secs(),
+                e.kind,
+                e.amount,
+            ));
         }
         CwfFile {
             comments: vec!["Cloud Workload Format (CWF) — SWF + fields 19-21".to_string()],

@@ -51,7 +51,10 @@ impl Exponential {
     /// # Panics
     /// If `mean` is not strictly positive and finite.
     pub fn new(mean: f64) -> Self {
-        assert!(mean > 0.0 && mean.is_finite(), "exponential mean must be positive");
+        assert!(
+            mean > 0.0 && mean.is_finite(),
+            "exponential mean must be positive"
+        );
         Exponential { mean }
     }
 }
@@ -166,7 +169,10 @@ impl HyperGamma {
     /// # Panics
     /// If `p` is not in `[0, 1]`.
     pub fn new(first: Gamma, second: Gamma, p: f64) -> Self {
-        assert!((0.0..=1.0).contains(&p), "mixture probability must be in [0,1]");
+        assert!(
+            (0.0..=1.0).contains(&p),
+            "mixture probability must be in [0,1]"
+        );
         HyperGamma { first, second, p }
     }
 
@@ -178,7 +184,10 @@ impl HyperGamma {
     /// Replace the mixing probability (used for the size–runtime
     /// correlation `p = p_a · num + p_b`).
     pub fn with_p(mut self, p: f64) -> Self {
-        assert!((0.0..=1.0).contains(&p), "mixture probability must be in [0,1]");
+        assert!(
+            (0.0..=1.0).contains(&p),
+            "mixture probability must be in [0,1]"
+        );
         self.p = p;
         self
     }
@@ -262,7 +271,10 @@ mod tests {
         let d = Exponential::new(42.0);
         let (mean, var) = sample_stats(&d, N);
         assert!((mean - 42.0).abs() / 42.0 < 0.02, "mean {mean}");
-        assert!((var - 42.0 * 42.0).abs() / (42.0 * 42.0) < 0.05, "var {var}");
+        assert!(
+            (var - 42.0 * 42.0).abs() / (42.0 * 42.0) < 0.05,
+            "var {var}"
+        );
     }
 
     #[test]
@@ -271,7 +283,10 @@ mod tests {
         let d = Gamma::new(312.0, 0.03);
         let (mean, var) = sample_stats(&d, N);
         assert!((mean - d.mean()).abs() / d.mean() < 0.01, "mean {mean}");
-        assert!((var - d.variance()).abs() / d.variance() < 0.05, "var {var}");
+        assert!(
+            (var - d.variance()).abs() / d.variance() < 0.05,
+            "var {var}"
+        );
     }
 
     #[test]
@@ -280,7 +295,10 @@ mod tests {
         let d = Gamma::new(4.2, 0.94);
         let (mean, var) = sample_stats(&d, N);
         assert!((mean - d.mean()).abs() / d.mean() < 0.02, "mean {mean}");
-        assert!((var - d.variance()).abs() / d.variance() < 0.05, "var {var}");
+        assert!(
+            (var - d.variance()).abs() / d.variance() < 0.05,
+            "var {var}"
+        );
     }
 
     #[test]
@@ -288,7 +306,10 @@ mod tests {
         let d = Gamma::new(0.4, 2.0);
         let (mean, var) = sample_stats(&d, N);
         assert!((mean - d.mean()).abs() / d.mean() < 0.03, "mean {mean}");
-        assert!((var - d.variance()).abs() / d.variance() < 0.08, "var {var}");
+        assert!(
+            (var - d.variance()).abs() / d.variance() < 0.08,
+            "var {var}"
+        );
     }
 
     #[test]

@@ -9,10 +9,7 @@
 ///
 /// Returns 0.0 for empty traces. A single-job trace has zero duration and
 /// yields `f64::INFINITY` — callers should treat such traces as degenerate.
-pub fn offered_load(
-    jobs: impl IntoIterator<Item = (f64, f64, u64)>,
-    machine_procs: u32,
-) -> f64 {
+pub fn offered_load(jobs: impl IntoIterator<Item = (f64, f64, u64)>, machine_procs: u32) -> f64 {
     let mut work = 0.0;
     let mut first: Option<u64> = None;
     let mut last: Option<u64> = None;

@@ -61,7 +61,11 @@ impl Workload {
         if self.jobs.is_empty() {
             return 0.0;
         }
-        self.jobs.iter().map(|j| j.actual.as_secs_f64()).sum::<f64>() / self.jobs.len() as f64
+        self.jobs
+            .iter()
+            .map(|j| j.actual.as_secs_f64())
+            .sum::<f64>()
+            / self.jobs.len() as f64
     }
 
     /// Scale all arrival times (and ECC issue times, and dedicated
@@ -139,11 +143,7 @@ mod tests {
     fn scale_arrivals_shifts_everything() {
         let mut w = Workload {
             jobs: jobs(),
-            eccs: vec![EccSpec::extend_time(
-                JobId(1),
-                SimTime::from_secs(100),
-                60,
-            )],
+            eccs: vec![EccSpec::extend_time(JobId(1), SimTime::from_secs(100), 60)],
         };
         w.scale_arrivals(2.0);
         assert_eq!(w.jobs[1].submit.as_secs(), 1000);

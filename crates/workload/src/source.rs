@@ -395,8 +395,8 @@ mod tests {
     use super::*;
     use crate::cwf::CwfFile;
     use crate::gen::generate;
-    use crate::swf::{SwfFile, SwfRecord};
     use crate::set::Workload;
+    use crate::swf::{SwfFile, SwfRecord};
 
     fn drain(mut src: impl JobSource) -> Vec<SourceItem> {
         std::iter::from_fn(move || src.next_item()).collect()
@@ -453,8 +453,7 @@ mod tests {
         let mut src = SwfSource::from_text(&text);
         let streamed: Vec<SourceItem> = std::iter::from_fn(|| src.next_item()).collect();
         assert!(src.error().is_none());
-        let expected: Vec<SourceItem> =
-            f.to_job_specs().into_iter().map(SourceItem::Job).collect();
+        let expected: Vec<SourceItem> = f.to_job_specs().into_iter().map(SourceItem::Job).collect();
         assert_eq!(streamed, expected);
     }
 
@@ -552,10 +551,7 @@ mod tests {
             .map(|r| (r.swf.submit, r.is_submit()))
             .collect();
         // t=50 has both a submission and an ECC: the submission first.
-        assert_eq!(
-            times,
-            vec![(0, true), (50, true), (50, false), (70, false)]
-        );
+        assert_eq!(times, vec![(0, true), (50, true), (50, false), (70, false)]);
     }
 
     #[test]

@@ -582,7 +582,11 @@ impl SwfFile {
     pub fn offered_load(&self, machine_procs: u32) -> f64 {
         crate::load::offered_load(
             self.records.iter().filter_map(|r| {
-                Some((r.procs()? as f64, r.actual()? as f64, u64::try_from(r.submit).ok()?))
+                Some((
+                    r.procs()? as f64,
+                    r.actual()? as f64,
+                    u64::try_from(r.submit).ok()?,
+                ))
             }),
             machine_procs,
         )

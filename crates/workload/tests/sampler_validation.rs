@@ -76,5 +76,9 @@ fn wrong_parameters_are_rejected() {
     // Sanity: the K-S harness has power — a mis-parameterized CDF fails.
     let xs = sample_n(&Gamma::new(4.2, 0.94), 12);
     let r = ks_test_cdf(&xs, |x| gamma_cdf(4.2, 1.3, x));
-    assert!(r.rejects_at(ALPHA), "should reject wrong scale, p={}", r.p_value);
+    assert!(
+        r.rejects_at(ALPHA),
+        "should reject wrong scale, p={}",
+        r.p_value
+    );
 }

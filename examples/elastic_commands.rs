@@ -32,11 +32,7 @@ fn main() {
         "{:<16} {:>11} {:>14} {:>9} {:>13}",
         "algorithm", "utilization", "mean wait (s)", "slowdown", "ECCs applied"
     );
-    for algo in [
-        Algorithm::EasyE,
-        Algorithm::LosE,
-        Algorithm::DelayedLosE,
-    ] {
+    for algo in [Algorithm::EasyE, Algorithm::LosE, Algorithm::DelayedLosE] {
         let m = Experiment::new(algo).run(&w).expect("simulation completes");
         println!(
             "{:<16} {:>11.4} {:>14.1} {:>9.3} {:>13}",
@@ -72,7 +68,10 @@ fn main() {
 
     // --- Part 3: resource-dimension elasticity (paper §VI future work).
     println!("\n-- processor-dimension elasticity (EP/RP) --");
-    let jobs = vec![JobSpec::batch(1, 0, 64, 600), JobSpec::batch(2, 0, 128, 600)];
+    let jobs = vec![
+        JobSpec::batch(1, 0, 64, 600),
+        JobSpec::batch(2, 0, 128, 600),
+    ];
     let eccs = vec![
         EccSpec {
             job: JobId(1),
@@ -91,14 +90,11 @@ fn main() {
         Machine::bluegene_p(),
         elastisched_sched::DelayedLos::new(),
         EccPolicy::with_resource_elasticity(),
-        );
+    );
     engine.load(&jobs, &eccs).expect("valid workload");
     let r = engine.run().expect("simulation completes");
     for o in &r.outcomes {
-        println!(
-            "job {}: finished holding {} processors",
-            o.id.0, o.num
-        );
+        println!("job {}: finished holding {} processors", o.id.0, o.num);
     }
     println!(
         "job 1 grew 64→128 processors mid-run; job 2 shrank 128→64,\n\

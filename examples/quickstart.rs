@@ -11,7 +11,11 @@ fn main() {
     // The paper's setup (§V): a 500-job batch workload on a simulated
     // BlueGene/P (320 processors in 32-processor node groups), small-job
     // probability P_S = 0.5, offered load 0.9.
-    let mut workload = generate(&GeneratorConfig::paper_batch(0.5).with_jobs(500).with_seed(42));
+    let mut workload = generate(
+        &GeneratorConfig::paper_batch(0.5)
+            .with_jobs(500)
+            .with_seed(42),
+    );
     workload.scale_to_load(320, 0.9);
     println!(
         "workload: {} jobs, mean size {:.0} procs, mean runtime {:.0}s, load {:.2}\n",

@@ -51,7 +51,10 @@ fn analyze(algo: Algorithm, w: &Workload) {
             ((o.wait.as_secs_f64() + o.runtime.as_secs_f64()) / run).max(1.0)
         })
         .collect();
-    println!("Jain fairness of slowdowns: {:.3}", jain_fairness(&slowdowns));
+    println!(
+        "Jain fairness of slowdowns: {:.3}",
+        jain_fairness(&slowdowns)
+    );
 
     // Utilization over time.
     let bucket = (r.makespan.as_secs() / 72).max(1);
@@ -83,7 +86,11 @@ fn analyze(algo: Algorithm, w: &Workload) {
 }
 
 fn main() {
-    let mut w = generate(&GeneratorConfig::paper_batch(0.2).with_jobs(300).with_seed(17));
+    let mut w = generate(
+        &GeneratorConfig::paper_batch(0.2)
+            .with_jobs(300)
+            .with_seed(17),
+    );
     w.scale_to_load(320, 0.9);
     println!(
         "workload: {} jobs, mean size {:.0} procs, load {:.2}\n",

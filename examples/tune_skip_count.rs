@@ -11,8 +11,8 @@
 //! cargo run --release --example tune_skip_count
 //! ```
 
-use elastisched::prelude::*;
 use elastisched::parallel_map;
+use elastisched::prelude::*;
 
 fn sweep(p_small: f64, loads_seed: u64) -> Vec<(u32, f64, f64)> {
     let mut w = generate(

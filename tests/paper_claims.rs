@@ -5,7 +5,11 @@ use elastisched::prelude::*;
 use elastisched_sched::SchedParams;
 
 fn batch_workload(ps: f64, load: f64, seed: u64, n: usize) -> Workload {
-    let mut w = generate(&GeneratorConfig::paper_batch(ps).with_jobs(n).with_seed(seed));
+    let mut w = generate(
+        &GeneratorConfig::paper_batch(ps)
+            .with_jobs(n)
+            .with_seed(seed),
+    );
     w.scale_to_load(320, load);
     w
 }

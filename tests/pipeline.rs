@@ -15,11 +15,15 @@ fn cwf_roundtrip_preserves_simulation_results() {
     w.scale_to_load(320, 0.9);
 
     let text = CwfFile::from_workload(&w).to_text();
-    let reparsed = CwfFile::parse(&text).expect("round-trip parse").to_workload();
+    let reparsed = CwfFile::parse(&text)
+        .expect("round-trip parse")
+        .to_workload();
     assert_eq!(w, reparsed, "CWF round-trip must be lossless");
 
     let direct = Experiment::new(Algorithm::HybridLosE).run(&w).unwrap();
-    let via_text = Experiment::new(Algorithm::HybridLosE).run(&reparsed).unwrap();
+    let via_text = Experiment::new(Algorithm::HybridLosE)
+        .run(&reparsed)
+        .unwrap();
     assert_eq!(direct, via_text);
 }
 

@@ -10,11 +10,11 @@ use proptest::prelude::*;
 /// 32 in [32, 320]).
 fn arb_jobs() -> impl Strategy<Value = Vec<JobSpec>> {
     let job = (
-        0u64..2_000,   // submit
-        1u32..=10,     // size in units
-        1u64..500,     // duration
+        0u64..2_000,     // submit
+        1u32..=10,       // size in units
+        1u64..500,       // duration
         prop::bool::ANY, // dedicated?
-        1u64..1_500,   // dedicated start offset
+        1u64..1_500,     // dedicated start offset
     );
     prop::collection::vec(job, 1..40).prop_map(|raw| {
         raw.into_iter()
