@@ -27,7 +27,7 @@
 use elastisched::MachineSpec;
 use elastisched_sched::{Algorithm, SchedParams, StackSpec};
 use elastisched_sim::{AttributionProfile, Duration, Engine, SimResult, TimelineConfig};
-use elastisched_test_util::add_procs_eccs;
+use elastisched_test_util::{add_procs_eccs, assert_golden, Fnv};
 use elastisched_workload::{generate, GeneratorConfig, Workload};
 use serde::{Deserialize, Serialize};
 
@@ -49,29 +49,6 @@ struct PlaneRun {
     attribution_digest: String,
     /// FNV-1a over `RunTimeline::to_jsonl()`, as hex.
     timeline_digest: String,
-}
-
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Self {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-
-    fn bytes(&mut self, b: &[u8]) {
-        for &x in b {
-            self.0 ^= u64::from(x);
-            self.0 = self.0.wrapping_mul(0x0100_0000_01b3);
-        }
-    }
-
-    fn u64(&mut self, v: u64) {
-        self.bytes(&v.to_le_bytes());
-    }
-
-    fn hex(&self) -> String {
-        format!("{:016x}", self.0)
-    }
 }
 
 fn workloads() -> Vec<(&'static str, Workload)> {
@@ -111,7 +88,7 @@ fn run(spec: StackSpec, w: &Workload) -> SimResult {
 }
 
 fn attribution_digest(r: &SimResult) -> String {
-    let mut h = Fnv::new();
+    let mut h = Fnv::default();
     for o in &r.outcomes {
         let a = o.attribution.expect("attribution was enabled");
         h.u64(o.id.0);
@@ -136,7 +113,7 @@ fn plane_runs() -> Vec<PlaneRun> {
     for (name, w) in workloads() {
         for spec in stacks() {
             let r = run(spec, &w);
-            let mut tl = Fnv::new();
+            let mut tl = Fnv::default();
             tl.bytes(r.timeline.to_jsonl().as_bytes());
             out.push(PlaneRun {
                 workload: name.to_string(),
@@ -165,18 +142,7 @@ fn wait_planes_match_golden_fixture() {
     assert!(sum(|p| p.freeze_secs) > 0);
     let mut text = serde_json::to_string_pretty(&runs).expect("runs serialize");
     text.push('\n');
-    if std::env::var_os("ELASTISCHED_BLESS").is_some() {
-        std::fs::write(FIXTURE, &text).expect("write fixture");
-        eprintln!("blessed {FIXTURE}");
-        return;
-    }
-    let golden = std::fs::read_to_string(FIXTURE)
-        .expect("fixture missing — regenerate with ELASTISCHED_BLESS=1");
-    assert_eq!(
-        text, golden,
-        "attribution or timeline planes drifted from the golden fixture; \
-         if the change is intentional, re-bless with ELASTISCHED_BLESS=1"
-    );
+    assert_golden(FIXTURE, &text);
 }
 
 #[test]

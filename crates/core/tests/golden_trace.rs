@@ -14,6 +14,7 @@
 //! ```
 
 use elastisched::prelude::*;
+use elastisched_test_util::{assert_golden, read_fixture};
 use elastisched_trace::{from_jsonl, to_jsonl, TraceSink};
 
 const FIXTURE: &str = concat!(
@@ -41,25 +42,12 @@ fn figure2_jsonl() -> String {
 
 #[test]
 fn figure2_trace_matches_golden_fixture() {
-    let text = figure2_jsonl();
-    if std::env::var_os("ELASTISCHED_BLESS").is_some() {
-        std::fs::write(FIXTURE, &text).expect("write fixture");
-        eprintln!("blessed {FIXTURE}");
-        return;
-    }
-    let golden = std::fs::read_to_string(FIXTURE)
-        .expect("fixture missing — regenerate with ELASTISCHED_BLESS=1");
-    assert_eq!(
-        text, golden,
-        "trace serialization drifted from the golden fixture; if the \
-         change is intentional, re-bless with ELASTISCHED_BLESS=1"
-    );
+    assert_golden(FIXTURE, &figure2_jsonl());
 }
 
 #[test]
 fn golden_fixture_parses_and_contains_decisions() {
-    let golden = std::fs::read_to_string(FIXTURE)
-        .expect("fixture missing — regenerate with ELASTISCHED_BLESS=1");
+    let golden = read_fixture(FIXTURE);
     let events = from_jsonl(&golden).expect("fixture is valid JSONL");
     use elastisched_trace::TraceEvent;
     assert!(events
