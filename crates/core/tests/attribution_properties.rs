@@ -132,10 +132,10 @@ fn arb_resizing_workload() -> impl Strategy<Value = Workload> {
         })
 }
 
-/// `spec` with attribution on and processor ECCs honoured, run either
-/// materialized or streamed (per-job state reclaimed at completion, the
-/// folded outcomes collected back into `SimResult::outcomes`).
-fn run_resizing(spec: StackSpec, w: &Workload, streamed: bool) -> SimResult {
+/// `spec` with attribution on and processor ECCs honoured, run through
+/// `load` + `run` or as a folded stream of the same slices (the folded
+/// outcomes collected back into `SimResult::outcomes`).
+fn run_resizing(spec: StackSpec, w: &Workload, folded: bool) -> SimResult {
     let mut policy = spec.ecc_policy();
     policy.resource_elasticity = true;
     let mut engine = Engine::new(
@@ -144,7 +144,7 @@ fn run_resizing(spec: StackSpec, w: &Workload, streamed: bool) -> SimResult {
         policy,
     );
     engine.enable_attribution();
-    if streamed {
+    if folded {
         let mut outcomes = Vec::new();
         let mut r = engine
             .run_streaming_folded(w.source(), &mut |o| outcomes.push(o.clone()))

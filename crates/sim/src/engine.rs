@@ -66,17 +66,19 @@ impl Hasher for JobIdHasher {
 
 type JobIdMap = HashMap<JobId, usize, BuildHasherDefault<JobIdHasher>>;
 
-/// Optional per-completion outcome sink. `Some` on the streamed path,
-/// where outcomes are consumed instead of retained; `None` on
-/// [`Engine::run`].
-type OutcomeFold<'a> = Option<&'a mut dyn FnMut(&JobOutcome)>;
-
 /// Simulation-level failures.
 #[derive(Debug, Clone, PartialEq)]
 #[allow(missing_docs)] // field names are self-describing
 pub enum SimError {
     /// Two jobs share an id.
     DuplicateJobId(JobId),
+    /// [`Engine::load`] was given an ECC issued before its job's submit:
+    /// the command names a job that has not yet arrived.
+    EccBeforeSubmit {
+        job: JobId,
+        issue_at: SimTime,
+        submit: SimTime,
+    },
     /// A job requests more processors than the machine has, or violates
     /// the allocation granularity — it could never be scheduled.
     ImpossibleJob { id: JobId, num: u32 },
@@ -110,6 +112,16 @@ impl fmt::Display for SimError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             SimError::DuplicateJobId(id) => write!(f, "duplicate job id {id}"),
+            SimError::EccBeforeSubmit {
+                job,
+                issue_at,
+                submit,
+            } => {
+                write!(
+                    f,
+                    "ECC for {job} issued at {issue_at}, before its submit at {submit}"
+                )
+            }
             SimError::ImpossibleJob { id, num } => {
                 write!(f, "{id} requests {num} processors and can never run")
             }
@@ -137,7 +149,7 @@ impl std::error::Error for SimError {}
 pub struct EccStats {
     /// Commands applied to running jobs.
     pub applied_running: u64,
-    /// Commands applied to queued (waiting or not-yet-arrived) jobs.
+    /// Commands applied to queued jobs.
     pub applied_queued: u64,
     /// Commands dropped by policy (elasticity disabled or per-job cap).
     pub dropped_policy: u64,
@@ -178,11 +190,10 @@ pub struct EngineStats {
     pub peak_queue_len: u64,
     /// Wall-clock nanoseconds spent inside [`Engine::run`].
     pub engine_nanos: u64,
-    /// High-water mark of the job-record slab. On the materialized path
-    /// this is the trace length (every job is loaded up front); on the
-    /// streaming paths completed slots are recycled, so it is the peak
-    /// number of simultaneously *live* (admitted, not yet completed)
-    /// jobs — the quantity a soak run's memory is proportional to.
+    /// High-water mark of the job-record slab. Completed jobs' slots are
+    /// recycled, so this is the peak number of simultaneously *live*
+    /// (admitted, not yet completed) jobs — the quantity a soak run's
+    /// memory is proportional to.
     #[serde(default)]
     pub peak_live_jobs: u64,
     /// High-water mark of the waiting-jobs snapshot buffer, dead views
@@ -193,11 +204,6 @@ pub struct EngineStats {
     /// streamed soak this buffer would otherwise grow with the trace).
     #[serde(default)]
     pub peak_wait_views: u64,
-    /// Completed jobs whose record-slab slot, id-map entry, and
-    /// wait-view were recycled (streaming runs only; always zero on the
-    /// materialized path, which keeps every record for inspection).
-    #[serde(default)]
-    pub jobs_reclaimed: u64,
 }
 
 /// Everything a simulation run produces.
@@ -339,7 +345,6 @@ struct EngineState {
     records: Vec<JobRecord>,
     id_map: JobIdMap,
     queue: EventQueue,
-    outcomes: Vec<JobOutcome>,
     ecc_policy: EccPolicy,
     ecc_stats: EccStats,
     /// Cost model applied to scheduler-initiated grows/shrinks (see
@@ -369,16 +374,10 @@ struct EngineState {
     /// High-water mark of `wait_views.len()` (see
     /// [`EngineStats::peak_wait_views`]).
     peak_wait_views: usize,
-    /// Free record-slab slots (streaming runs only). A completed job's
-    /// slot is recycled for a later arrival, so the slab tracks peak
-    /// *live* jobs, not trace length.
+    /// Free record-slab slots. A completed job's slot is recycled for a
+    /// later arrival, so the slab tracks peak *live* jobs, not trace
+    /// length.
     free_slots: Vec<usize>,
-    /// Set exactly when outcomes are folded
-    /// ([`Engine::run_streaming_folded`]): each job is enrolled when it
-    /// is admitted and its state is reclaimed at completion. Clear on
-    /// [`Engine::run`], where [`Engine::load`] enrolled the whole trace
-    /// up front and every record and outcome is kept.
-    streamed: bool,
     /// Trace sink, present only when tracing was enabled for this run.
     /// Boxed so the disabled path carries one pointer, not the sink's
     /// inline histogram. `None` means every `trace_event!` call site in
@@ -437,8 +436,8 @@ impl EngineState {
             // liveness is a state load (no id hashing), and every
             // surviving view writes its new position back into its
             // record for the O(1) queued-ECC edit. The id check guards
-            // the streaming case where a dead view's slot was already
-            // recycled by a later arrival.
+            // against a dead view whose slot was already recycled by a
+            // later arrival.
             let mut w = 0;
             for r in 0..self.wait_views.len() {
                 let slot = self.wait_recs[r] as usize;
@@ -738,10 +737,9 @@ pub struct Engine<S: Scheduler> {
     state: EngineState,
     first_arrival: SimTime,
     last_arrival: SimTime,
-    /// Jobs completed so far — `outcomes.len()` when outcomes are
-    /// retained, but still counted when a streaming run folds them away.
+    /// Jobs completed so far.
     completed: u64,
-    /// Jobs and ECCs [`Engine::load`] enrolled, each stably sorted by
+    /// Jobs and ECCs [`Engine::load`] validated, each stably sorted by
     /// time; [`Engine::run`] streams them through a [`SliceSource`].
     loaded_jobs: Vec<JobSpec>,
     loaded_eccs: Vec<EccSpec>,
@@ -751,8 +749,6 @@ pub struct Engine<S: Scheduler> {
     timeline: Option<Box<TimelineSampler>>,
     /// Armed flight recorder, `None` unless enabled.
     postmortem: Option<FlightRecorder>,
-    /// Completed jobs whose state was recycled (streaming paths).
-    reclaimed: u64,
     /// Previous cycle's timestamp, for the audit layer's clock check.
     #[cfg(feature = "audit")]
     last_cycle_at: SimTime,
@@ -771,7 +767,6 @@ impl<S: Scheduler> Engine<S> {
                 records: Vec::new(),
                 id_map: JobIdMap::default(),
                 queue: EventQueue::new(),
-                outcomes: Vec::new(),
                 ecc_policy,
                 ecc_stats: EccStats::default(),
                 reconfig_cost: ReconfigCost::default(),
@@ -784,7 +779,6 @@ impl<S: Scheduler> Engine<S> {
                 oldest_live: 0,
                 peak_wait_views: 0,
                 free_slots: Vec::new(),
-                streamed: false,
                 trace: None,
                 attr: None,
             },
@@ -795,7 +789,6 @@ impl<S: Scheduler> Engine<S> {
             loaded_eccs: Vec::new(),
             timeline: None,
             postmortem: None,
-            reclaimed: 0,
             #[cfg(feature = "audit")]
             last_cycle_at: SimTime::ZERO,
         }
@@ -811,8 +804,7 @@ impl<S: Scheduler> Engine<S> {
     /// Record a [`RunTimeline`]: one [`TimelineSample`] per virtual-time
     /// stride at cycle boundaries, decimating (drop every other point,
     /// double the stride) whenever the point budget fills — so any run,
-    /// 500 jobs or 10⁶, ends with at most `cfg.budget` samples. Works
-    /// identically on [`Engine::run`] and the streaming paths. Without
+    /// 500 jobs or 10⁶, ends with at most `cfg.budget` samples. Without
     /// this call the sampler costs one branch per scheduling cycle.
     pub fn enable_timeline(&mut self, cfg: TimelineConfig) {
         self.timeline = Some(Box::new(TimelineSampler::new(cfg)));
@@ -824,8 +816,7 @@ impl<S: Scheduler> Engine<S> {
     /// previous cycle, so the per-job buckets telescope to exactly the
     /// job's wait. The per-job [`crate::WaitAttribution`] rides on its
     /// [`JobOutcome`] and the per-run [`AttributionProfile`] on
-    /// [`SimResult::attribution`]. Works identically on [`Engine::run`]
-    /// and the streaming paths — per-job state is recycled with the
+    /// [`SimResult::attribution`]. Per-job state is recycled with the
     /// record slot and the profile folds O(1) at completion, so soaks
     /// carry it in bounded memory. Without this call attribution costs
     /// one branch per scheduling cycle.
@@ -862,37 +853,66 @@ impl<S: Scheduler> Engine<S> {
         });
     }
 
-    /// Load jobs and ECCs for [`Engine::run`]. Every job is validated and
-    /// enrolled up front, so a duplicate id or an impossible job fails
-    /// here, and an ECC issued before its job's submit edits the
-    /// enrolled job. Jobs and ECCs are then each stably sorted by time:
-    /// at one instant jobs are admitted before ECCs, each in slice order.
+    /// Load jobs and ECCs for [`Engine::run`]. The whole workload is
+    /// validated here: an impossible job, a duplicate id (even one whose
+    /// first holder completes before the second arrives) or an ECC issued
+    /// before its job's submit fails the load. An ECC naming no loaded job
+    /// is not an error; the run counts it `dropped_stale`. Jobs and ECCs
+    /// are then each stably sorted by time: at one instant jobs are
+    /// admitted before ECCs, each in slice order.
     pub fn load(&mut self, jobs: &[JobSpec], eccs: &[EccSpec]) -> Result<(), SimError> {
+        // Worst case every job is live and waiting at once.
         self.state.records.reserve(jobs.len());
+        self.state.free_slots.reserve(jobs.len());
         self.state.id_map.reserve(jobs.len());
-        self.state.outcomes.reserve(jobs.len());
-        // Worst case every job waits at once; one up-front reservation
-        // spares the snapshot repeated mid-run regrowth.
         self.state.wait_views.reserve(jobs.len());
         self.state.wait_recs.reserve(jobs.len());
-        for &spec in jobs {
-            self.enrol(spec)?;
-        }
         self.loaded_jobs.extend_from_slice(jobs);
-        self.loaded_jobs.sort_by_key(|j| j.submit);
         self.loaded_eccs.extend_from_slice(eccs);
+        self.validate_loaded()?;
+        self.loaded_jobs.sort_by_key(|j| j.submit);
         self.loaded_eccs.sort_by_key(|e| e.issue_at);
         Ok(())
     }
 
-    /// Run the loaded workload to completion and return the collected
-    /// result: the streaming event loop over a [`SliceSource`] of what
-    /// [`Engine::load`] enrolled, with reclamation off, so every record
-    /// and outcome is kept.
+    /// [`Engine::load`]'s checks on everything loaded so far: one sorted
+    /// `(id, submit)` table serves the duplicate scan and each ECC's
+    /// lookup, so no per-run id set is built.
+    fn validate_loaded(&self) -> Result<(), SimError> {
+        let mut submits = Vec::with_capacity(self.loaded_jobs.len());
+        for &spec in &self.loaded_jobs {
+            self.check_fits(spec)?;
+            submits.push((spec.id, spec.submit));
+        }
+        submits.sort_unstable();
+        if let Some(w) = submits.windows(2).find(|w| w[0].0 == w[1].0) {
+            return Err(SimError::DuplicateJobId(w[0].0));
+        }
+        for e in &self.loaded_eccs {
+            if let Ok(i) = submits.binary_search_by_key(&e.job, |&(id, _)| id) {
+                if e.issue_at < submits[i].1 {
+                    return Err(SimError::EccBeforeSubmit {
+                        job: e.job,
+                        issue_at: e.issue_at,
+                        submit: submits[i].1,
+                    });
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Run the loaded workload to completion: the event loop over a
+    /// [`SliceSource`] of what [`Engine::load`] sorted, with every
+    /// outcome collected into [`SimResult::outcomes`].
     pub fn run(mut self) -> Result<SimResult, SimError> {
         let jobs = std::mem::take(&mut self.loaded_jobs);
         let eccs = std::mem::take(&mut self.loaded_eccs);
-        self.run_source(SliceSource::new(&jobs, &eccs), None)
+        let mut outcomes = Vec::with_capacity(jobs.len());
+        let mut collect = |o: &JobOutcome| outcomes.push(o.clone());
+        let mut result = self.run_source(SliceSource::new(&jobs, &eccs), &mut collect)?;
+        result.outcomes = outcomes;
+        Ok(result)
     }
 
     /// Run `body` under the flight recorder's failure guard when one is
@@ -923,29 +943,22 @@ impl<S: Scheduler> Engine<S> {
     /// [`JobSource`], handing each [`JobOutcome`] to `fold` at completion
     /// instead of retaining it.
     ///
-    /// Semantics are identical to [`Engine::load`] + [`Engine::run`] on
-    /// the materialized equivalent of the stream — the differential
-    /// suite in `crates/core/tests` pins `RunMetrics` identity — but
-    /// arrivals are admitted only when the virtual clock reaches them
-    /// and each job's record, id-map entry, and wait-view are reclaimed
-    /// at completion, so peak memory tracks *live* jobs rather than
-    /// trace length. [`SimResult::outcomes`] comes back empty, so a
-    /// multi-million-job soak holds no per-job state at all past
-    /// completion; aggregate fields of the result (busy area, makespan,
-    /// ECC stats, counters) are unaffected.
+    /// [`Engine::run`] drives the same loop: each job is enrolled when the
+    /// clock reaches its arrival, and its record, id-map entry and
+    /// wait-view are reclaimed at completion, so peak memory tracks
+    /// *live* jobs, not trace length. [`SimResult::outcomes`] comes back
+    /// empty; the aggregate fields are unaffected.
     ///
-    /// Two contract differences from the materialized path, both
-    /// consequences of not holding the whole trace (see
-    /// [`crate::source`]): duplicate job ids are only detected while the
-    /// first holder is live, and an ECC issued for a reclaimed job
-    /// counts as `dropped_stale` even when the materialized path would
-    /// have classified it `dropped_policy`.
+    /// A stream is not validated ahead as [`Engine::load`] validates a
+    /// slice (see [`crate::source`]): a duplicate job id is detected only
+    /// while its first holder is live, and an ECC whose job has not
+    /// arrived yet counts as `dropped_stale`.
     pub fn run_streaming_folded<Src: JobSource>(
         self,
         source: Src,
         fold: &mut dyn FnMut(&JobOutcome),
     ) -> Result<SimResult, SimError> {
-        self.run_source(source, Some(fold))
+        self.run_source(source, fold)
     }
 
     /// The one run path behind [`Engine::run`] and
@@ -954,10 +967,9 @@ impl<S: Scheduler> Engine<S> {
     fn run_source<Src: JobSource>(
         mut self,
         mut source: Src,
-        mut fold: OutcomeFold<'_>,
+        fold: &mut dyn FnMut(&JobOutcome),
     ) -> Result<SimResult, SimError> {
         let wall = std::time::Instant::now();
-        self.state.streamed = fold.is_some();
         let mut engine_stats = EngineStats::default();
         // Trace preamble: just the run shape. Submit events are emitted
         // per job at admission.
@@ -968,7 +980,7 @@ impl<S: Scheduler> Engine<S> {
                 scheduler: self.scheduler.name().to_string(),
             });
         }
-        self.guarded(|eng| eng.event_loop(&mut source, &mut fold, &mut engine_stats))?;
+        self.guarded(|eng| eng.event_loop(&mut source, fold, &mut engine_stats))?;
         self.finish(engine_stats, wall)
     }
 
@@ -978,7 +990,7 @@ impl<S: Scheduler> Engine<S> {
     fn event_loop<Src: JobSource>(
         &mut self,
         source: &mut Src,
-        fold: &mut OutcomeFold<'_>,
+        fold: &mut dyn FnMut(&JobOutcome),
         engine_stats: &mut EngineStats,
     ) -> Result<(), SimError> {
         // Reused across instants: one batch drain per cycle, no
@@ -1039,18 +1051,19 @@ impl<S: Scheduler> Engine<S> {
         Ok(())
     }
 
-    /// Validate a job and give it a record slot and id-map entry.
-    fn enrol(&mut self, spec: JobSpec) -> Result<(), SimError> {
-        self.state
-            .machine
-            .is_valid_request(spec.num)
-            .map_err(|_| SimError::ImpossibleJob {
-                id: spec.id,
-                num: spec.num,
-            })?;
-        // Recycle a completed job's slot when one is free — on a
-        // streamed run the slab's high-water mark is the peak live-job
-        // count.
+    /// [`SimError::ImpossibleJob`] unless the machine can ever run `spec`.
+    fn check_fits(&self, spec: JobSpec) -> Result<(), SimError> {
+        let (id, num) = (spec.id, spec.num);
+        let fits = self.state.machine.is_valid_request(num);
+        fits.map_err(|_| SimError::ImpossibleJob { id, num })
+    }
+
+    /// Validate an arriving job and give it a record slot, born
+    /// [`JobState::Waiting`], and an id-map entry; returns the slot.
+    fn enrol(&mut self, spec: JobSpec) -> Result<usize, SimError> {
+        self.check_fits(spec)?;
+        // Recycle a completed job's slot when one is free, so the slab's
+        // high-water mark is the peak live-job count.
         let idx = match self.state.free_slots.pop() {
             Some(idx) => {
                 self.state.records[idx] = JobRecord::new(spec);
@@ -1066,18 +1079,15 @@ impl<S: Scheduler> Engine<S> {
         }
         self.first_arrival = self.first_arrival.min(spec.submit);
         self.last_arrival = self.last_arrival.max(spec.submit);
-        Ok(())
+        Ok(idx)
     }
 
-    /// Admit one item at its own instant: a job's arrival (enrolled here
-    /// when streamed; [`Engine::load`] already enrolled loaded ones), or
-    /// an ECC.
+    /// Admit one item at its own instant: a job's arrival, enrolled
+    /// here, or an ECC.
     fn admit(&mut self, item: SourceItem) -> Result<(), SimError> {
         match item {
             SourceItem::Job(spec) => {
-                if self.state.streamed {
-                    self.enrol(spec)?;
-                }
+                let idx = self.enrol(spec)?;
                 trace_event!(
                     self.state.trace.as_deref_mut(),
                     TraceEvent::Submit {
@@ -1088,7 +1098,8 @@ impl<S: Scheduler> Engine<S> {
                         dedicated: spec.class.requested_start().is_some(),
                     }
                 );
-                self.handle_arrival(spec.id)
+                self.handle_arrival(idx);
+                Ok(())
             }
             SourceItem::Ecc(ecc) => self.handle_ecc(ecc),
         }
@@ -1398,7 +1409,7 @@ impl<S: Scheduler> Engine<S> {
                 ),
             ));
         }
-        // Streamed-reclamation slab: every record slot is either live
+        // Reclamation slab: every record slot is either live
         // (id-mapped) or free, never both, never neither.
         if self.state.id_map.len() + self.state.free_slots.len() != self.state.records.len() {
             return Err(Self::audit_fail(
@@ -1469,7 +1480,6 @@ impl<S: Scheduler> Engine<S> {
         engine_stats.peak_queue_len = self.state.queue.peak_len() as u64;
         engine_stats.peak_live_jobs = self.state.records.len() as u64;
         engine_stats.peak_wait_views = self.state.peak_wait_views as u64;
-        engine_stats.jobs_reclaimed = self.reclaimed;
         engine_stats.engine_nanos = wall.elapsed().as_nanos() as u64;
         // Close the timeline with a forced end-of-run sample (replacing
         // the last one if the final cycle already sampled this instant),
@@ -1522,7 +1532,6 @@ impl<S: Scheduler> Engine<S> {
                 keys::DEDICATED_PROMOTIONS_TOTAL,
                 sched_stats.dedicated_promotions,
             );
-            reg.counter_add(keys::JOBS_RECLAIMED_TOTAL, engine_stats.jobs_reclaimed);
             reg.gauge_set(
                 keys::ENGINE_PEAK_WAIT_VIEWS,
                 engine_stats.peak_wait_views as f64,
@@ -1577,7 +1586,7 @@ impl<S: Scheduler> Engine<S> {
         Ok(SimResult {
             scheduler: self.scheduler.name(),
             sched_stats,
-            outcomes: state.outcomes,
+            outcomes: Vec::new(),
             machine_total: state.machine.total(),
             busy_area: state.machine.busy_area(),
             first_arrival: if self.first_arrival == SimTime::MAX {
@@ -1596,14 +1605,13 @@ impl<S: Scheduler> Engine<S> {
         })
     }
 
-    fn handle_arrival(&mut self, id: JobId) -> Result<(), SimError> {
+    /// Queue the job just enrolled in slot `idx`.
+    fn handle_arrival(&mut self, idx: usize) {
         let now = self.state.now;
-        let &idx = self.state.id_map.get(&id).expect("arrival for unknown job");
         let wait_pos = self.state.wait_views.len() as u32;
         let rec = &mut self.state.records[idx];
-        debug_assert_eq!(rec.state, JobState::Future, "double arrival");
-        rec.state = JobState::Waiting;
         rec.wait_pos = wait_pos;
+        let id = rec.spec.id;
         let view = JobView {
             id,
             num: rec.alloc,
@@ -1625,7 +1633,7 @@ impl<S: Scheduler> Engine<S> {
         self.state.wait_recs.push(idx as u32);
         self.state.peak_wait_views = self.state.peak_wait_views.max(self.state.wait_views.len());
         // Per-job attribution accumulator, slab-parallel to the record
-        // (and recycled with its slot on the streaming paths).
+        // (and recycled with its slot).
         if let Some(attr) = self.state.attr.as_deref_mut() {
             attr.arrive(idx, now, eligible, view.num);
         }
@@ -1637,14 +1645,13 @@ impl<S: Scheduler> Engine<S> {
             }
         );
         self.scheduler.on_arrival(view);
-        Ok(())
     }
 
     fn handle_completion(
         &mut self,
         id: JobId,
         epoch: u64,
-        fold: &mut OutcomeFold<'_>,
+        fold: &mut dyn FnMut(&JobOutcome),
     ) -> Result<(), SimError> {
         let now = self.state.now;
         let Some(&idx) = self.state.id_map.get(&id) else {
@@ -1676,16 +1683,12 @@ impl<S: Scheduler> Engine<S> {
         self.state.running.remove(id);
         self.push_outcome(idx, id, started, now, alloc, fold)?;
         self.scheduler.on_completion(id);
-        if self.state.streamed {
-            // The job is fully accounted for; free its id and slot so a
-            // streaming run's footprint tracks live jobs only. Any
-            // not-yet-dispatched event naming this id (a stale
-            // completion, a late ECC) already falls through the
-            // unknown-id paths above and in `handle_ecc`.
-            self.state.id_map.remove(&id);
-            self.state.free_slots.push(idx);
-            self.reclaimed += 1;
-        }
+        // The job is fully accounted for; free its id and slot so the
+        // run's footprint tracks live jobs only. Any not-yet-dispatched
+        // event naming this id (a stale completion, a late ECC) falls
+        // through the unknown-id paths above and in `handle_ecc`.
+        self.state.id_map.remove(&id);
+        self.state.free_slots.push(idx);
         Ok(())
     }
 
@@ -1696,14 +1699,14 @@ impl<S: Scheduler> Engine<S> {
         started: SimTime,
         finished: SimTime,
         num: u32,
-        fold: &mut OutcomeFold<'_>,
+        fold: &mut dyn FnMut(&JobOutcome),
     ) -> Result<(), SimError> {
         let rec = &self.state.records[idx];
         let spec = &rec.spec;
         let eligible = spec.eligible_at();
         let wait = started.saturating_since(eligible);
         // Fold the job's wait attribution into the run profile (O(1),
-        // so streamed reclamation loses nothing) and hold the engine to
+        // so reclamation loses nothing) and hold the engine to
         // the conservation invariant: every charge lands at a cycle
         // instant, so the cause buckets must telescope to exactly the
         // wait. Under the audit feature a mismatch is a recoverable
@@ -1756,10 +1759,7 @@ impl<S: Scheduler> Engine<S> {
         );
         self.state.makespan = self.state.makespan.max(finished);
         self.completed += 1;
-        match fold {
-            Some(f) => f(&outcome),
-            None => self.state.outcomes.push(outcome),
-        }
+        fold(&outcome);
         Ok(())
     }
 
@@ -1795,8 +1795,7 @@ impl<S: Scheduler> Engine<S> {
             JobState::Running { started, finish } => {
                 self.apply_running_ecc(ecc, started, finish, now, unit)
             }
-            JobState::Future | JobState::Waiting => {
-                let was_waiting = rec.state == JobState::Waiting;
+            JobState::Waiting => {
                 let amount = Duration::from_secs(ecc.amount);
                 match ecc.kind {
                     EccKind::ExtendTime => {
@@ -1842,25 +1841,22 @@ impl<S: Scheduler> Engine<S> {
                         queued: true,
                     }
                 );
-                if was_waiting {
-                    // The record knows its view's position (maintained by
-                    // every compaction), so the in-place edit is O(1)
-                    // instead of a scan of the snapshot buffer — the scan
-                    // was quadratic over a long trace whose jobs mostly
-                    // wait.
-                    if let Some(v) = self.state.wait_views.get_mut(pos) {
-                        if v.id == id {
-                            v.num = num;
-                            v.dur = dur;
-                        }
+                // The record knows its view's position (maintained by every
+                // compaction), so the in-place edit is O(1) instead of a
+                // scan of the snapshot buffer — the scan was quadratic
+                // over a long trace whose jobs mostly wait.
+                if let Some(v) = self.state.wait_views.get_mut(pos) {
+                    if v.id == id {
+                        v.num = num;
+                        v.dur = dur;
                     }
-                    // A width change moves the job to another
-                    // attribution class.
-                    if let Some(attr) = self.state.attr.as_deref_mut() {
-                        attr.resize(self.state.id_map[&id], num);
-                    }
-                    self.scheduler.on_queued_ecc(id, num, dur);
                 }
+                // A width change moves the job to another attribution
+                // class.
+                if let Some(attr) = self.state.attr.as_deref_mut() {
+                    attr.resize(self.state.id_map[&id], num);
+                }
+                self.scheduler.on_queued_ecc(id, num, dur);
                 Ok(())
             }
         }
@@ -2476,13 +2472,12 @@ mod tests {
         #[test]
         fn streaming_reclaims_job_state() {
             // 1000 strictly sequential full-machine jobs: only one is
-            // ever live, so the record slab must stay tiny while the
-            // materialized path holds all 1000.
+            // ever live, so the record slab must stay tiny, whether the
+            // jobs were loaded up front or streamed.
             let jobs: Vec<JobSpec> = (0..1000)
                 .map(|i| JobSpec::batch(i + 1, i * 100, 320, 50))
                 .collect();
             let mat = materialized(&jobs, &[]);
-            assert_eq!(mat.engine.peak_live_jobs, 1000);
             let engine = Engine::new(
                 Machine::bluegene_p(),
                 TestFifo::new(),
@@ -2490,11 +2485,13 @@ mod tests {
             );
             let st = run_streamed(engine, SliceSource::new(&jobs, &[])).unwrap();
             assert_eq!(st.outcomes, mat.outcomes);
-            assert!(
-                st.engine.peak_live_jobs <= 2,
-                "streaming slab grew to {} for sequential jobs",
-                st.engine.peak_live_jobs
-            );
+            for r in [&mat, &st] {
+                assert!(
+                    r.engine.peak_live_jobs <= 2,
+                    "record slab grew to {} for sequential jobs",
+                    r.engine.peak_live_jobs
+                );
+            }
         }
 
         #[test]
@@ -2940,8 +2937,7 @@ mod tests {
             peak_queue_len: 5,
             engine_nanos: 6,
             peak_live_jobs: 7,
-            peak_wait_views: 7,
-            jobs_reclaimed: 8,
+            peak_wait_views: 8,
         };
         let text = serde_json::to_string(&s).unwrap();
         let back: EngineStats = serde_json::from_str(&text).unwrap();

@@ -167,9 +167,7 @@ impl JobSpec {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 #[allow(missing_docs)] // field names are self-describing
 pub enum JobState {
-    /// Not yet arrived (before its submit event fired).
-    Future,
-    /// In a waiting queue.
+    /// In a waiting queue: the state a record is born in, at arrival.
     Waiting,
     /// Running since `started`, will complete at `finish` unless an ECC
     /// moves the kill-by time.
@@ -211,14 +209,14 @@ pub struct JobRecord {
 }
 
 impl JobRecord {
-    /// Fresh record for a job that has not yet arrived.
+    /// Fresh record for a job arriving now, so already waiting.
     pub fn new(spec: JobSpec) -> Self {
         let est_dur = spec.dur;
         let actual_dur = spec.actual;
         let alloc = spec.num;
         JobRecord {
             spec,
-            state: JobState::Future,
+            state: JobState::Waiting,
             est_dur,
             actual_dur,
             alloc,
@@ -378,6 +376,6 @@ mod tests {
         assert_eq!(r.actual_dur, Duration::from_secs(1234));
         assert_eq!(r.alloc, 96);
         assert_eq!(r.ecc_count, 0);
-        assert_eq!(r.state, JobState::Future);
+        assert_eq!(r.state, JobState::Waiting);
     }
 }

@@ -35,9 +35,10 @@
 //! # Determinism
 //!
 //! Samples are a pure function of engine state at cycle boundaries and
-//! the decimation schedule is a pure function of sample count, so the
-//! streamed and materialized paths — one event loop, identical cycles —
-//! produce **identical** timelines, field for field.
+//! the decimation schedule is a pure function of sample count, so
+//! `load` + `run` and a folded run over the same items — one event
+//! loop, identical cycles — produce **identical** timelines, field for
+//! field.
 
 use crate::time::{Duration, SimTime};
 use serde::{Deserialize, Serialize};

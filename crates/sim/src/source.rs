@@ -2,34 +2,31 @@
 //!
 //! A [`JobSource`] feeds the engine one item at a time in submit-time
 //! order, so a run never has to materialize the whole trace: the engine
-//! admits each arrival lazily when the virtual clock reaches it and
-//! reclaims the job's state at completion, keeping peak memory
-//! proportional to the number of *live* jobs rather than the trace
-//! length. The materialized [`Engine::load`](crate::Engine::load) +
-//! [`Engine::run`](crate::Engine::run) path runs through this same
-//! loop: `load` enrolls the whole trace up front and sorts its jobs and
-//! ECCs by time, and `run` admits them through a [`SliceSource`], with
-//! reclamation off.
+//! enrols each arrival when the virtual clock reaches it and reclaims the
+//! job's state at completion, keeping peak memory proportional to the
+//! number of *live* jobs rather than the trace length. Every run goes
+//! through this one loop: [`Engine::run`](crate::Engine::run) streams the
+//! slices [`Engine::load`](crate::Engine::load) validated and sorted
+//! through a [`SliceSource`].
 //!
 //! ## Ordering contract
 //!
 //! Implementations must yield items in non-decreasing [`SourceItem::time`]
 //! order — the engine rejects a time that goes backwards with
 //! [`SimError::UnorderedSource`](crate::SimError::UnorderedSource). Two
-//! additional conventions make a streamed run indistinguishable from the
-//! materialized one:
+//! further conventions make a streamed run equal to `load` + `run` on the
+//! same items:
 //!
 //! - at one instant, jobs are yielded before ECCs (`load` sorts every
 //!   arrival ahead of any same-instant ECC);
-//! - an ECC is yielded at or after its target job's submission (the
-//!   engine cannot apply a command to a job it has not seen; such a
-//!   command counts as `dropped_stale`, where the materialized path
-//!   would have pre-applied it to the enrolled future job).
+//! - an ECC is yielded at or after its target job's submission. The
+//!   engine cannot apply a command to a job it has not seen, so a stream
+//!   that breaks this gets the command counted `dropped_stale`; `load`
+//!   rejects it with [`SimError::EccBeforeSubmit`](crate::SimError::EccBeforeSubmit).
 //!
 //! Sources over concrete formats (SWF, CWF, the Lublin generator) live
 //! in `elastisched-workload`; this module only defines the contract plus
-//! [`SliceSource`], the borrowed merge of already-materialized slices
-//! that the differential tests pit against `load()`.
+//! [`SliceSource`], the borrowed merge of already-materialized slices.
 
 use crate::ecc::EccSpec;
 use crate::job::JobSpec;
@@ -85,8 +82,8 @@ impl<T: JobSource + ?Sized> JobSource for &mut T {
 /// Streams borrowed job/ECC slices, merged by time with jobs first at
 /// ties. [`Engine::run`](crate::Engine::run) replays the slices
 /// [`Engine::load`](crate::Engine::load) sorted through this source, so
-/// a `SliceSource` run and `load` + `run` differ only in enrolment and
-/// reclamation.
+/// a `SliceSource` run differs from `load` + `run` only in what `load`
+/// validates up front.
 ///
 /// Both slices must already be sorted by their own time field (generator
 /// output and parsed archive logs are); an inversion surfaces as

@@ -1,8 +1,8 @@
 //! Engine edge cases exercised through a minimal FIFO policy.
 
 use elastisched_sim::{
-    simulate, Duration, EccKind, EccPolicy, EccSpec, JobId, JobSpec, JobView, Machine,
-    SchedContext, Scheduler, SimResult, SimTime,
+    simulate, Duration, EccKind, EccPolicy, EccSpec, Engine, JobId, JobSpec, JobView, Machine,
+    SchedContext, Scheduler, SimError, SimResult, SimTime, SliceSource,
 };
 use std::collections::VecDeque;
 
@@ -84,16 +84,73 @@ fn multiple_ecc_reschedules_keep_single_completion() {
     assert_eq!(r.ecc.applied_running, 3);
 }
 
+/// `jobs` and `eccs` streamed through the folded run, outcomes
+/// collected back into `SimResult::outcomes`.
+fn run_streamed(
+    jobs: &[JobSpec],
+    eccs: &[EccSpec],
+    policy: EccPolicy,
+) -> Result<SimResult, SimError> {
+    let engine = Engine::new(Machine::bluegene_p(), Fifo::default(), policy);
+    let mut outcomes = Vec::new();
+    let mut r = engine.run_streaming_folded(SliceSource::new(jobs, eccs), &mut |o| {
+        outcomes.push(o.clone())
+    })?;
+    r.outcomes = outcomes;
+    Ok(r)
+}
+
 #[test]
-fn ecc_before_arrival_applies_to_future_job() {
-    // An ECC issued before the job's submit event (legal in a CWF file)
-    // lands on the record while it is `Future`; the job arrives with the
-    // adjusted duration.
+fn ecc_before_submit_is_rejected_by_load_and_stale_when_streamed() {
+    // An ECC issued before its job's submit names a job that has not
+    // arrived. `load` sees the whole workload and rejects it; a stream
+    // cannot look ahead, so the streamed run drops it as stale and the
+    // job runs unchanged.
     let jobs = vec![JobSpec::batch(1, 500, 320, 100)];
     let eccs = vec![EccSpec::extend_time(JobId(1), SimTime::from_secs(100), 50)];
-    let r = run(&jobs, &eccs, EccPolicy::time_only());
-    assert_eq!(finished(&r, 1), 500 + 150);
-    assert_eq!(r.ecc.applied_queued, 1);
+    let err = simulate(
+        Machine::bluegene_p(),
+        Fifo::default(),
+        EccPolicy::time_only(),
+        &jobs,
+        &eccs,
+    )
+    .unwrap_err();
+    assert_eq!(
+        err,
+        SimError::EccBeforeSubmit {
+            job: JobId(1),
+            issue_at: SimTime::from_secs(100),
+            submit: SimTime::from_secs(500),
+        }
+    );
+    let r = run_streamed(&jobs, &eccs, EccPolicy::time_only()).unwrap();
+    assert_eq!(finished(&r, 1), 500 + 100);
+    assert_eq!(r.ecc.dropped_stale, 1);
+    assert_eq!(r.ecc.applied(), 0);
+}
+
+#[test]
+fn duplicate_id_after_completion_is_rejected_by_load_and_admitted_when_streamed() {
+    // Job 1 completes at t=10, before its id's second holder arrives at
+    // t=100. `load` still rejects the duplicate; a stream only checks ids
+    // among live jobs, so the streamed run admits the second job 1.
+    let jobs = vec![
+        JobSpec::batch(1, 0, 320, 10),
+        JobSpec::batch(1, 100, 320, 10),
+    ];
+    let err = simulate(
+        Machine::bluegene_p(),
+        Fifo::default(),
+        EccPolicy::disabled(),
+        &jobs,
+        &[],
+    )
+    .unwrap_err();
+    assert_eq!(err, SimError::DuplicateJobId(JobId(1)));
+    let r = run_streamed(&jobs, &[], EccPolicy::disabled()).unwrap();
+    assert_eq!(r.outcomes.len(), 2);
+    assert_eq!(r.makespan, SimTime::from_secs(110));
 }
 
 #[test]
@@ -276,7 +333,7 @@ fn ten_thousand_job_run_completes() {
 /// `load` stably sorts its items by time, so items that share an
 /// instant keep their slice order. A shuffled workload must therefore
 /// run exactly like the same slices stably sorted by time: the same-
-/// instant ties (arrivals, ECCs issued before or while their job waits)
+/// instant ties (arrivals, ECCs issued as or while their job waits)
 /// decide which job the FIFO starts first.
 #[test]
 fn loaded_items_run_in_stable_time_order() {
@@ -299,8 +356,10 @@ fn loaded_items_run_in_stable_time_order() {
         .collect();
     let mut eccs: Vec<EccSpec> = (0..120)
         .map(|_| {
-            let job = JobId(rng.gen_range(1u64..=300));
-            let at = SimTime::from_secs(rng.gen_range(0u64..420) * 50);
+            // Issued at or after the job's submit, on the same coarse grid.
+            let target = &jobs[rng.gen_range(0usize..300)];
+            let job = target.id;
+            let at = target.submit + Duration::from_secs(rng.gen_range(0u64..40) * 50);
             let amount = rng.gen_range(1u64..200);
             if rng.gen_bool(0.5) {
                 EccSpec::extend_time(job, at, amount)

@@ -542,51 +542,48 @@ pub mod keys {
     pub const DP_INCREMENTAL_REBUILDS_TOTAL: MetricId = MetricId(30);
     /// Last run's wait-view buffer high-water mark.
     pub const ENGINE_PEAK_WAIT_VIEWS: MetricId = MetricId(31);
-    /// Last run's job-record slab high-water mark (peak live jobs on
-    /// the streaming paths).
+    /// Last run's job-record slab high-water mark: its peak live jobs.
     pub const ENGINE_PEAK_LIVE_JOBS: MetricId = MetricId(32);
-    /// Completed jobs whose state was reclaimed by a streaming run.
-    pub const JOBS_RECLAIMED_TOTAL: MetricId = MetricId(33);
     /// Audit failures: capacity conservation.
-    pub const AUDIT_CAPACITY_VIOLATIONS_TOTAL: MetricId = MetricId(34);
+    pub const AUDIT_CAPACITY_VIOLATIONS_TOTAL: MetricId = MetricId(33);
     /// Audit failures: virtual-clock monotonicity.
-    pub const AUDIT_CLOCK_VIOLATIONS_TOTAL: MetricId = MetricId(35);
+    pub const AUDIT_CLOCK_VIOLATIONS_TOTAL: MetricId = MetricId(34);
     /// Audit failures: ECC / running-set accounting.
-    pub const AUDIT_ECC_VIOLATIONS_TOTAL: MetricId = MetricId(36);
-    /// Audit failures: streamed-reclamation slab consistency.
-    pub const AUDIT_SLAB_VIOLATIONS_TOTAL: MetricId = MetricId(37);
+    pub const AUDIT_ECC_VIOLATIONS_TOTAL: MetricId = MetricId(35);
+    /// Audit failures: reclamation slab consistency.
+    pub const AUDIT_SLAB_VIOLATIONS_TOTAL: MetricId = MetricId(36);
     /// Audit failures: bucket-FIFO dispatch order.
-    pub const AUDIT_FIFO_VIOLATIONS_TOTAL: MetricId = MetricId(38);
+    pub const AUDIT_FIFO_VIOLATIONS_TOTAL: MetricId = MetricId(37);
     /// Flight-recorder postmortem dumps written.
-    pub const POSTMORTEM_DUMPS_TOTAL: MetricId = MetricId(39);
+    pub const POSTMORTEM_DUMPS_TOTAL: MetricId = MetricId(38);
     /// Samples retained in the last run's timeline.
-    pub const TIMELINE_SAMPLES: MetricId = MetricId(40);
+    pub const TIMELINE_SAMPLES: MetricId = MetricId(39);
     /// Wait seconds attributed to insufficient free capacity.
-    pub const ATTR_CAPACITY_WAIT_SECONDS_TOTAL: MetricId = MetricId(41);
+    pub const ATTR_CAPACITY_WAIT_SECONDS_TOTAL: MetricId = MetricId(40);
     /// Wait seconds attributed to dedicated-node contention.
-    pub const ATTR_DEDICATED_WAIT_SECONDS_TOTAL: MetricId = MetricId(42);
+    pub const ATTR_DEDICATED_WAIT_SECONDS_TOTAL: MetricId = MetricId(41);
     /// Wait seconds attributed to processors gained through ECCs.
-    pub const ATTR_ECC_WAIT_SECONDS_TOTAL: MetricId = MetricId(43);
+    pub const ATTR_ECC_WAIT_SECONDS_TOTAL: MetricId = MetricId(42);
     /// Wait seconds attributed to deliberate policy skips.
-    pub const ATTR_POLICY_SKIP_WAIT_SECONDS_TOTAL: MetricId = MetricId(44);
+    pub const ATTR_POLICY_SKIP_WAIT_SECONDS_TOTAL: MetricId = MetricId(43);
     /// Wait seconds attributed to freeze windows.
-    pub const ATTR_FREEZE_WAIT_SECONDS_TOTAL: MetricId = MetricId(45);
+    pub const ATTR_FREEZE_WAIT_SECONDS_TOTAL: MetricId = MetricId(44);
     /// Jobs folded into attribution profiles.
-    pub const ATTR_JOBS_TOTAL: MetricId = MetricId(46);
+    pub const ATTR_JOBS_TOTAL: MetricId = MetricId(45);
     /// Audit failures: wait-attribution conservation.
-    pub const AUDIT_ATTRIBUTION_VIOLATIONS_TOTAL: MetricId = MetricId(47);
+    pub const AUDIT_ATTRIBUTION_VIOLATIONS_TOTAL: MetricId = MetricId(46);
     /// Scheduler-initiated grows applied to running malleable jobs.
-    pub const RECONFIG_GROWS_TOTAL: MetricId = MetricId(48);
+    pub const RECONFIG_GROWS_TOTAL: MetricId = MetricId(47);
     /// Scheduler-initiated shrinks applied to running malleable jobs.
-    pub const RECONFIG_SHRINKS_TOTAL: MetricId = MetricId(49);
+    pub const RECONFIG_SHRINKS_TOTAL: MetricId = MetricId(48);
     /// Processors granted across all malleable grows.
-    pub const RECONFIG_PROCS_GRANTED_TOTAL: MetricId = MetricId(50);
+    pub const RECONFIG_PROCS_GRANTED_TOTAL: MetricId = MetricId(49);
     /// Processors reclaimed across all malleable shrinks.
-    pub const RECONFIG_PROCS_RECLAIMED_TOTAL: MetricId = MetricId(51);
+    pub const RECONFIG_PROCS_RECLAIMED_TOTAL: MetricId = MetricId(50);
     /// Reconfiguration cost charged to resized jobs, seconds.
-    pub const RECONFIG_COST_SECONDS_TOTAL: MetricId = MetricId(52);
+    pub const RECONFIG_COST_SECONDS_TOTAL: MetricId = MetricId(51);
     /// Wait seconds attributed to malleable-grow contention.
-    pub const ATTR_MALLEABLE_WAIT_SECONDS_TOTAL: MetricId = MetricId(53);
+    pub const ATTR_MALLEABLE_WAIT_SECONDS_TOTAL: MetricId = MetricId(52);
 }
 
 /// Spec list behind [`MetricsRegistry::standard`], in [`keys`] order.
@@ -753,13 +750,8 @@ pub const STANDARD_SPECS: &[MetricSpec] = &[
     },
     MetricSpec {
         name: "elastisched_engine_peak_live_jobs",
-        help: "Last run's job-record slab high-water mark (peak live jobs when streaming).",
+        help: "Last run's job-record slab high-water mark: its peak live jobs.",
         kind: MetricKind::Gauge,
-    },
-    MetricSpec {
-        name: "elastisched_jobs_reclaimed_total",
-        help: "Completed jobs whose state was reclaimed by a streaming run.",
-        kind: MetricKind::Counter,
     },
     MetricSpec {
         name: "elastisched_audit_capacity_violations_total",
@@ -778,7 +770,7 @@ pub const STANDARD_SPECS: &[MetricSpec] = &[
     },
     MetricSpec {
         name: "elastisched_audit_slab_violations_total",
-        help: "Audit failures: streamed-reclamation slab consistency.",
+        help: "Audit failures: reclamation slab consistency.",
         kind: MetricKind::Counter,
     },
     MetricSpec {
@@ -947,10 +939,6 @@ mod tests {
             (
                 keys::ENGINE_PEAK_LIVE_JOBS,
                 "elastisched_engine_peak_live_jobs",
-            ),
-            (
-                keys::JOBS_RECLAIMED_TOTAL,
-                "elastisched_jobs_reclaimed_total",
             ),
             (
                 keys::AUDIT_CAPACITY_VIOLATIONS_TOTAL,

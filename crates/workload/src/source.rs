@@ -451,10 +451,10 @@ mod tests {
         let text = f.to_text();
 
         let mut src = SwfSource::from_text(&text);
-        let streamed: Vec<SourceItem> = std::iter::from_fn(|| src.next_item()).collect();
+        let pulled: Vec<SourceItem> = std::iter::from_fn(|| src.next_item()).collect();
         assert!(src.error().is_none());
         let expected: Vec<SourceItem> = f.to_job_specs().into_iter().map(SourceItem::Job).collect();
-        assert_eq!(streamed, expected);
+        assert_eq!(pulled, expected);
     }
 
     #[test]
@@ -474,10 +474,10 @@ mod tests {
         assert!(!expected[1].is_malleable());
 
         let mut src = SwfSource::from_text(text).with_malleable_growth();
-        let streamed: Vec<SourceItem> = std::iter::from_fn(|| src.next_item()).collect();
+        let pulled: Vec<SourceItem> = std::iter::from_fn(|| src.next_item()).collect();
         assert!(src.error().is_none());
         let expected: Vec<SourceItem> = expected.into_iter().map(SourceItem::Job).collect();
-        assert_eq!(streamed, expected);
+        assert_eq!(pulled, expected);
 
         // Without the opt-in, the same text streams rigid jobs.
         let rigid = drain(SwfSource::from_text(text));
@@ -516,10 +516,10 @@ mod tests {
         let text = file.to_text();
 
         let mut src = CwfSource::from_text(&text);
-        let streamed: Vec<SourceItem> = std::iter::from_fn(|| src.next_item()).collect();
+        let pulled: Vec<SourceItem> = std::iter::from_fn(|| src.next_item()).collect();
         assert!(src.error().is_none());
         let expected = drain(w.source());
-        assert_eq!(streamed, expected);
+        assert_eq!(pulled, expected);
     }
 
     #[test]

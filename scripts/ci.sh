@@ -129,6 +129,14 @@ cargo test --offline --locked --quiet -p elastisched-sched --test dp_properties
 cargo test --offline --locked --quiet -p elastisched-sched --test profile_oracle
 cargo test --offline --locked --quiet -p elastisched-sched --test conservative_fresh_oracle
 
+echo "== engine mode parity (load + run ≡ a folded stream) =="
+# Engine::run streams the slices load sorted and collects the outcomes;
+# a folded run over the same slices must give the same RunMetrics and
+# per-job schedule: on the fixed workloads and, in the proptest, for
+# every registry algorithm and both resizing stacks on random workloads
+# with dedicated jobs, malleable ranges and time and processor ECCs.
+cargo test --offline --locked --quiet -p elastisched --test streaming_differential
+
 echo "== malleable degeneracy oracle (+m ≡ base on rigid workloads) =="
 # The +m layer must be bit-identical to its base stack whenever no job
 # is malleable (every registry core, dedicated layer included, plus a

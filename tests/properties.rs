@@ -30,11 +30,13 @@ fn arb_jobs() -> impl Strategy<Value = Vec<JobSpec>> {
     })
 }
 
-/// Random ECCs referencing jobs 1..=n (some may miss).
+/// Random ECCs referencing jobs 1..=n (some may miss). `issue_at` is
+/// drawn as an offset; [`anchor_eccs`] turns it into a time at or after
+/// the target's submit.
 fn arb_eccs(max_job: u64) -> impl Strategy<Value = Vec<EccSpec>> {
     let ecc = (
         1u64..=max_job + 3, // job id, possibly dangling
-        0u64..3_000,        // issue time
+        0u64..3_000,        // issue offset
         0u8..4,             // kind
         1u64..400,          // amount
     );
@@ -53,6 +55,17 @@ fn arb_eccs(max_job: u64) -> impl Strategy<Value = Vec<EccSpec>> {
             })
             .collect()
     })
+}
+
+/// Issue each ECC its drawn offset after its job's submit, since a
+/// loaded ECC may not precede its job; an ECC naming no job in `jobs`
+/// keeps the offset as its absolute time.
+fn anchor_eccs(jobs: &[JobSpec], eccs: &mut [EccSpec]) {
+    for e in eccs {
+        if let Some(j) = jobs.iter().find(|j| j.id == e.job) {
+            e.issue_at = j.submit + Duration::from_secs(e.issue_at.as_secs());
+        }
+    }
 }
 
 const ALGOS: [Algorithm; 13] = [
@@ -152,7 +165,7 @@ proptest! {
     #[test]
     fn ecc_accounting(jobs in arb_jobs(), eccs_seed in arb_eccs(40)) {
         let n = jobs.len() as u64;
-        let eccs: Vec<EccSpec> = eccs_seed
+        let mut eccs: Vec<EccSpec> = eccs_seed
             .into_iter()
             .map(|mut e| {
                 // Keep some dangling ids to exercise the stale path.
@@ -162,6 +175,7 @@ proptest! {
                 e
             })
             .collect();
+        anchor_eccs(&jobs, &mut eccs);
         let w = Workload { jobs, eccs: eccs.clone() };
         for policy_elastic in [false, true] {
             let algo = if policy_elastic {
@@ -185,6 +199,8 @@ proptest! {
     /// shrinks a job below one allocation unit.
     #[test]
     fn resource_elasticity_bounds(jobs in arb_jobs(), eccs in arb_eccs(40)) {
+        let mut eccs = eccs;
+        anchor_eccs(&jobs, &mut eccs);
         let w = Workload { jobs, eccs };
         let scheduler = elastisched_sched::DelayedLos::new();
         let mut engine = elastisched_sim::Engine::new(
