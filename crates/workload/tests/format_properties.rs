@@ -8,6 +8,7 @@
 //! records, or the same error message on the same line.
 
 use elastisched_sim::{EccKind, JobSource, SourceItem};
+use elastisched_test_util::Fnv;
 use elastisched_workload::{
     generate, CwfFile, CwfRecord, CwfSource, GeneratorConfig, ParseError, RequestType, SwfFile,
     SwfRecord, SwfSource, Workload,
@@ -488,11 +489,11 @@ fn request_codes_match_exactly() {
 // Writers
 // ---------------------------------------------------------------------
 
-/// 64-bit FNV-1a.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
-        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
-    })
+/// The 64-bit FNV-1a digest of `text`, as 16 hex digits.
+fn fnv1a(text: &str) -> String {
+    let mut h = Fnv::default();
+    h.bytes(text.as_bytes());
+    h.hex()
 }
 
 /// A heterogeneous, half-malleable workload with the paper's ECCs, as a
@@ -519,18 +520,12 @@ fn writers_render_pinned_bytes() {
     };
     let swf_text = swf.to_text();
     assert_eq!(
-        (
-            cwf_text.len(),
-            format!("{:016x}", fnv1a(cwf_text.as_bytes()))
-        ),
+        (cwf_text.len(), fnv1a(&cwf_text)),
         (186603, "d043f80b2107dd70".to_string()),
         "CWF writer output drifted"
     );
     assert_eq!(
-        (
-            swf_text.len(),
-            format!("{:016x}", fnv1a(swf_text.as_bytes()))
-        ),
+        (swf_text.len(), fnv1a(&swf_text)),
         (157267, "545b751e914297ee".to_string()),
         "SWF writer output drifted"
     );
