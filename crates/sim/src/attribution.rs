@@ -134,8 +134,7 @@ pub struct BlockerShare {
 }
 
 /// Per-run roll-up of every completed job's [`WaitAttribution`],
-/// folded O(1) at completion so streamed runs carry it in bounded
-/// memory.
+/// folded O(1) at completion so runs carry it in bounded memory.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct AttributionProfile {
     /// Jobs folded into this profile.
@@ -278,7 +277,7 @@ pub(crate) enum PendingCause {
 const NO_CLASS: u32 = u32::MAX;
 
 /// Per-job attribution accumulator, slab-parallel to the engine's job
-/// records (recycled with the slot on streamed runs).
+/// records (recycled with the slot).
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct JobAttr {
     /// Instant from which this job's wait is still uncharged: the
