@@ -10,7 +10,7 @@
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use elastisched::prelude::*;
 use elastisched_sim::event::reference::HeapEventQueue;
-use elastisched_sim::{Duration, Event, EventQueue, JobId, SimTime};
+use elastisched_sim::{Duration, Event, EventQueue, SimTime};
 
 const JOBS: usize = 500;
 
@@ -60,8 +60,8 @@ fn replay<Q: Queue>(arrivals: &[SimTime], q: &mut Q) {
         q.push(
             at,
             Event::Completion {
-                job: JobId(i as u64),
-                epoch: 0,
+                slot: i as u32,
+                key: i as u64,
             },
         );
     }

@@ -196,12 +196,12 @@ pub struct EngineStats {
     /// memory is proportional to.
     #[serde(default)]
     pub peak_live_jobs: u64,
-    /// High-water mark of the waiting-jobs snapshot buffer, dead views
-    /// included. Bounded by ~2× the peak waiting count regardless of
-    /// whether the policy ever borrows the snapshot: the start-time
-    /// compaction keeps dead views from outnumbering live ones, so a
-    /// value near the trace length flags a compaction regression (on a
-    /// streamed soak this buffer would otherwise grow with the trace).
+    /// High-water mark of the wait-view buffer, dead views included.
+    /// Bounded by ~2× the peak waiting count (past a 1024-view floor):
+    /// the start-time compaction keeps dead views from outnumbering live
+    /// ones, so a value near the trace length flags a compaction
+    /// regression (on a streamed soak this buffer would otherwise grow
+    /// with the trace).
     #[serde(default)]
     pub peak_wait_views: u64,
 }
@@ -352,18 +352,19 @@ struct EngineState {
     reconfig_cost: ReconfigCost,
     reconfig: ReconfigStats,
     makespan: SimTime,
-    /// Incremental arrival-ordered snapshot of waiting jobs, lent to
-    /// schedulers via [`SchedContext::waiting_jobs`] as
-    /// `wait_views[wait_head..]`. Arrivals append; a start of the snapshot
-    /// head just advances the cursor (O(1), the common FIFO case); a start
-    /// from the middle bumps `wait_stale` and the next borrow compacts in
-    /// one pass. Queued ECCs edit their view in place, so a clean snapshot
-    /// is never rebuilt.
+    /// The last completion key drawn (see [`EngineState::schedule_completion`]).
+    last_completion_key: u64,
+    /// Arrival-ordered views of the waiting jobs, read by the timeline
+    /// sampler, the audit and the postmortem. Arrivals append; a start of
+    /// the view at `wait_head` just advances the cursor (the common FIFO
+    /// case); a start from the middle leaves a dead view and bumps
+    /// `wait_stale` for the next compaction. Queued ECCs edit their view
+    /// in place.
     wait_views: Vec<JobView>,
     /// Record-slab slot of each view in `wait_views` (same indexing,
-    /// mutated in lockstep). Compaction reads liveness straight from the
-    /// record — no id hashing — and writes the surviving views' new
-    /// positions back into their records (`JobRecord::wait_pos`).
+    /// mutated in lockstep). A view is live exactly when its record is
+    /// waiting and points back at the view's position
+    /// (`JobRecord::wait_pos`; see [`EngineState::view_live`]).
     wait_recs: Vec<u32>,
     wait_head: usize,
     wait_stale: usize,
@@ -394,13 +395,6 @@ impl EngineState {
         self.id_map.get(&id).map(|&i| &self.records[i])
     }
 
-    fn record_mut(&mut self, id: JobId) -> Option<&mut JobRecord> {
-        match self.id_map.get(&id) {
-            Some(&i) => Some(&mut self.records[i]),
-            None => None,
-        }
-    }
-
     /// [`Held`] recomputed from a walk over the running set, from each
     /// entry's width: what the kept counters must equal (checked by the
     /// audit and by debug builds).
@@ -426,26 +420,43 @@ impl EngineState {
         held
     }
 
-    /// Bring the waiting-jobs snapshot back to exactness. Head starts
-    /// were already absorbed by the cursor; only an out-of-order start
-    /// (`wait_stale`) forces a compaction pass, and a long dead prefix is
-    /// reclaimed so the buffer does not grow without bound.
+    /// Schedule the completion of the running job in `slot` at `at`
+    /// under a fresh key, which makes every earlier completion event for
+    /// the slot stale.
+    fn schedule_completion(&mut self, slot: usize, at: SimTime) {
+        self.last_completion_key += 1;
+        let key = self.last_completion_key;
+        self.records[slot].completion_key = key;
+        let slot = slot as u32;
+        self.queue.push(at, Event::Completion { slot, key });
+    }
+
+    /// Whether the view at position `r` is live: its record is waiting
+    /// and points back at `r`. A view left by an out-of-order start fails
+    /// this whatever later holds its slot, since a waiting record has
+    /// exactly one view, at its `wait_pos`.
+    fn view_live(&self, r: usize) -> bool {
+        let rec = &self.records[self.wait_recs[r] as usize];
+        rec.state == JobState::Waiting && rec.wait_pos as usize == r
+    }
+
+    /// Drop the dead views. Head starts were already absorbed by the
+    /// cursor; only an out-of-order start (`wait_stale`) forces a
+    /// compaction pass, and a long dead prefix is reclaimed so the buffer
+    /// does not grow without bound.
     fn sync_wait_views(&mut self) {
         if self.wait_stale > 0 {
-            // One in-place pass: each view carries its record slot, so
-            // liveness is a state load (no id hashing), and every
-            // surviving view writes its new position back into its
-            // record for the O(1) queued-ECC edit. The id check guards
-            // against a dead view whose slot was already recycled by a
-            // later arrival.
+            // One in-place pass; every surviving view writes its new
+            // position back into its record. A slot's dead views precede
+            // its live one (they belong to earlier holders), so each
+            // liveness check reads a position not yet rewritten.
             let mut w = 0;
             for r in 0..self.wait_views.len() {
-                let slot = self.wait_recs[r] as usize;
-                let rec = &mut self.records[slot];
-                if rec.state == JobState::Waiting && rec.spec.id == self.wait_views[r].id {
-                    rec.wait_pos = w as u32;
+                if self.view_live(r) {
+                    let slot = self.wait_recs[r];
+                    self.records[slot as usize].wait_pos = w as u32;
                     self.wait_views[w] = self.wait_views[r];
-                    self.wait_recs[w] = slot as u32;
+                    self.wait_recs[w] = slot;
                     w += 1;
                 }
             }
@@ -507,7 +518,7 @@ impl SchedContext for EngineState {
         let alloc = rec.alloc;
         let kill_by = now + rec.est_dur;
         let completes = now + rec.actual_dur.min(rec.est_dur);
-        let epoch = rec.completion_epoch;
+        let at_head = rec.wait_pos as usize == self.wait_head;
         // Allocate before mutating state so a machine refusal leaves the
         // job safely in the queue.
         self.machine.allocate(alloc, now)?;
@@ -522,29 +533,21 @@ impl SchedContext for EngineState {
             num: alloc,
             finish: kill_by,
         });
-        self.queue
-            .push(completes, Event::Completion { job: id, epoch });
-        // Snapshot upkeep: starting the snapshot head (the FIFO-discipline
-        // common case) is a cursor bump; anything else defers to a
-        // compaction at the next borrow.
-        if self
-            .wait_views
-            .get(self.wait_head)
-            .is_some_and(|v| v.id == id)
-        {
+        self.schedule_completion(idx, completes);
+        // View upkeep: starting the view at the cursor (the
+        // FIFO-discipline common case) is a cursor bump; anything else
+        // leaves a dead view for a later compaction.
+        if at_head {
             self.wait_head += 1;
         } else {
             self.wait_stale += 1;
         }
-        // A policy that drives starts from its own queue may never borrow
-        // the snapshot, so the borrow-time compaction alone would let
-        // dead views pile up for the whole run — O(trace) memory on a
-        // streamed soak. Compact here too once dead entries outnumber
+        // Left alone, dead views would pile up for the whole run — O(trace)
+        // memory on a streamed soak. Compact once dead entries outnumber
         // live ones: each pass at least halves the buffer, so the cost
-        // stays amortized O(1) per start. The floor is high enough that
-        // a bench-scale run (hundreds of starts between borrows) never
-        // pays for a pass it does not need — the buffer is only ever
-        // large on archive-scale runs.
+        // stays amortized O(1) per start. The floor is high enough that a
+        // bench-scale run never pays for a pass it does not need — the
+        // buffer is only ever large on archive-scale runs.
         let dead = self.wait_head + self.wait_stale;
         if dead > 1024 && dead * 2 > self.wait_views.len() {
             self.sync_wait_views();
@@ -558,11 +561,6 @@ impl SchedContext for EngineState {
             }
         );
         Ok(())
-    }
-
-    fn waiting_jobs(&mut self) -> &[JobView] {
-        self.sync_wait_views();
-        &self.wait_views[self.wait_head..]
     }
 
     fn waiting_dur(&self, id: JobId) -> Option<Duration> {
@@ -606,10 +604,10 @@ impl SchedContext for EngineState {
         };
         let now = self.now;
         let unit = self.machine.unit().max(1);
-        let rec = self.record(id).expect("bounds imply a live record");
-        let (started, finish) = match rec.state {
-            JobState::Running { started, finish } => (started, finish),
-            _ => return 0,
+        let idx = self.id_map[&id];
+        let rec = &mut self.records[idx];
+        let JobState::Running { started, finish } = rec.state else {
+            unreachable!("bounds imply a running job");
         };
         let shrink = round_down_to_unit(delta, unit).min(rec.alloc.saturating_sub(floor));
         if shrink == 0 {
@@ -617,14 +615,11 @@ impl SchedContext for EngineState {
         }
         let cost = self.reconfig_cost.charge(shrink, unit);
         let new_finish = rescaled_finish(now, finish, rec.alloc, rec.alloc - shrink) + cost;
-        let rec = self.record_mut(id).expect("checked above");
         let old = Held::of(rec);
         rec.alloc -= shrink;
         rec.mal_gain = rec.mal_gain.saturating_sub(shrink);
         rec.est_dur = new_finish - started;
         rec.actual_dur = rec.est_dur;
-        rec.completion_epoch += 1;
-        let epoch = rec.completion_epoch;
         let alloc = rec.alloc;
         rec.state = JobState::Running {
             started,
@@ -634,8 +629,7 @@ impl SchedContext for EngineState {
         self.held.replace(old, new);
         self.running.update_num(id, alloc);
         self.running.update_finish(id, new_finish);
-        self.queue
-            .push(new_finish, Event::Completion { job: id, epoch });
+        self.schedule_completion(idx, new_finish);
         self.machine
             .release(shrink, now)
             .expect("shrink releases processors the job holds");
@@ -662,10 +656,10 @@ impl SchedContext for EngineState {
         };
         let now = self.now;
         let unit = self.machine.unit().max(1);
-        let rec = self.record(id).expect("bounds imply a live record");
-        let (started, finish) = match rec.state {
-            JobState::Running { started, finish } => (started, finish),
-            _ => return 0,
+        let idx = self.id_map[&id];
+        let rec = &self.records[idx];
+        let JobState::Running { started, finish } = rec.state else {
+            unreachable!("bounds imply a running job");
         };
         let grow = round_down_to_unit(delta, unit)
             .min(ceiling.saturating_sub(rec.alloc))
@@ -678,14 +672,12 @@ impl SchedContext for EngineState {
         self.machine
             .allocate(grow, now)
             .expect("fit was checked above");
-        let rec = self.record_mut(id).expect("checked above");
+        let rec = &mut self.records[idx];
         let old = Held::of(rec);
         rec.alloc += grow;
         rec.mal_gain += grow;
         rec.est_dur = new_finish - started;
         rec.actual_dur = rec.est_dur;
-        rec.completion_epoch += 1;
-        let epoch = rec.completion_epoch;
         let alloc = rec.alloc;
         rec.state = JobState::Running {
             started,
@@ -695,8 +687,7 @@ impl SchedContext for EngineState {
         self.held.replace(old, new);
         self.running.update_num(id, alloc);
         self.running.update_finish(id, new_finish);
-        self.queue
-            .push(new_finish, Event::Completion { job: id, epoch });
+        self.schedule_completion(idx, new_finish);
         self.reconfig.grows += 1;
         self.reconfig.procs_granted += u64::from(grow);
         self.reconfig.cost_secs += cost.as_secs();
@@ -772,6 +763,7 @@ impl<S: Scheduler> Engine<S> {
                 reconfig_cost: ReconfigCost::default(),
                 reconfig: ReconfigStats::default(),
                 makespan: SimTime::ZERO,
+                last_completion_key: 0,
                 wait_views: Vec::new(),
                 wait_recs: Vec::new(),
                 wait_head: 0,
@@ -1038,8 +1030,8 @@ impl<S: Scheduler> Engine<S> {
                 for ev in batch.drain(..) {
                     dispatched += 1;
                     // A wakeup only forces this cycle.
-                    if let Event::Completion { job, epoch } = ev {
-                        self.handle_completion(job, epoch, fold)?;
+                    if let Event::Completion { slot, key } = ev {
+                        self.handle_completion(slot as usize, key, fold)?;
                     }
                 }
             }
@@ -1184,10 +1176,9 @@ impl<S: Scheduler> Engine<S> {
         let head = state.wait_head;
         let mut i = state.oldest_live.max(head);
         let mut oldest_wait_secs = 0u64;
-        while let Some(v) = state.wait_views.get(i) {
-            let rec = &state.records[state.wait_recs[i] as usize];
-            if rec.state == JobState::Waiting && rec.spec.id == v.id {
-                oldest_wait_secs = at.saturating_since(v.submit).as_secs();
+        while i < state.wait_views.len() {
+            if state.view_live(i) {
+                oldest_wait_secs = at.saturating_since(state.wait_views[i].submit).as_secs();
                 break;
             }
             i += 1;
@@ -1267,11 +1258,12 @@ impl<S: Scheduler> Engine<S> {
         }
         rec.dumped = true;
         let path = rec.path.clone();
-        let head = self.state.wait_head;
-        let queue_heads: Vec<String> = self.state.wait_views[head..]
-            .iter()
+        let st = &self.state;
+        let queue_heads: Vec<String> = (st.wait_head..st.wait_views.len())
+            .filter(|&r| st.view_live(r))
             .take(8)
-            .map(|v| {
+            .map(|r| {
+                let v = &st.wait_views[r];
                 format!(
                     "job {} ({} procs, {}s est, submitted t={}s)",
                     v.id.0,
@@ -1422,19 +1414,33 @@ impl<S: Scheduler> Engine<S> {
                 ),
             ));
         }
+        // View identity, which view liveness rests on: every waiting
+        // record's `wait_pos` names a view past the cursor that names the
+        // record's own slot.
+        let head = self.state.wait_head;
+        for (slot, rec) in self.state.records.iter().enumerate() {
+            let pos = rec.wait_pos as usize;
+            if rec.state == JobState::Waiting
+                && (pos < head || self.state.wait_recs.get(pos) != Some(&(slot as u32)))
+            {
+                return Err(Self::audit_fail(
+                    "slab",
+                    format!(
+                        "waiting job {} in slot {slot} does not own view {pos}",
+                        rec.spec.id.0
+                    ),
+                ));
+            }
+        }
         // Bucket-FIFO dispatch order: live wait views are appended at
         // arrival and compaction preserves order, so their submit times
         // must be non-decreasing.
-        let head = self.state.wait_head;
         let mut prev = SimTime::ZERO;
-        for (v, &slot) in self.state.wait_views[head..]
-            .iter()
-            .zip(&self.state.wait_recs[head..])
-        {
-            let rec = &self.state.records[slot as usize];
-            if rec.state != JobState::Waiting || rec.spec.id != v.id {
+        for r in head..self.state.wait_views.len() {
+            if !self.state.view_live(r) {
                 continue; // dead view awaiting compaction
             }
+            let v = &self.state.wait_views[r];
             if v.submit < prev {
                 return Err(Self::audit_fail(
                     "fifo",
@@ -1627,8 +1633,8 @@ impl<S: Scheduler> Engine<S> {
                 self.state.queue.push(start, Event::Wakeup);
             }
         }
-        // Appending a genuinely-waiting view keeps the snapshot exact, so
-        // no dirty flag: arrival bursts stay O(1) per job.
+        // Appending a live view needs no compaction: arrival bursts stay
+        // O(1) per job.
         self.state.wait_views.push(view);
         self.state.wait_recs.push(idx as u32);
         self.state.peak_wait_views = self.state.peak_wait_views.max(self.state.wait_views.len());
@@ -1649,33 +1655,20 @@ impl<S: Scheduler> Engine<S> {
 
     fn handle_completion(
         &mut self,
-        id: JobId,
-        epoch: u64,
+        idx: usize,
+        key: u64,
         fold: &mut dyn FnMut(&JobOutcome),
     ) -> Result<(), SimError> {
         let now = self.state.now;
-        let Some(&idx) = self.state.id_map.get(&id) else {
-            return Ok(());
+        let rec = &self.state.records[idx];
+        if rec.completion_key != key {
+            return Ok(()); // stale: re-keyed by a retime or resize, or its job is done
+        }
+        let JobState::Running { started, .. } = rec.state else {
+            unreachable!("a current completion key implies a running job");
         };
-        let (alloc, started) = {
-            let rec = &mut self.state.records[idx];
-            if rec.completion_epoch != epoch {
-                return Ok(()); // stale: an ECC rescheduled this completion
-            }
-            let started = match rec.state {
-                JobState::Running { started, .. } => started,
-                // A reduce-time ECC may complete the job inline and leave
-                // the original completion event dangling.
-                _ => return Ok(()),
-            };
-            let share = Held::of(rec);
-            rec.state = JobState::Completed {
-                started,
-                finished: now,
-            };
-            self.state.held.sub(share);
-            (rec.alloc, started)
-        };
+        let (id, alloc) = (rec.spec.id, rec.alloc);
+        self.state.held.sub(Held::of(rec));
         self.state
             .machine
             .release(alloc, now)
@@ -1684,9 +1677,9 @@ impl<S: Scheduler> Engine<S> {
         self.push_outcome(idx, id, started, now, alloc, fold)?;
         self.scheduler.on_completion(id);
         // The job is fully accounted for; free its id and slot so the
-        // run's footprint tracks live jobs only. Any not-yet-dispatched
-        // event naming this id (a stale completion, a late ECC) falls
-        // through the unknown-id paths above and in `handle_ecc`.
+        // run's footprint tracks live jobs only. A late ECC naming the id
+        // is dropped as stale, and any queued completion event for the
+        // slot carries an older key.
         self.state.id_map.remove(&id);
         self.state.free_slots.push(idx);
         Ok(())
@@ -1778,22 +1771,19 @@ impl<S: Scheduler> Engine<S> {
         let unit = self.state.machine.unit();
         let total = self.state.machine.total();
 
-        let Some(rec) = self.state.record_mut(ecc.job) else {
+        let Some(&idx) = self.state.id_map.get(&ecc.job) else {
             self.state.ecc_stats.dropped_stale += 1;
             return Ok(());
         };
+        let rec = &mut self.state.records[idx];
         if rec.ecc_count >= policy.max_per_job {
             self.state.ecc_stats.dropped_policy += 1;
             return Ok(());
         }
 
         match rec.state {
-            JobState::Completed { .. } => {
-                self.state.ecc_stats.dropped_stale += 1;
-                Ok(())
-            }
             JobState::Running { started, finish } => {
-                self.apply_running_ecc(ecc, started, finish, now, unit)
+                self.apply_running_ecc(ecc, idx, started, finish, now, unit)
             }
             JobState::Waiting => {
                 let amount = Duration::from_secs(ecc.amount);
@@ -1843,18 +1833,15 @@ impl<S: Scheduler> Engine<S> {
                 );
                 // The record knows its view's position (maintained by every
                 // compaction), so the in-place edit is O(1) instead of a
-                // scan of the snapshot buffer — the scan was quadratic
-                // over a long trace whose jobs mostly wait.
-                if let Some(v) = self.state.wait_views.get_mut(pos) {
-                    if v.id == id {
-                        v.num = num;
-                        v.dur = dur;
-                    }
-                }
+                // scan of the view buffer — the scan was quadratic over a
+                // long trace whose jobs mostly wait.
+                let v = &mut self.state.wait_views[pos];
+                v.num = num;
+                v.dur = dur;
                 // A width change moves the job to another attribution
                 // class.
                 if let Some(attr) = self.state.attr.as_deref_mut() {
-                    attr.resize(self.state.id_map[&id], num);
+                    attr.resize(idx, num);
                 }
                 self.scheduler.on_queued_ecc(id, num, dur);
                 Ok(())
@@ -1865,6 +1852,7 @@ impl<S: Scheduler> Engine<S> {
     fn apply_running_ecc(
         &mut self,
         ecc: EccSpec,
+        idx: usize,
         started: SimTime,
         finish: SimTime,
         now: SimTime,
@@ -1880,13 +1868,11 @@ impl<S: Scheduler> Engine<S> {
                     // Cannot cut below "complete right now".
                     SimTime::from_secs(finish.as_secs().saturating_sub(amount.as_secs())).max(now)
                 };
-                let rec = self.state.record_mut(id).expect("checked above");
+                let rec = &mut self.state.records[idx];
                 let old = Held::of(rec);
                 rec.est_dur = new_finish - started;
                 rec.actual_dur = rec.est_dur;
-                rec.completion_epoch += 1;
                 rec.ecc_count += 1;
-                let epoch = rec.completion_epoch;
                 let alloc = rec.alloc;
                 rec.state = JobState::Running {
                     started,
@@ -1895,9 +1881,7 @@ impl<S: Scheduler> Engine<S> {
                 let new = Held::of(rec);
                 self.state.held.replace(old, new);
                 self.state.running.update_finish(id, new_finish);
-                self.state
-                    .queue
-                    .push(new_finish, Event::Completion { job: id, epoch });
+                self.state.schedule_completion(idx, new_finish);
                 self.state.ecc_stats.applied_running += 1;
                 trace_event!(
                     self.state.trace.as_deref_mut(),
@@ -1922,7 +1906,7 @@ impl<S: Scheduler> Engine<S> {
                     .machine
                     .allocate(grow, now)
                     .map_err(|e| SimError::Start(e.to_string()))?;
-                let rec = self.state.record_mut(id).expect("checked above");
+                let rec = &mut self.state.records[idx];
                 let old = Held::of(rec);
                 rec.alloc += grow;
                 rec.ecc_count += 1;
@@ -1945,7 +1929,7 @@ impl<S: Scheduler> Engine<S> {
                 Ok(())
             }
             EccKind::ReduceProcs => {
-                let rec = self.state.record_mut(id).expect("checked above");
+                let rec = &mut self.state.records[idx];
                 let shrink = round_down_to_unit(ecc.amount.min(u64::from(u32::MAX)) as u32, unit)
                     .min(rec.alloc.saturating_sub(unit));
                 if shrink == 0 {
@@ -2496,12 +2480,9 @@ mod tests {
 
         #[test]
         fn wait_view_buffer_stays_bounded_without_snapshot_borrows() {
-            // A policy that runs starts off its own queue — LIFO here, so
-            // almost every start is out of order — and never calls
-            // `waiting_jobs()`. The borrow-time compaction alone would
-            // then never fire and the snapshot buffer would hold one dead
-            // view per job for the whole run; the start-time pass must
-            // keep it proportional to the live backlog instead.
+            // A LIFO policy starts almost every job out of order, leaving
+            // one dead view per job; the start-time compaction must keep
+            // the buffer proportional to the live backlog instead.
             struct TestLifo {
                 queue: Vec<JobView>,
             }

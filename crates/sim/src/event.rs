@@ -30,7 +30,6 @@
 //! behind the `reference-kernels` feature, as a differential-testing
 //! oracle (see `tests/event_queue_differential.rs`).
 
-use crate::job::JobId;
 use crate::time::SimTime;
 
 /// Something the run itself scheduled. Arrivals and Elastic Control
@@ -39,9 +38,11 @@ use crate::time::SimTime;
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[allow(missing_docs)] // field names are self-describing
 pub enum Event {
-    /// A running job reached its kill-by time. `epoch` invalidates
-    /// completions that were rescheduled by an ECC or a resize.
-    Completion { job: JobId, epoch: u64 },
+    /// A running job reached its kill-by time. `slot` is the job's record
+    /// slot, never its reusable id, and the event is current only while
+    /// that record still holds `key`. Keys come from one run-wide counter,
+    /// so an ECC retime, a resize or the slot's reuse leaves it stale.
+    Completion { slot: u32, key: u64 },
     /// A scheduler wakeup with no state change of its own (used to force a
     /// scheduling cycle at a dedicated job's requested start time).
     Wakeup,
@@ -487,11 +488,8 @@ mod tests {
         SimTime::from_secs(s)
     }
 
-    fn done(id: u64) -> Event {
-        Event::Completion {
-            job: JobId(id),
-            epoch: 0,
-        }
+    fn done(key: u64) -> Event {
+        Event::Completion { slot: 0, key }
     }
 
     #[test]
@@ -509,12 +507,12 @@ mod tests {
     #[test]
     fn same_time_is_fifo() {
         let mut q = EventQueue::new();
-        for id in 0..100u64 {
-            q.push(t(5), done(id));
+        for key in 0..100u64 {
+            q.push(t(5), done(key));
         }
-        for id in 0..100u64 {
+        for want in 0..100u64 {
             match q.pop().unwrap().1 {
-                Event::Completion { job, .. } => assert_eq!(job, JobId(id)),
+                Event::Completion { key, .. } => assert_eq!(key, want),
                 other => panic!("unexpected event {other:?}"),
             }
         }

@@ -163,7 +163,8 @@ impl JobSpec {
     }
 }
 
-/// Lifecycle state of a job inside the engine.
+/// Lifecycle state of a job inside the engine. A completed job has no
+/// state: its record slot is reclaimed at completion.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 #[allow(missing_docs)] // field names are self-describing
 pub enum JobState {
@@ -172,8 +173,6 @@ pub enum JobState {
     /// Running since `started`, will complete at `finish` unless an ECC
     /// moves the kill-by time.
     Running { started: SimTime, finish: SimTime },
-    /// Finished.
-    Completed { started: SimTime, finished: SimTime },
 }
 
 /// Mutable per-job bookkeeping owned by the engine.
@@ -198,13 +197,16 @@ pub struct JobRecord {
     /// saturating at zero). Kept separate from ECC-driven allocation
     /// changes so wait attribution can charge them to different buckets.
     pub mal_gain: u32,
-    /// Epoch counter used to invalidate stale completion events after an
-    /// ECC reschedules the kill-by time.
-    pub completion_epoch: u64,
-    /// Position of this job's entry in the engine's waiting-jobs snapshot
-    /// buffer, maintained by every snapshot compaction. Meaningful only
-    /// while `state` is [`JobState::Waiting`]; lets a queued ECC edit its
-    /// view in O(1) instead of scanning the buffer.
+    /// Key of this job's one current completion event. The engine draws
+    /// every key from one run-wide counter, so a completion event is
+    /// current exactly when its record slot holds its key: a retime, a
+    /// resize or the slot's reuse by a later job makes it stale. `0`
+    /// (no event) until the job starts.
+    pub(crate) completion_key: u64,
+    /// Position of this job's view in the engine's wait-view buffer,
+    /// maintained by every compaction. Meaningful only while `state` is
+    /// [`JobState::Waiting`]; then a view is this job's exactly when it
+    /// sits at `wait_pos` and names this record's slot.
     pub(crate) wait_pos: u32,
 }
 
@@ -222,7 +224,7 @@ impl JobRecord {
             alloc,
             ecc_count: 0,
             mal_gain: 0,
-            completion_epoch: 0,
+            completion_key: 0,
             wait_pos: u32::MAX,
         }
     }
@@ -231,12 +233,6 @@ impl JobRecord {
     #[inline]
     pub fn is_running(&self) -> bool {
         matches!(self.state, JobState::Running { .. })
-    }
-
-    /// True if the job finished.
-    #[inline]
-    pub fn is_completed(&self) -> bool {
-        matches!(self.state, JobState::Completed { .. })
     }
 
     /// Scheduled completion time, if running.
@@ -325,7 +321,6 @@ mod tests {
             "residual saturates at zero past the finish time"
         );
         assert!(r.is_running());
-        assert!(!r.is_completed());
     }
 
     #[test]

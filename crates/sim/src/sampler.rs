@@ -94,7 +94,7 @@ pub struct TimelineSample {
     pub oldest_wait_secs: u64,
     /// Running jobs.
     pub running: u32,
-    /// Entries in the engine's waiting-jobs snapshot buffer (live views
+    /// Entries in the engine's wait-view buffer (live views
     /// plus not-yet-compacted dead ones) — the quantity
     /// [`crate::EngineStats::peak_wait_views`] tracks the peak of.
     pub live_wait_views: u32,

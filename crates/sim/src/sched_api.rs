@@ -139,16 +139,6 @@ pub trait SchedContext {
     /// Request a scheduler wakeup (an empty event forcing a cycle) at `at`.
     /// Used to revisit dedicated jobs at their requested start times.
     fn request_wakeup(&mut self, at: SimTime);
-    /// The engine's wait-queue snapshot: every waiting job, in arrival
-    /// order, with queued ECCs already folded into `num`/`dur`.
-    ///
-    /// The engine maintains this incrementally (arrivals append, starts
-    /// and ECCs mark it dirty, the borrow compacts lazily), so reading it
-    /// every cycle costs nothing when nothing changed — schedulers should
-    /// borrow it instead of mirroring arrivals into their own vectors.
-    /// The slice is invalidated by [`SchedContext::start`]; re-borrow
-    /// after starting a job.
-    fn waiting_jobs(&mut self) -> &[JobView];
     /// The run's trace sink, when tracing is enabled. Schedulers record
     /// decision events through this (via the `trace_event!` macro, which
     /// skips event construction entirely when the sink is absent).

@@ -1,10 +1,14 @@
-//! Engine edge cases exercised through a minimal FIFO policy.
+//! Engine edge cases exercised through minimal FIFO and first-fit
+//! policies, and the job-identity proptest: a streamed run that reuses
+//! ids once their holders finish must schedule exactly like one with
+//! unique ids.
 
 use elastisched_sim::{
-    simulate, Duration, EccKind, EccPolicy, EccSpec, Engine, JobId, JobSpec, JobView, Machine,
-    SchedContext, Scheduler, SimError, SimResult, SimTime, SliceSource,
+    simulate, Duration, EccKind, EccPolicy, EccSpec, Engine, JobId, JobOutcome, JobSpec, JobView,
+    Machine, SchedContext, Scheduler, SimError, SimResult, SimTime, SliceSource, TimelineConfig,
 };
-use std::collections::VecDeque;
+use proptest::prelude::*;
+use std::collections::{BTreeSet, HashMap, VecDeque};
 
 /// Minimal FIFO policy: starts the head whenever it fits.
 #[derive(Default)]
@@ -46,6 +50,47 @@ impl Scheduler for Fifo {
     }
 }
 
+/// Minimal first-fit policy: each cycle starts, in queue order, every
+/// queued job that fits — so a narrow job overtakes a blocked wide one
+/// and leaves a dead wait view behind.
+#[derive(Default)]
+struct FirstFit {
+    queue: Vec<JobView>,
+}
+
+impl Scheduler for FirstFit {
+    fn on_arrival(&mut self, job: JobView) {
+        self.queue.push(job);
+    }
+
+    fn on_queued_ecc(&mut self, id: JobId, num: u32, dur: Duration) {
+        if let Some(j) = self.queue.iter_mut().find(|j| j.id == id) {
+            j.num = num;
+            j.dur = dur;
+        }
+    }
+
+    fn cycle(&mut self, ctx: &mut dyn SchedContext) {
+        let mut i = 0;
+        while i < self.queue.len() {
+            if self.queue[i].num <= ctx.free() {
+                ctx.start(self.queue[i].id).expect("fit checked");
+                self.queue.remove(i);
+            } else {
+                i += 1;
+            }
+        }
+    }
+
+    fn waiting_len(&self) -> usize {
+        self.queue.len()
+    }
+
+    fn name(&self) -> &'static str {
+        "FirstFitTest"
+    }
+}
+
 fn run(jobs: &[JobSpec], eccs: &[EccSpec], policy: EccPolicy) -> SimResult {
     simulate(Machine::bluegene_p(), Fifo::default(), policy, jobs, eccs).unwrap()
 }
@@ -84,14 +129,23 @@ fn multiple_ecc_reschedules_keep_single_completion() {
     assert_eq!(r.ecc.applied_running, 3);
 }
 
-/// `jobs` and `eccs` streamed through the folded run, outcomes
-/// collected back into `SimResult::outcomes`.
+/// `jobs` and `eccs` streamed through the folded run of a FIFO engine,
+/// outcomes collected back into `SimResult::outcomes`.
 fn run_streamed(
     jobs: &[JobSpec],
     eccs: &[EccSpec],
     policy: EccPolicy,
 ) -> Result<SimResult, SimError> {
     let engine = Engine::new(Machine::bluegene_p(), Fifo::default(), policy);
+    run_streamed_on(engine, jobs, eccs)
+}
+
+/// [`run_streamed`] on a prepared engine.
+fn run_streamed_on<S: Scheduler>(
+    engine: Engine<S>,
+    jobs: &[JobSpec],
+    eccs: &[EccSpec],
+) -> Result<SimResult, SimError> {
     let mut outcomes = Vec::new();
     let mut r = engine.run_streaming_folded(SliceSource::new(jobs, eccs), &mut |o| {
         outcomes.push(o.clone())
@@ -472,4 +526,254 @@ fn starvation_is_reported() {
     )
     .unwrap_err();
     assert_eq!(err, elastisched_sim::SimError::Starvation { waiting: 1 });
+}
+
+/// `(submit, finished)` of every outcome, in completion order.
+fn finishes(r: &SimResult) -> Vec<(u64, u64)> {
+    r.outcomes
+        .iter()
+        .map(|o| (o.submit.as_secs(), o.finished.as_secs()))
+        .collect()
+}
+
+#[test]
+fn stale_completion_does_not_finish_the_next_holder_of_its_id() {
+    // Job 1's completion at t=1000 is moved to t=100 by a reduce-time
+    // ECC; a second job 1 arrives at t=200 into the reclaimed slot. The
+    // first holder's original event, still queued for t=1000, must not
+    // complete the second one.
+    let jobs = vec![
+        JobSpec::batch(1, 0, 320, 1_000),
+        JobSpec::batch(1, 200, 320, 1_000),
+    ];
+    let eccs = vec![EccSpec::reduce_time(JobId(1), SimTime::from_secs(10), 900)];
+    let r = run_streamed(&jobs, &eccs, EccPolicy::time_only()).unwrap();
+    assert_eq!(finishes(&r), [(0, 100), (200, 1_200)]);
+}
+
+#[test]
+fn stale_completion_does_not_finish_a_different_job_in_its_slot() {
+    // As above, but the reclaimed slot goes to job 2: the stale event
+    // names the slot, so only its key tells the two holders apart.
+    let jobs = vec![
+        JobSpec::batch(1, 0, 320, 1_000),
+        JobSpec::batch(2, 200, 320, 1_000),
+    ];
+    let eccs = vec![EccSpec::reduce_time(JobId(1), SimTime::from_secs(10), 900)];
+    let r = run_streamed(&jobs, &eccs, EccPolicy::time_only()).unwrap();
+    assert_eq!(finishes(&r), [(0, 100), (200, 1_200)]);
+}
+
+/// At `at`, the waiting jobs are those with `submit <= at < started`;
+/// the oldest wait is `at - min(submit)` over them, or 0.
+fn oldest_wait(outcomes: &[JobOutcome], at: SimTime) -> u64 {
+    outcomes
+        .iter()
+        .filter(|o| o.submit <= at && at < o.started)
+        .map(|o| o.submit)
+        .min()
+        .map_or(0, |s| at.saturating_since(s).as_secs())
+}
+
+#[test]
+fn dead_wait_view_stays_dead_when_its_slot_and_id_are_reused() {
+    // First fit starts job 1 (t=2) ahead of the blocked job 11, leaving
+    // a dead view. Job 1 completes at t=22, and the second job 1 (t=30)
+    // takes the same slot. The old view must stay dead: the oldest wait
+    // at t=150 is 120 s (the second job 1), not 148 s.
+    let jobs = vec![
+        JobSpec::batch(10, 0, 288, 15),
+        JobSpec::batch(11, 1, 64, 5),
+        JobSpec::batch(1, 2, 32, 20),
+        JobSpec::batch(12, 21, 320, 200),
+        JobSpec::batch(1, 30, 32, 10),
+        JobSpec::batch(13, 150, 320, 10),
+    ];
+    let mut engine = Engine::new(
+        Machine::bluegene_p(),
+        FirstFit::default(),
+        EccPolicy::disabled(),
+    );
+    engine.enable_timeline(TimelineConfig {
+        stride: Duration::from_secs(100),
+        budget: 64,
+    });
+    let r = run_streamed_on(engine, &jobs, &[]).unwrap();
+    assert_eq!(r.outcomes.len(), 6);
+    let samples = &r.timeline.samples;
+    assert!(samples.iter().any(|s| s.oldest_wait_secs > 0));
+    for s in samples {
+        assert_eq!(
+            s.oldest_wait_secs,
+            oldest_wait(&r.outcomes, s.at),
+            "sample at {}s",
+            s.at.as_secs()
+        );
+    }
+}
+
+#[test]
+fn postmortem_queue_heads_name_only_waiting_jobs() {
+    // First fit starts job 3 from behind the blocked job 2; a second,
+    // live-duplicate job 3 then aborts the run. The dump's queue heads
+    // must list job 2 alone, not the running job 3's dead view.
+    let jobs = vec![
+        JobSpec::batch(1, 0, 288, 100),
+        JobSpec::batch(2, 1, 64, 50),
+        JobSpec::batch(3, 2, 32, 50),
+        JobSpec::batch(3, 3, 32, 10),
+    ];
+    let path = std::env::temp_dir().join(format!(
+        "elastisched-postmortem-queue-heads-{}.jsonl",
+        std::process::id()
+    ));
+    let _ = std::fs::remove_file(&path);
+    let mut engine = Engine::new(
+        Machine::bluegene_p(),
+        FirstFit::default(),
+        EccPolicy::disabled(),
+    );
+    engine.enable_flight_recorder(&path);
+    let err = run_streamed_on(engine, &jobs, &[]).unwrap_err();
+    assert_eq!(err, SimError::DuplicateJobId(JobId(3)));
+    let text = std::fs::read_to_string(&path).expect("postmortem written");
+    let _ = std::fs::remove_file(&path);
+    let (snap, _) = elastisched_trace::read_postmortem(&text).unwrap();
+    assert_eq!(
+        snap.queue_heads,
+        ["job 2 (64 procs, 50s est, submitted t=1s)"]
+    );
+}
+
+/// A random workload: jobs in submit order with ids `1..=n`, some
+/// over-estimated, and time ECCs issued at or after their job's submit,
+/// in issue order.
+fn arb_workload() -> impl Strategy<Value = (Vec<JobSpec>, Vec<EccSpec>)> {
+    let job = (0u64..30, 1u32..=10, 1u64..120, 0u64..3);
+    let ecc = (0usize..1_000, 0u64..150, prop::bool::ANY, 0u64..100);
+    (
+        prop::collection::vec(job, 1..40),
+        prop::collection::vec(ecc, 0..30),
+    )
+        .prop_map(|(raw, raw_eccs)| {
+            let mut submit = 0;
+            let jobs: Vec<JobSpec> = raw
+                .into_iter()
+                .enumerate()
+                .map(|(i, (gap, units, dur, over))| {
+                    submit += gap;
+                    let mut j = JobSpec::batch(i as u64 + 1, submit, 32 * units, dur);
+                    j.actual = Duration::from_secs(dur - dur * over / 4);
+                    j
+                })
+                .collect();
+            let mut eccs: Vec<EccSpec> = raw_eccs
+                .into_iter()
+                .map(|(target, delay, extend, amount)| {
+                    let j = &jobs[target % jobs.len()];
+                    let at = j.submit + Duration::from_secs(delay);
+                    if extend {
+                        EccSpec::extend_time(j.id, at, amount)
+                    } else {
+                        EccSpec::reduce_time(j.id, at, amount)
+                    }
+                })
+                .collect();
+            eccs.sort_by_key(|e| e.issue_at);
+            (jobs, eccs)
+        })
+}
+
+/// Relabel `jobs` so that an id is reused as soon as its previous holder
+/// has finished (strictly before the next submit; at the same instant the
+/// arrival would meet a live duplicate), taking the smallest free id.
+/// ECCs issued after their job's finish, stale in `unique`, would reach
+/// the id's next holder, so they go to id 0, which no job holds: they stay
+/// stale and still mark their instant.
+fn reuse_ids(
+    jobs: &[JobSpec],
+    eccs: &[EccSpec],
+    unique: &SimResult,
+) -> (Vec<JobSpec>, Vec<EccSpec>, HashMap<JobId, JobId>) {
+    let finish: HashMap<JobId, SimTime> =
+        unique.outcomes.iter().map(|o| (o.id, o.finished)).collect();
+    let mut held: Vec<(SimTime, u64)> = Vec::new();
+    let mut free = BTreeSet::new();
+    let mut fresh = 0;
+    let mut label = HashMap::new();
+    let reused = jobs
+        .iter()
+        .map(|j| {
+            held.retain(|&(finished, id)| {
+                let done = finished < j.submit;
+                if done {
+                    free.insert(id);
+                }
+                !done
+            });
+            let id = free.pop_first().unwrap_or_else(|| {
+                fresh += 1;
+                fresh
+            });
+            held.push((finish[&j.id], id));
+            label.insert(j.id, JobId(id));
+            JobSpec {
+                id: JobId(id),
+                ..*j
+            }
+        })
+        .collect();
+    let eccs = eccs
+        .iter()
+        .map(|e| EccSpec {
+            job: if e.issue_at <= finish[&e.job] {
+                label[&e.job]
+            } else {
+                JobId(0)
+            },
+            ..*e
+        })
+        .collect();
+    (reused, eccs, label)
+}
+
+/// One streamed run with the timeline on, stride 1 s.
+fn timed_run<S: Scheduler + Default>(jobs: &[JobSpec], eccs: &[EccSpec]) -> SimResult {
+    let mut engine = Engine::new(Machine::bluegene_p(), S::default(), EccPolicy::time_only());
+    engine.enable_timeline(TimelineConfig {
+        stride: Duration::from_secs(1),
+        budget: 8192,
+    });
+    run_streamed_on(engine, jobs, eccs).unwrap()
+}
+
+fn check_id_reuse<S: Scheduler + Default>(jobs: &[JobSpec], eccs: &[EccSpec]) {
+    let unique = timed_run::<S>(jobs, eccs);
+    assert_eq!(unique.outcomes.len(), jobs.len());
+    let (jobs2, eccs2, label) = reuse_ids(jobs, eccs, &unique);
+    let reused = timed_run::<S>(&jobs2, &eccs2);
+    assert_eq!(reused.outcomes.len(), unique.outcomes.len());
+    for (a, b) in unique.outcomes.iter().zip(&reused.outcomes) {
+        assert_eq!(label[&a.id], b.id);
+        assert_eq!(
+            (a.started, a.finished, a.num),
+            (b.started, b.finished, b.num)
+        );
+    }
+    assert_eq!(unique.ecc, reused.ecc);
+    assert_eq!(&unique.timeline, &reused.timeline);
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Neither policy reads ids, so reusing them must change nothing:
+    /// the same per-job schedule and the same timeline, sample for
+    /// sample (the oldest wait included).
+    #[test]
+    fn reused_ids_schedule_like_unique_ones(workload in arb_workload()) {
+        let (jobs, eccs) = workload;
+        check_id_reuse::<Fifo>(&jobs, &eccs);
+        check_id_reuse::<FirstFit>(&jobs, &eccs);
+    }
 }

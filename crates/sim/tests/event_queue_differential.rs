@@ -12,7 +12,7 @@
 //! and sparse-year scans.
 
 use elastisched_sim::event::{reference::HeapEventQueue, Event, EventQueue};
-use elastisched_sim::{JobId, SimTime};
+use elastisched_sim::SimTime;
 use proptest::prelude::*;
 
 /// One step of the interleaved workload.
@@ -52,7 +52,7 @@ proptest! {
         let mut next_id = 0u64;
         let mut push_both = |cal: &mut EventQueue, heap: &mut HeapEventQueue, secs: u64| {
             let at = SimTime::from_secs(secs);
-            let ev = Event::Completion { job: JobId(next_id), epoch: 0 };
+            let ev = Event::Completion { slot: 0, key: next_id };
             next_id += 1;
             cal.push(at, ev.clone());
             heap.push(at, ev);

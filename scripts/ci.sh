@@ -94,11 +94,13 @@ echo "== audit layer (always-on schedule checks + postmortem dump) =="
 # injected capacity skew yields a recoverable violation plus a
 # parseable flight-recorder postmortem.
 cargo test --offline --locked --quiet -p elastisched-sim --features audit
-# The plane suites under the same feature: the audit's cross-check of
-# the engine's running-set aggregates then covers all 19 registry
-# algorithms and both resizing stacks (hybrid-los+m+e, easy+d+m+e).
+# The plane suites and the engine-mode parity proptest under the same
+# feature: the audit's cross-checks of the engine's running-set
+# aggregates and of each waiting job's wait-view identity then cover all
+# 19 registry algorithms and both resizing stacks (hybrid-los+m+e,
+# easy+d+m+e), on random workloads too.
 cargo test --offline --locked --quiet -p elastisched --features elastisched-sim/audit \
-    --test golden_planes --test attribution_properties
+    --test golden_planes --test attribution_properties --test streaming_differential
 
 echo "== scheduler oracles (pinned stack schedules, reference DP kernels, resource profile, fresh Conservative core) =="
 # legacy_differential pins the metrics and per-job schedule of every
