@@ -19,7 +19,7 @@ use crate::sched_api::{JobView, SchedContext, SchedStats, Scheduler, StartError}
 use crate::source::{JobSource, SliceSource, SourceItem};
 use crate::time::{Duration, SimTime};
 use elastisched_trace::{trace_event, EccTag, PostmortemSnapshot, TraceEvent, TraceSink};
-use std::collections::HashMap;
+use std::collections::{hash_map, HashMap};
 
 use std::fmt;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -1054,21 +1054,25 @@ impl<S: Scheduler> Engine<S> {
     /// [`JobState::Waiting`], and an id-map entry; returns the slot.
     fn enrol(&mut self, spec: JobSpec) -> Result<usize, SimError> {
         self.check_fits(spec)?;
+        let state = &mut self.state;
+        // A duplicate of a live id is rejected before it takes a slot, so
+        // the live job keeps its id-map entry.
+        let hash_map::Entry::Vacant(entry) = state.id_map.entry(spec.id) else {
+            return Err(SimError::DuplicateJobId(spec.id));
+        };
         // Recycle a completed job's slot when one is free, so the slab's
         // high-water mark is the peak live-job count.
-        let idx = match self.state.free_slots.pop() {
+        let idx = match state.free_slots.pop() {
             Some(idx) => {
-                self.state.records[idx] = JobRecord::new(spec);
+                state.records[idx] = JobRecord::new(spec);
                 idx
             }
             None => {
-                self.state.records.push(JobRecord::new(spec));
-                self.state.records.len() - 1
+                state.records.push(JobRecord::new(spec));
+                state.records.len() - 1
             }
         };
-        if self.state.id_map.insert(spec.id, idx).is_some() {
-            return Err(SimError::DuplicateJobId(spec.id));
-        }
+        entry.insert(idx);
         self.first_arrival = self.first_arrival.min(spec.submit);
         self.last_arrival = self.last_arrival.max(spec.submit);
         Ok(idx)
@@ -2638,6 +2642,30 @@ mod tests {
             );
             let err = run_streamed(engine, SliceSource::new(&jobs, &[])).unwrap_err();
             assert_eq!(err, SimError::DuplicateJobId(JobId(1)));
+        }
+
+        #[test]
+        fn duplicate_live_id_leaves_the_live_record_mapped() {
+            let mut engine = Engine::new(
+                Machine::bluegene_p(),
+                TestFifo::new(),
+                EccPolicy::disabled(),
+            );
+            engine
+                .admit(SourceItem::Job(JobSpec::batch(1, 0, 32, 1000)))
+                .unwrap();
+            let err = engine
+                .admit(SourceItem::Job(JobSpec::batch(1, 10, 64, 10)))
+                .unwrap_err();
+            assert_eq!(err, SimError::DuplicateJobId(JobId(1)));
+            assert_eq!(
+                engine.state.id_map[&JobId(1)],
+                0,
+                "id still names the live slot"
+            );
+            assert_eq!(engine.state.records.len(), 1, "no orphan record");
+            assert_eq!(engine.state.records[0].spec.num, 32);
+            assert!(engine.state.free_slots.is_empty());
         }
 
         #[test]
