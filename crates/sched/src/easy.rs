@@ -49,13 +49,20 @@ pub(crate) fn easy_cycle(
     let mut extra = shadow.frec;
     // Phase 3: aggressive backfill in FIFO order. A cursor walk starts
     // jobs in place — removal at the cursor keeps FIFO order and avoids
-    // collecting candidates into a per-cycle vector.
+    // collecting candidates into a per-cycle vector. `free` changes only
+    // at a start, and is read back then: unit rounding keeps it from
+    // being computed here. A waiting job is at least one unit wide
+    // (`is_valid_request` rejects 0 processors, a queued RP clamps to one
+    // unit), so the walk ends once nothing is free.
+    let mut free = ctx.free();
     let mut i = 1;
-    while let Some(w) = queue.get(i) {
+    while free > 0 {
+        let Some(w) = queue.get(i) else { break };
         let (id, num, dur) = (w.view.id, w.view.num, w.view.dur);
+        debug_assert!(num > 0, "a waiting job is at least one unit wide");
         let delays_head = shadow.extends(now, dur);
         let can_start =
-            num <= ctx.free() && (!delays_head || num <= extra) && ded_allows(&ded, now, num, dur);
+            num <= free && (!delays_head || num <= extra) && ded_allows(&ded, now, num, dur);
         if !can_start {
             i += 1;
             continue;
@@ -73,6 +80,7 @@ pub(crate) fn easy_cycle(
             extra -= num;
         }
         ded_commit(&mut ded, now, num, dur);
+        free = ctx.free();
     }
 }
 

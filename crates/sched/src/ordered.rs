@@ -6,11 +6,15 @@
 //! necessarily perform better than a straightforward FCFS scheduling" —
 //! the `repro baselines` target reproduces that comparison.
 //!
-//! The core shares the stack's FIFO [`BatchQueue`] and imposes its
-//! ordering per cycle: starts are chosen by a min-key scan, backfill
-//! candidates through a sorted scratch vector that holds only the jobs
-//! that fit the free capacity. Jobs resized by a queued ECC reorder
-//! automatically — the key is recomputed from the live view every cycle.
+//! The core shares the stack's FIFO [`BatchQueue`] and keeps the queued
+//! jobs in policy order across cycles. While the queue's
+//! [`BatchQueue::version`] holds, only arrivals were appended, and a
+//! cycle inserts just those. Any other change rebuilds and sorts the
+//! order: a `-D` promotion, or a queued ECC, which re-keys the job it
+//! resizes. The core's own starts need no rebuild: it compacts them out
+//! of the order and keeps the version they leave. The policy-head is the
+//! first job in the order; the backfill walks the rest in place and
+//! stops once nothing is free.
 
 use crate::freeze::{batch_head_freeze, Freeze};
 use crate::queue::BatchQueue;
@@ -75,18 +79,20 @@ impl OrderPolicy {
     }
 }
 
-/// A backfill candidate: (policy key, id, num, dur).
-type BackfillCandidate = ((u64, u64, u64), JobId, u32, Duration);
+/// A queued job in policy order: (policy key, id, num, dur).
+type Ranked = ((u64, u64, u64), JobId, u32, Duration);
 
-/// The order-based policy core: per-cycle min-key starts with optional
+/// The order-based policy core: starts in policy order with optional
 /// EASY-style backfilling around the blocked policy-head.
 #[derive(Debug)]
 pub struct OrderedCore {
     policy: OrderPolicy,
     backfill: bool,
-    /// Per-cycle backfill scratch, reused across cycles so steady state
-    /// doesn't allocate.
-    scratch: Vec<BackfillCandidate>,
+    /// Every queued job, sorted by policy key, kept across cycles.
+    order: Vec<Ranked>,
+    /// The queue's version after the last cycle's starts: while it
+    /// holds, the queue is `order`'s jobs plus arrivals behind them.
+    version: u64,
 }
 
 impl OrderedCore {
@@ -95,7 +101,8 @@ impl OrderedCore {
         OrderedCore {
             policy,
             backfill: false,
-            scratch: Vec::new(),
+            order: Vec::new(),
+            version: 0,
         }
     }
 
@@ -107,13 +114,96 @@ impl OrderedCore {
         }
     }
 
-    /// Index of the queue's policy-minimal job, if any.
-    fn min_index(&self, queue: &BatchQueue) -> Option<usize> {
-        queue
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, w)| self.policy.key(&w.view))
-            .map(|(i, _)| i)
+    /// Bring `order` up to date with `queue`: insert the arrivals behind
+    /// the kept jobs, or rebuild after any other change to the queue (a
+    /// queued ECC re-keys a job, a `-D` promotion inserts one at the
+    /// front).
+    fn sync(&mut self, queue: &BatchQueue) {
+        if queue.version() != self.version || queue.len() < self.order.len() {
+            self.order.clear();
+        }
+        let kept = self.order.len();
+        let policy = self.policy;
+        self.order.extend((kept..queue.len()).map(|i| {
+            let v = &queue.get(i).expect("index below len").view;
+            (policy.key(v), v.id, v.num, v.dur)
+        }));
+        // Insert a few arrivals one by one; sort outright when shifting
+        // for each would cost more than one sort.
+        let added = self.order.len() - kept;
+        if kept == 0 || added > self.order.len().ilog2() as usize {
+            self.order.sort_unstable();
+            return;
+        }
+        for i in kept..self.order.len() {
+            let r = self.order[i];
+            let at = self.order[..i].partition_point(|o| o < &r);
+            self.order[at..=i].rotate_right(1);
+        }
+    }
+
+    /// Start in policy order while the policy-head fits, then backfill
+    /// around it; `order` loses exactly the jobs started.
+    fn start_jobs(
+        &mut self,
+        queue: &mut BatchQueue,
+        ctx: &mut dyn SchedContext,
+        mut ded: Option<Freeze>,
+    ) {
+        let now = ctx.now();
+        let mut started = 0;
+        for &(_, id, num, dur) in &self.order {
+            if num > ctx.free() || !ded_allows(&ded, now, num, dur) {
+                break;
+            }
+            ctx.start(id).expect("fit was checked");
+            ded_commit(&mut ded, now, num, dur);
+            queue.remove(id);
+            started += 1;
+        }
+        self.order.drain(..started);
+        if !self.backfill {
+            return;
+        }
+        let Some(&(_, _, head_num, _)) = self.order.first() else {
+            return;
+        };
+        // EASY-style: reserve for the blocked policy-head, backfill the
+        // rest in policy order.
+        let Some(shadow) = batch_head_freeze(ctx.running(), now, ctx.total(), head_num) else {
+            return;
+        };
+        if let Some(notes) = ctx.attribution() {
+            notes.note_freeze();
+        }
+        let mut extra = shadow.frec;
+        // `free` changes only at a start, and is read back then: unit
+        // rounding keeps it from being computed here. A waiting job is at
+        // least one unit wide (`is_valid_request` rejects 0 processors, a
+        // queued RP clamps to one unit), so nothing starts once it is 0.
+        let mut free = ctx.free();
+        // Walk `order[1..]`, moving each job left in place over the gap
+        // the started ones leave.
+        let (mut kept, mut i) = (1, 1);
+        while free > 0 && i < self.order.len() {
+            let r @ (_, id, num, dur) = self.order[i];
+            debug_assert!(num > 0, "a waiting job is at least one unit wide");
+            i += 1;
+            let delays_head = shadow.extends(now, dur);
+            if num > free || (delays_head && num > extra) || !ded_allows(&ded, now, num, dur) {
+                self.order[kept] = r;
+                kept += 1;
+                continue;
+            }
+            ctx.start(id).expect("backfill fit was checked");
+            queue.remove(id);
+            if delays_head {
+                extra -= num;
+            }
+            ded_commit(&mut ded, now, num, dur);
+            free = ctx.free();
+        }
+        self.order.drain(kept..i);
     }
 }
 
@@ -138,66 +228,13 @@ impl BatchPolicy for OrderedCore {
         &mut self,
         queue: &mut BatchQueue,
         ctx: &mut dyn SchedContext,
-        mut ded: Option<Freeze>,
+        ded: Option<Freeze>,
         _shared: &mut PolicyShared,
     ) {
-        let now = ctx.now();
-        // Start in policy order while the policy-head fits.
-        let (head_i, head_num) = loop {
-            let Some(i) = self.min_index(queue) else {
-                return;
-            };
-            let w = queue.get(i).expect("index from scan");
-            let (id, num, dur) = (w.view.id, w.view.num, w.view.dur);
-            if num <= ctx.free() && ded_allows(&ded, now, num, dur) {
-                ctx.start(id).expect("fit was checked");
-                ded_commit(&mut ded, now, num, dur);
-                queue.remove_at(i);
-            } else {
-                break (i, num);
-            }
-        };
-        if !self.backfill {
-            return;
-        }
-        // EASY-style: reserve for the blocked policy-head, backfill the
-        // rest in policy order.
-        let Some(shadow) = batch_head_freeze(ctx.running(), now, ctx.total(), head_num) else {
-            return;
-        };
-        if let Some(notes) = ctx.attribution() {
-            notes.note_freeze();
-        }
-        let mut extra = shadow.frec;
-        // Free capacity only shrinks below, so a job too wide for it now
-        // can never backfill this cycle: leave it out of the sort.
-        let free = ctx.free();
-        self.scratch.clear();
-        for (i, w) in queue.iter().enumerate() {
-            if i != head_i && w.view.num <= free {
-                self.scratch
-                    .push((self.policy.key(&w.view), w.view.id, w.view.num, w.view.dur));
-            }
-        }
-        self.scratch.sort_unstable();
-        for &(_, id, num, dur) in &self.scratch {
-            if num > ctx.free() {
-                continue;
-            }
-            let delays_head = shadow.extends(now, dur);
-            if delays_head && num > extra {
-                continue;
-            }
-            if !ded_allows(&ded, now, num, dur) {
-                continue;
-            }
-            ctx.start(id).expect("backfill fit was checked");
-            queue.remove(id);
-            if delays_head {
-                extra -= num;
-            }
-            ded_commit(&mut ded, now, num, dur);
-        }
+        self.sync(queue);
+        self.start_jobs(queue, ctx, ded);
+        debug_assert_eq!(self.order.len(), queue.len(), "order lost a queued job");
+        self.version = queue.version();
     }
 }
 

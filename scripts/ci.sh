@@ -102,15 +102,15 @@ cargo test --offline --locked --quiet -p elastisched-sim --features audit
 cargo test --offline --locked --quiet -p elastisched --features elastisched-sim/audit \
     --test golden_planes --test attribution_properties --test streaming_differential
 
-echo "== scheduler oracles (pinned stack schedules, reference DP kernels, resource profile, fresh Conservative core) =="
+echo "== scheduler oracles (pinned stack schedules, reference DP kernels, resource profile, fresh Conservative and ordered cores) =="
 # legacy_differential pins the metrics and per-job schedule of every
 # registry algorithm on the six fixed cases of the retired pre-stack
 # scheduler oracle, frozen from its answers; re-bless with
 # \`ELASTISCHED_BLESS=1 cargo test -p elastisched-sched --test
 # legacy_differential\` only after an intentional schedule change. It is also the fixed-case check of
 # Conservative's early exit (the walk stops at the last job that could
-# start now) and the ordered backfills' fit filter: its load-1.0
-# backlog case reaches both often. The bitset DP kernels must match the
+# start now) and the ordered backfills' exit at a full machine: its
+# load-1.0 backlog case reaches both often. The bitset DP kernels must match the
 # scalar reference kernels; feature unification already enables
 # reference-kernels for every sched test target (self dev-dependency),
 # so these are plain test invocations, named here so a failure is
@@ -119,6 +119,11 @@ echo "== scheduler oracles (pinned stack schedules, reference DP kernels, resour
 # core built anew every cycle (so it always rebuilds its profile and
 # walks from the head) must schedule exactly like the one that keeps its
 # profile across cycles, on the -D and +m stacks and with ECCs too.
+# The ordered cores' random-input oracle is ordered_fresh_oracle: a
+# core that sorts the whole queue every cycle must schedule exactly like
+# the one that keeps its policy order across cycles, for SJF,
+# Smallest-First and Largest-First with and without backfilling, on the
+# same stacks and workloads.
 # profile_oracle checks ResourceProfile itself against a per-second
 # brute force. The dp:: unit
 # tests pin the kernels' layout boundaries (the packed one-word layer at
@@ -130,6 +135,7 @@ cargo test --offline --locked --quiet -p elastisched-sched --test registry_prope
 cargo test --offline --locked --quiet -p elastisched-sched --test dp_properties
 cargo test --offline --locked --quiet -p elastisched-sched --test profile_oracle
 cargo test --offline --locked --quiet -p elastisched-sched --test conservative_fresh_oracle
+cargo test --offline --locked --quiet -p elastisched-sched --test ordered_fresh_oracle
 
 echo "== engine mode parity (load + run ≡ a folded stream) =="
 # Engine::run streams the slices load sorted and collects the outcomes;
