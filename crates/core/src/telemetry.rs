@@ -27,7 +27,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 use elastisched_metrics::RunMetrics;
-use elastisched_sim::metrics::{keys, MetricsRegistry};
+use elastisched_sim::metrics::{keys, MetricId, MetricsRegistry};
 use elastisched_sim::profile::Phase;
 use elastisched_sim::{MetricsServer, PhaseProfile};
 
@@ -353,8 +353,8 @@ pub fn cost_table() -> Option<String> {
 /// and latency quantiles from the merged histograms.
 pub fn render_status(doc: &elastisched_sim::StatusDoc) -> String {
     let snap = &doc.snapshot;
-    let gauge = |name: &str| snap.gauge(name).unwrap_or(0.0);
-    let counter = |name: &str| snap.counter(name).unwrap_or(0);
+    let gauge = |key: MetricId| snap.gauge(key.name()).unwrap_or(0.0);
+    let counter = |key: MetricId| snap.counter(key.name()).unwrap_or(0);
     let mut out = String::new();
     out.push_str(&format!(
         "elastisched live status (uptime {:.1}s)\n",
@@ -368,28 +368,28 @@ pub fn render_status(doc: &elastisched_sim::StatusDoc) -> String {
             .collect();
         out.push_str(&format!("  labels:  {}\n", labels.join(" ")));
     }
-    let planned = gauge("elastisched_sweep_points_planned");
+    let planned = gauge(keys::SWEEP_POINTS_PLANNED);
     if planned > 0.0 {
         out.push_str(&format!(
             "  sweep:   {}/{} points · {:.2} pt/s · ETA {}\n",
-            gauge("elastisched_sweep_points_done") as u64,
+            gauge(keys::SWEEP_POINTS_DONE) as u64,
             planned as u64,
-            gauge("elastisched_sweep_points_per_sec"),
-            fmt_eta(gauge("elastisched_sweep_eta_seconds")),
+            gauge(keys::SWEEP_POINTS_PER_SEC),
+            fmt_eta(gauge(keys::SWEEP_ETA_SECONDS)),
         ));
     }
     out.push_str(&format!(
         "  rates:   {:.0} jobs/s · {:.0} events/s\n",
-        gauge("elastisched_jobs_per_sec"),
-        gauge("elastisched_events_per_sec"),
+        gauge(keys::JOBS_PER_SEC),
+        gauge(keys::EVENTS_PER_SEC),
     ));
     out.push_str(&format!(
         "  totals:  {} runs · {} jobs · {} events · {} points ({} failed)\n",
-        counter("elastisched_runs_total"),
-        counter("elastisched_jobs_total"),
-        counter("elastisched_engine_events_total"),
-        counter("elastisched_sweep_points_total"),
-        counter("elastisched_sweep_point_failures_total"),
+        counter(keys::RUNS_TOTAL),
+        counter(keys::JOBS_TOTAL),
+        counter(keys::ENGINE_EVENTS_TOTAL),
+        counter(keys::SWEEP_POINTS_TOTAL),
+        counter(keys::SWEEP_POINT_FAILURES_TOTAL),
     ));
     for h in &snap.histograms {
         if h.hist.is_empty() {

@@ -12,7 +12,7 @@
 //!   `(wait, count)` runs (memory proportional to *distinct* wait
 //!   values, not jobs — the benchmark's 250k-job archive replay sees
 //!   98,070 of them). New waits collect in an unsorted tail that is
-//!   sorted and merged into the runs every [`MERGE_EVERY`] records and
+//!   sorted and merged into the runs every `MERGE_EVERY` records and
 //!   at the end. Waits are whole seconds in this simulator, so every
 //!   summary field is still exact *except* `std_dev`, whose
 //!   floating-point accumulation order differs (grouped ascending vs

@@ -1,4 +1,4 @@
-//! EASY backfilling (Mu'alem & Feitelson, ref [6] of the paper).
+//! EASY backfilling (Mu'alem & Feitelson, ref \[6\] of the paper).
 //!
 //! The head job is started as soon as it fits. When it does not fit, a
 //! reservation ("shadow") is computed for it, and later jobs may jump

@@ -1,7 +1,7 @@
 //! Freeze-window ("shadow") computations.
 //!
 //! The LOS family avoids starving a blocked job by reserving capacity for
-//! it in the future: the *freeze end time* `fret` (shadow time in [7]) and
+//! it in the future: the *freeze end time* `fret` (shadow time in \[7\]) and
 //! the *freeze end capacity* `frec` (shadow free capacity). Jobs selected
 //! to run now must either finish before `fret` or fit, together, in
 //! `frec`. This module computes the two freezes the paper uses:

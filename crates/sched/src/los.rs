@@ -1,4 +1,4 @@
-//! LOS — the Lookahead Optimizing Scheduler (Shmueli & Feitelson, ref [7]).
+//! LOS — the Lookahead Optimizing Scheduler (Shmueli & Feitelson, ref \[7\]).
 //!
 //! LOS starts the head job *right away* whenever it fits (bounding its
 //! wait), and when the head is blocked it makes a reservation for it

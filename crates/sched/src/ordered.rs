@@ -1,8 +1,8 @@
 //! Order-based baselines from the paper's related work (§II-B):
-//! shortest-job-first [3], smallest-job-first [10] and largest-job-first
-//! [11], each with optional EASY-style backfilling.
+//! shortest-job-first \[3\], smallest-job-first \[10\] and largest-job-first
+//! \[11\], each with optional EASY-style backfilling.
 //!
-//! The paper cites studies [5], [13] finding that these orderings "do not
+//! The paper cites studies \[5\], \[13\] finding that these orderings "do not
 //! necessarily perform better than a straightforward FCFS scheduling" —
 //! the `repro baselines` target reproduces that comparison.
 //!
@@ -25,11 +25,11 @@ use serde::{Deserialize, Serialize};
 /// Queue ordering disciplines.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum OrderPolicy {
-    /// Shortest estimated runtime first (SJF, ref [3]).
+    /// Shortest estimated runtime first (SJF, ref \[3\]).
     ShortestJobFirst,
-    /// Fewest processors first (smallest-job-first, ref [10]).
+    /// Fewest processors first (smallest-job-first, ref \[10\]).
     SmallestJobFirst,
-    /// Most processors first (largest-job-first, ref [11], motivated by
+    /// Most processors first (largest-job-first, ref \[11\], motivated by
     /// first-fit-decreasing bin packing).
     LargestJobFirst,
 }

@@ -325,13 +325,13 @@ pub enum Algorithm {
     HybridLosE,
     /// Dynamic EASY/Delayed-LOS selection (paper §V-A sketch).
     Adaptive,
-    /// Shortest-job-first (related work [3]).
+    /// Shortest-job-first (related work \[3\]).
     Sjf,
     /// Shortest-job-first with EASY-style backfilling.
     SjfBf,
-    /// Smallest-job-first with backfilling (related work [10]).
+    /// Smallest-job-first with backfilling (related work \[10\]).
     SmallestFirstBf,
-    /// Largest-job-first with backfilling (related work [11]).
+    /// Largest-job-first with backfilling (related work \[11\]).
     LargestFirstBf,
 }
 

@@ -438,7 +438,7 @@ impl<P: BatchPolicy> StackLayer for WithDedicated<P> {
 ///   taken only when the work-conserving time saved exceeds the
 ///   engine's [`SchedContext::reconfig_charge`] and, under a dedicated
 ///   claim, only when holding `Δ` extra processors until the job's new
-///   finish would not break the freeze window ([`ded_allows`]).
+///   finish would not break the freeze window (`ded_allows`).
 ///
 /// On a workload with no malleable jobs both passes see no candidates
 /// and the layer is byte-for-byte the wrapped layer (the `+m`

@@ -1,6 +1,6 @@
 //! Contiguous (BlueGene-style) space allocation and migration.
 //!
-//! The paper's related work (§II, Krevat et al. [8]) discusses the
+//! The paper's related work (§II, Krevat et al. \[8\]) discusses the
 //! BlueGene/L constraint that partitions must be *contiguous*, which
 //! introduces fragmentation, and shows migration (on-the-fly
 //! de-fragmentation) recovers much of the lost utilization. The paper's

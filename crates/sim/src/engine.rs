@@ -829,7 +829,7 @@ impl<S: Scheduler> Engine<S> {
     /// ring plus an engine-state snapshot is dumped as postmortem JSONL
     /// to `path` before the failure propagates (`escli explain
     /// --postmortem` replays it). When tracing is not otherwise enabled
-    /// this installs a small fixed ring ([`FLIGHT_RING_CAPACITY`]
+    /// this installs a small fixed ring (`FLIGHT_RING_CAPACITY`
     /// events, timing off) that retains only the most recent
     /// transitions — always-cheap, per the ring-sink discipline — and
     /// hands it back in [`SimResult::trace`] like any other sink.
@@ -1511,8 +1511,7 @@ impl<S: Scheduler> Engine<S> {
             .unwrap_or_default();
         // Flush run totals into the live metrics registry, once per run
         // — never per event, so the hot loop above stays registry-free.
-        // `metric!` compiles out with the trace crate's `off` feature
-        // and is a single branch on `None` when no registry is
+        // `metric!` is a single branch on `None` when no registry is
         // installed (the default outside `--serve-metrics` campaigns).
         elastisched_trace::metric!(|reg| {
             use elastisched_trace::metrics::keys;

@@ -26,7 +26,7 @@
 //! which is what makes [`EventQueue::drain_next_instant`] — the engine's
 //! cycle-coalescing primitive — a straight front-drain.
 //!
-//! The previous heap-based queue survives as [`reference::HeapEventQueue`]
+//! The previous heap-based queue survives as `reference::HeapEventQueue`
 //! behind the `reference-kernels` feature, as a differential-testing
 //! oracle (see `tests/event_queue_differential.rs`).
 

@@ -19,9 +19,6 @@
 //! * **disabled at runtime** (the default): every [`trace_event!`] call
 //!   site is one branch on an `Option` that is `None`; no event is
 //!   constructed, no clock is read;
-//! * **compiled out** (`--features off` on this crate): the macro body
-//!   is guarded by `if `[`COMPILED_IN`]` { ... }` with `COMPILED_IN =
-//!   false`, a constant branch the optimizer deletes entirely;
 //! * **enabled**: recording is a bounds check and a slot write into the
 //!   ring; the per-cycle wall-clock read is gated separately by
 //!   [`TraceSink::timing`] and `Cycle` spans by the 1-in-N sampling
@@ -48,13 +45,8 @@ pub use profile::{Phase, PhaseProfile};
 pub use serve::{MetricsServer, StatusDoc};
 pub use sink::{TraceSink, DEFAULT_CAPACITY};
 
-/// False when this crate is built with the `off` feature, turning every
-/// [`trace_event!`] body into a constant-false branch the optimizer
-/// removes.
-pub const COMPILED_IN: bool = cfg!(not(feature = "off"));
-
-/// Record a [`TraceEvent`] into an optional sink, if tracing is
-/// compiled in and the sink is present.
+/// Record a [`TraceEvent`] into an optional sink, if the sink is
+/// present.
 ///
 /// The first argument is any expression yielding
 /// `Option<&mut TraceSink>` — typically `ctx.trace()` inside a
@@ -74,22 +66,19 @@ pub const COMPILED_IN: bool = cfg!(not(feature = "off"));
 #[macro_export]
 macro_rules! trace_event {
     ($sink:expr, $($ev:tt)+) => {
-        if $crate::COMPILED_IN {
-            if let ::core::option::Option::Some(__trace_sink) = $sink {
-                let __trace_sink: &mut $crate::TraceSink = __trace_sink;
-                __trace_sink.record($($ev)+);
-            }
+        if let ::core::option::Option::Some(__trace_sink) = $sink {
+            let __trace_sink: &mut $crate::TraceSink = __trace_sink;
+            __trace_sink.record($($ev)+);
         }
     };
 }
 
-/// Touch the process-global [`metrics::MetricsRegistry`], if metrics
-/// are compiled in and a registry has been installed.
+/// Touch the process-global [`metrics::MetricsRegistry`], if a registry
+/// has been installed.
 ///
 /// The body binds the identifier you name to `&MetricsRegistry` and is
 /// **not evaluated** when no registry is installed — the same zero-cost
-/// discipline as [`trace_event!`]: compiled out under `--features off`,
-/// one branch on a `None` otherwise:
+/// discipline as [`trace_event!`], one branch on a `None`:
 ///
 /// ```
 /// use elastisched_trace::metric;
@@ -101,11 +90,9 @@ macro_rules! trace_event {
 #[macro_export]
 macro_rules! metric {
     (|$reg:ident| $($body:tt)+) => {
-        if $crate::COMPILED_IN {
-            if let ::core::option::Option::Some($reg) = $crate::metrics::global() {
-                let $reg: &$crate::metrics::MetricsRegistry = $reg;
-                $($body)+
-            }
+        if let ::core::option::Option::Some($reg) = $crate::metrics::global() {
+            let $reg: &$crate::metrics::MetricsRegistry = $reg;
+            $($body)+
         }
     };
 }
@@ -118,7 +105,7 @@ mod tests {
     fn macro_records_into_present_sink() {
         let mut sink = TraceSink::new();
         trace_event!(Some(&mut sink), TraceEvent::Queued { job: 7, at: 3 });
-        assert_eq!(sink.len(), if COMPILED_IN { 1 } else { 0 });
+        assert_eq!(sink.len(), 1);
     }
 
     #[test]
@@ -152,9 +139,7 @@ mod tests {
         )));
 
         metric!(|reg| reg.counter_add(metrics::keys::RUNS_TOTAL, 2));
-        if COMPILED_IN {
-            let reg = metrics::global().expect("installed above");
-            assert!(reg.counter_value(metrics::keys::RUNS_TOTAL) >= 2);
-        }
+        let reg = metrics::global().expect("installed above");
+        assert!(reg.counter_value(metrics::keys::RUNS_TOTAL) >= 2);
     }
 }

@@ -1,11 +1,11 @@
 //! Lock-free metrics registry: the live-counter plane.
 //!
 //! Where [`crate::sink`] is a post-hoc event log, this module is the
-//! *live* surface: a fixed set of metrics declared up front
-//! ([`MetricSpec`]), addressed by integer handle ([`MetricId`]), and
-//! backed by one relaxed atomic per counter (one atomic histogram per
-//! histogram), so sweep workers and the engine can bump them
-//! concurrently without a lock. Readers call
+//! *live* surface: a fixed set of metrics declared up front, one row
+//! each in one table ([`STANDARD_SPECS`], [`keys`]), addressed by
+//! integer handle ([`MetricId`]), and backed by one relaxed atomic per
+//! counter (one atomic histogram per histogram), so sweep workers and
+//! the engine can bump them concurrently without a lock. Readers call
 //! [`MetricsRegistry::snapshot`], which copies them into a plain
 //! serializable value — the API the HTTP endpoint ([`crate::serve`])
 //! renders as Prometheus text exposition or JSON.
@@ -14,8 +14,6 @@
 //!
 //! Same discipline as [`trace_event!`](crate::trace_event):
 //!
-//! * **compiled out** (`--features off`): every [`metric!`](crate::metric)
-//!   body is behind `if COMPILED_IN` with a constant `false` — deleted.
 //! * **disabled at runtime** (no registry installed, the default): one
 //!   branch on an `Option` that is `None`. The engine flushes its
 //!   counters **once per run**, never per event, so even that branch is
@@ -57,9 +55,18 @@ pub struct MetricSpec {
     pub kind: MetricKind,
 }
 
-/// Opaque handle to a registered metric: its index in the spec list.
+/// Handle to a metric of the standard set: its index in
+/// [`STANDARD_SPECS`]. The [`keys`] are the only ids there are.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct MetricId(pub usize);
+pub struct MetricId(usize);
+
+impl MetricId {
+    /// The metric's Prometheus name, as its [`MetricsSnapshot`] entry
+    /// carries it.
+    pub fn name(self) -> &'static str {
+        STANDARD_SPECS[self.0].name
+    }
+}
 
 /// A merge-friendly histogram made of atomics.
 struct AtomicHistogram {
@@ -113,7 +120,6 @@ impl AtomicHistogram {
 /// The registry. Cheap to update from any thread; snapshot to read.
 /// See the module docs for the cost model.
 pub struct MetricsRegistry {
-    specs: Vec<MetricSpec>,
     /// spec index → slot within its kind's storage.
     slot_of: Vec<usize>,
     counters: Vec<AtomicU64>,
@@ -126,28 +132,21 @@ pub struct MetricsRegistry {
 }
 
 impl MetricsRegistry {
-    /// Build a registry over `specs`.
-    pub fn new(specs: Vec<MetricSpec>) -> Self {
-        let mut slot_of = Vec::with_capacity(specs.len());
+    /// A registry over the standard metric set ([`STANDARD_SPECS`],
+    /// addressed by [`keys`]), every value zero.
+    pub fn standard() -> Self {
+        let mut slot_of = Vec::with_capacity(STANDARD_SPECS.len());
         let (mut n_counters, mut n_gauges, mut n_hists) = (0usize, 0usize, 0usize);
-        for spec in &specs {
-            match spec.kind {
-                MetricKind::Counter => {
-                    slot_of.push(n_counters);
-                    n_counters += 1;
-                }
-                MetricKind::Gauge => {
-                    slot_of.push(n_gauges);
-                    n_gauges += 1;
-                }
-                MetricKind::Histogram => {
-                    slot_of.push(n_hists);
-                    n_hists += 1;
-                }
-            }
+        for spec in STANDARD_SPECS {
+            let n = match spec.kind {
+                MetricKind::Counter => &mut n_counters,
+                MetricKind::Gauge => &mut n_gauges,
+                MetricKind::Histogram => &mut n_hists,
+            };
+            slot_of.push(*n);
+            *n += 1;
         }
         MetricsRegistry {
-            specs,
             slot_of,
             counters: (0..n_counters).map(|_| AtomicU64::new(0)).collect(),
             hists: (0..n_hists).map(|_| AtomicHistogram::new()).collect(),
@@ -159,19 +158,9 @@ impl MetricsRegistry {
         }
     }
 
-    /// The well-known workspace metric set (see [`keys`]).
-    pub fn standard() -> Self {
-        Self::new(STANDARD_SPECS.to_vec())
-    }
-
-    /// The registered metric specs, in [`MetricId`] order.
-    pub fn specs(&self) -> &[MetricSpec] {
-        &self.specs
-    }
-
     #[inline]
     fn slot(&self, id: MetricId, kind: MetricKind) -> usize {
-        debug_assert_eq!(self.specs[id.0].kind, kind, "metric kind mismatch");
+        debug_assert_eq!(STANDARD_SPECS[id.0].kind, kind, "metric kind mismatch");
         self.slot_of[id.0]
     }
 
@@ -254,7 +243,7 @@ impl MetricsRegistry {
         let mut counters = Vec::new();
         let mut gauges = Vec::new();
         let mut histograms = Vec::new();
-        for (i, spec) in self.specs.iter().enumerate() {
+        for (i, spec) in STANDARD_SPECS.iter().enumerate() {
             let id = MetricId(i);
             match spec.kind {
                 MetricKind::Counter => counters.push(CounterSnap {
@@ -472,558 +461,125 @@ pub fn phase_nanos_key(phase: Phase) -> MetricId {
     }
 }
 
-/// Well-known [`MetricId`]s into [`MetricsRegistry::standard`]. The
-/// ids are indices into [`STANDARD_SPECS`]; a unit test pins the
-/// alignment.
-pub mod keys {
-    use super::MetricId;
+/// Declares the standard metric set from one table: each row is
+/// `KEY: Kind, "prometheus_name", "help text";`. A key's [`MetricId`] is
+/// its row's position, [`STANDARD_SPECS`] lists the rows in that order,
+/// and the help text is both the key's rustdoc and its `# HELP` line.
+macro_rules! standard_metrics {
+    ($($key:ident: $kind:ident, $name:literal, $help:literal;)+) => {
+        /// Well-known [`MetricId`]s into [`MetricsRegistry::standard`], one
+        /// per row of the standard table, numbered by their position in it.
+        pub mod keys {
+            use super::MetricId;
 
-    /// Simulation runs completed.
-    pub const RUNS_TOTAL: MetricId = MetricId(0);
-    /// Jobs completed across all runs.
-    pub const JOBS_TOTAL: MetricId = MetricId(1);
-    /// Engine events processed.
-    pub const ENGINE_EVENTS_TOTAL: MetricId = MetricId(2);
-    /// Scheduler cycles executed.
-    pub const ENGINE_CYCLES_TOTAL: MetricId = MetricId(3);
-    /// Same-instant events coalesced into one cycle.
-    pub const EVENTS_COALESCED_TOTAL: MetricId = MetricId(4);
-    /// Event-queue push/pop operations.
-    pub const QUEUE_OPS_TOTAL: MetricId = MetricId(5);
-    /// Wall nanoseconds inside `Engine::run`.
-    pub const ENGINE_NANOS_TOTAL: MetricId = MetricId(6);
-    /// Elasticity change commands applied.
-    pub const ECCS_APPLIED_TOTAL: MetricId = MetricId(7);
-    /// DP selection-cache hits.
-    pub const DP_CACHE_HITS_TOTAL: MetricId = MetricId(8);
-    /// DP selection-cache misses.
-    pub const DP_CACHE_MISSES_TOTAL: MetricId = MetricId(9);
-    /// Sampled wall nanoseconds in DP solves.
-    pub const DP_NANOS_TOTAL: MetricId = MetricId(10);
-    /// Head-of-queue force starts.
-    pub const HEAD_FORCE_STARTS_TOTAL: MetricId = MetricId(11);
-    /// Head-of-queue skips (delayed-LOS waiting decision).
-    pub const HEAD_SKIPS_TOTAL: MetricId = MetricId(12);
-    /// Jobs started out of a DP selection.
-    pub const DP_STARTS_TOTAL: MetricId = MetricId(13);
-    /// Dedicated-node promotions.
-    pub const DEDICATED_PROMOTIONS_TOTAL: MetricId = MetricId(14);
-    /// Sweep points completed.
-    pub const SWEEP_POINTS_TOTAL: MetricId = MetricId(15);
-    /// Sweep points that panicked and were skipped.
-    pub const SWEEP_POINT_FAILURES_TOTAL: MetricId = MetricId(16);
-    /// Wall nanoseconds in workload generation.
-    pub const PHASE_WORKLOAD_GEN_NANOS: MetricId = MetricId(17);
-    /// Wall nanoseconds attributed to DP solves.
-    pub const PHASE_DP_SOLVE_NANOS: MetricId = MetricId(18);
-    /// Wall nanoseconds attributed to the engine loop.
-    pub const PHASE_ENGINE_LOOP_NANOS: MetricId = MetricId(19);
-    /// Wall nanoseconds deriving RunMetrics.
-    pub const PHASE_METRICS_DERIVATION_NANOS: MetricId = MetricId(20);
-    /// Points planned in the current sweep stage.
-    pub const SWEEP_POINTS_PLANNED: MetricId = MetricId(21);
-    /// Points finished in the current sweep stage.
-    pub const SWEEP_POINTS_DONE: MetricId = MetricId(22);
-    /// EWMA-estimated seconds until the current stage completes.
-    pub const SWEEP_ETA_SECONDS: MetricId = MetricId(23);
-    /// Smoothed sweep-point completion rate.
-    pub const SWEEP_POINTS_PER_SEC: MetricId = MetricId(24);
-    /// Cumulative simulated jobs per wall second.
-    pub const JOBS_PER_SEC: MetricId = MetricId(25);
-    /// Cumulative engine events per wall second.
-    pub const EVENTS_PER_SEC: MetricId = MetricId(26);
-    /// Wall milliseconds per completed sweep point.
-    pub const POINT_MILLIS: MetricId = MetricId(27);
-    /// Per-job wait times (simulated time units), merged across runs.
-    pub const JOB_WAIT_TIME: MetricId = MetricId(28);
-    /// DP cache misses answered by the cross-cycle incremental table.
-    pub const DP_INCREMENTAL_HITS_TOTAL: MetricId = MetricId(29);
-    /// DP cache misses that rebuilt the incremental table from row zero.
-    pub const DP_INCREMENTAL_REBUILDS_TOTAL: MetricId = MetricId(30);
-    /// Last run's wait-view buffer high-water mark.
-    pub const ENGINE_PEAK_WAIT_VIEWS: MetricId = MetricId(31);
-    /// Last run's job-record slab high-water mark: its peak live jobs.
-    pub const ENGINE_PEAK_LIVE_JOBS: MetricId = MetricId(32);
-    /// Audit failures: capacity conservation.
-    pub const AUDIT_CAPACITY_VIOLATIONS_TOTAL: MetricId = MetricId(33);
-    /// Audit failures: virtual-clock monotonicity.
-    pub const AUDIT_CLOCK_VIOLATIONS_TOTAL: MetricId = MetricId(34);
-    /// Audit failures: ECC / running-set accounting.
-    pub const AUDIT_ECC_VIOLATIONS_TOTAL: MetricId = MetricId(35);
-    /// Audit failures: reclamation slab consistency.
-    pub const AUDIT_SLAB_VIOLATIONS_TOTAL: MetricId = MetricId(36);
-    /// Audit failures: bucket-FIFO dispatch order.
-    pub const AUDIT_FIFO_VIOLATIONS_TOTAL: MetricId = MetricId(37);
-    /// Flight-recorder postmortem dumps written.
-    pub const POSTMORTEM_DUMPS_TOTAL: MetricId = MetricId(38);
-    /// Samples retained in the last run's timeline.
-    pub const TIMELINE_SAMPLES: MetricId = MetricId(39);
-    /// Wait seconds attributed to insufficient free capacity.
-    pub const ATTR_CAPACITY_WAIT_SECONDS_TOTAL: MetricId = MetricId(40);
-    /// Wait seconds attributed to dedicated-node contention.
-    pub const ATTR_DEDICATED_WAIT_SECONDS_TOTAL: MetricId = MetricId(41);
-    /// Wait seconds attributed to processors gained through ECCs.
-    pub const ATTR_ECC_WAIT_SECONDS_TOTAL: MetricId = MetricId(42);
-    /// Wait seconds attributed to deliberate policy skips.
-    pub const ATTR_POLICY_SKIP_WAIT_SECONDS_TOTAL: MetricId = MetricId(43);
-    /// Wait seconds attributed to freeze windows.
-    pub const ATTR_FREEZE_WAIT_SECONDS_TOTAL: MetricId = MetricId(44);
-    /// Jobs folded into attribution profiles.
-    pub const ATTR_JOBS_TOTAL: MetricId = MetricId(45);
-    /// Audit failures: wait-attribution conservation.
-    pub const AUDIT_ATTRIBUTION_VIOLATIONS_TOTAL: MetricId = MetricId(46);
-    /// Scheduler-initiated grows applied to running malleable jobs.
-    pub const RECONFIG_GROWS_TOTAL: MetricId = MetricId(47);
-    /// Scheduler-initiated shrinks applied to running malleable jobs.
-    pub const RECONFIG_SHRINKS_TOTAL: MetricId = MetricId(48);
-    /// Processors granted across all malleable grows.
-    pub const RECONFIG_PROCS_GRANTED_TOTAL: MetricId = MetricId(49);
-    /// Processors reclaimed across all malleable shrinks.
-    pub const RECONFIG_PROCS_RECLAIMED_TOTAL: MetricId = MetricId(50);
-    /// Reconfiguration cost charged to resized jobs, seconds.
-    pub const RECONFIG_COST_SECONDS_TOTAL: MetricId = MetricId(51);
-    /// Wait seconds attributed to malleable-grow contention.
-    pub const ATTR_MALLEABLE_WAIT_SECONDS_TOTAL: MetricId = MetricId(52);
+            /// Row positions in the table, the source of every key's id.
+            #[allow(non_camel_case_types)]
+            enum Row {
+                $($key,)+
+            }
+
+            $(
+                #[doc = $help]
+                pub const $key: MetricId = MetricId(Row::$key as usize);
+            )+
+        }
+
+        /// Spec list behind [`MetricsRegistry::standard`], in [`keys`] order.
+        pub const STANDARD_SPECS: &[MetricSpec] = &[$(MetricSpec {
+            name: $name,
+            help: $help,
+            kind: MetricKind::$kind,
+        },)+];
+    };
 }
 
-/// Spec list behind [`MetricsRegistry::standard`], in [`keys`] order.
-pub const STANDARD_SPECS: &[MetricSpec] = &[
-    MetricSpec {
-        name: "elastisched_runs_total",
-        help: "Simulation runs completed.",
-        kind: MetricKind::Counter,
-    },
-    MetricSpec {
-        name: "elastisched_jobs_total",
-        help: "Jobs completed across all runs.",
-        kind: MetricKind::Counter,
-    },
-    MetricSpec {
-        name: "elastisched_engine_events_total",
-        help: "Engine events processed.",
-        kind: MetricKind::Counter,
-    },
-    MetricSpec {
-        name: "elastisched_engine_cycles_total",
-        help: "Scheduler cycles executed.",
-        kind: MetricKind::Counter,
-    },
-    MetricSpec {
-        name: "elastisched_engine_events_coalesced_total",
-        help: "Same-instant events coalesced into one scheduler cycle.",
-        kind: MetricKind::Counter,
-    },
-    MetricSpec {
-        name: "elastisched_engine_queue_ops_total",
-        help: "Event-queue push/pop operations.",
-        kind: MetricKind::Counter,
-    },
-    MetricSpec {
-        name: "elastisched_engine_nanos_total",
-        help: "Wall nanoseconds spent inside Engine::run.",
-        kind: MetricKind::Counter,
-    },
-    MetricSpec {
-        name: "elastisched_eccs_applied_total",
-        help: "Elasticity change commands applied.",
-        kind: MetricKind::Counter,
-    },
-    MetricSpec {
-        name: "elastisched_dp_cache_hits_total",
-        help: "DP selection-cache hits.",
-        kind: MetricKind::Counter,
-    },
-    MetricSpec {
-        name: "elastisched_dp_cache_misses_total",
-        help: "DP selection-cache misses.",
-        kind: MetricKind::Counter,
-    },
-    MetricSpec {
-        name: "elastisched_dp_nanos_total",
-        help: "Sampled wall nanoseconds spent in DP solves.",
-        kind: MetricKind::Counter,
-    },
-    MetricSpec {
-        name: "elastisched_sched_head_force_starts_total",
-        help: "Head-of-queue force starts across schedulers.",
-        kind: MetricKind::Counter,
-    },
-    MetricSpec {
-        name: "elastisched_sched_head_skips_total",
-        help: "Head-of-queue skips (delayed-LOS waiting decisions).",
-        kind: MetricKind::Counter,
-    },
-    MetricSpec {
-        name: "elastisched_sched_dp_starts_total",
-        help: "Jobs started out of a DP selection.",
-        kind: MetricKind::Counter,
-    },
-    MetricSpec {
-        name: "elastisched_sched_dedicated_promotions_total",
-        help: "Dedicated-node promotions.",
-        kind: MetricKind::Counter,
-    },
-    MetricSpec {
-        name: "elastisched_sweep_points_total",
-        help: "Sweep points completed.",
-        kind: MetricKind::Counter,
-    },
-    MetricSpec {
-        name: "elastisched_sweep_point_failures_total",
-        help: "Sweep points that panicked and were skipped.",
-        kind: MetricKind::Counter,
-    },
-    MetricSpec {
-        name: "elastisched_phase_workload_gen_nanos_total",
-        help: "Wall nanoseconds in workload generation.",
-        kind: MetricKind::Counter,
-    },
-    MetricSpec {
-        name: "elastisched_phase_dp_solve_nanos_total",
-        help: "Wall nanoseconds attributed to DP solves.",
-        kind: MetricKind::Counter,
-    },
-    MetricSpec {
-        name: "elastisched_phase_engine_loop_nanos_total",
-        help: "Wall nanoseconds attributed to the engine loop.",
-        kind: MetricKind::Counter,
-    },
-    MetricSpec {
-        name: "elastisched_phase_metrics_derivation_nanos_total",
-        help: "Wall nanoseconds deriving RunMetrics from raw results.",
-        kind: MetricKind::Counter,
-    },
-    MetricSpec {
-        name: "elastisched_sweep_points_planned",
-        help: "Points planned in the current sweep stage.",
-        kind: MetricKind::Gauge,
-    },
-    MetricSpec {
-        name: "elastisched_sweep_points_done",
-        help: "Points finished in the current sweep stage.",
-        kind: MetricKind::Gauge,
-    },
-    MetricSpec {
-        name: "elastisched_sweep_eta_seconds",
-        help: "EWMA-estimated seconds until the current stage completes.",
-        kind: MetricKind::Gauge,
-    },
-    MetricSpec {
-        name: "elastisched_sweep_points_per_sec",
-        help: "Smoothed sweep-point completion rate.",
-        kind: MetricKind::Gauge,
-    },
-    MetricSpec {
-        name: "elastisched_jobs_per_sec",
-        help: "Cumulative simulated jobs per wall second.",
-        kind: MetricKind::Gauge,
-    },
-    MetricSpec {
-        name: "elastisched_events_per_sec",
-        help: "Cumulative engine events per wall second.",
-        kind: MetricKind::Gauge,
-    },
-    MetricSpec {
-        name: "elastisched_sweep_point_millis",
-        help: "Wall milliseconds per completed sweep point.",
-        kind: MetricKind::Histogram,
-    },
-    MetricSpec {
-        name: "elastisched_job_wait_time",
-        help: "Per-job wait times in simulated time units, merged across runs.",
-        kind: MetricKind::Histogram,
-    },
-    MetricSpec {
-        name: "elastisched_dp_incremental_hits_total",
-        help: "DP cache misses answered by the cross-cycle incremental table.",
-        kind: MetricKind::Counter,
-    },
-    MetricSpec {
-        name: "elastisched_dp_incremental_rebuilds_total",
-        help: "DP cache misses that rebuilt the incremental table from row zero.",
-        kind: MetricKind::Counter,
-    },
-    MetricSpec {
-        name: "elastisched_engine_peak_wait_views",
-        help: "Last run's wait-view buffer high-water mark.",
-        kind: MetricKind::Gauge,
-    },
-    MetricSpec {
-        name: "elastisched_engine_peak_live_jobs",
-        help: "Last run's job-record slab high-water mark: its peak live jobs.",
-        kind: MetricKind::Gauge,
-    },
-    MetricSpec {
-        name: "elastisched_audit_capacity_violations_total",
-        help: "Audit failures: capacity conservation.",
-        kind: MetricKind::Counter,
-    },
-    MetricSpec {
-        name: "elastisched_audit_clock_violations_total",
-        help: "Audit failures: virtual-clock monotonicity.",
-        kind: MetricKind::Counter,
-    },
-    MetricSpec {
-        name: "elastisched_audit_ecc_violations_total",
-        help: "Audit failures: ECC / running-set accounting.",
-        kind: MetricKind::Counter,
-    },
-    MetricSpec {
-        name: "elastisched_audit_slab_violations_total",
-        help: "Audit failures: reclamation slab consistency.",
-        kind: MetricKind::Counter,
-    },
-    MetricSpec {
-        name: "elastisched_audit_fifo_violations_total",
-        help: "Audit failures: bucket-FIFO dispatch order.",
-        kind: MetricKind::Counter,
-    },
-    MetricSpec {
-        name: "elastisched_postmortem_dumps_total",
-        help: "Flight-recorder postmortem dumps written.",
-        kind: MetricKind::Counter,
-    },
-    MetricSpec {
-        name: "elastisched_timeline_samples",
-        help: "Samples retained in the last run's timeline.",
-        kind: MetricKind::Gauge,
-    },
-    MetricSpec {
-        name: "elastisched_attr_capacity_wait_seconds_total",
-        help: "Wait seconds attributed to insufficient free capacity.",
-        kind: MetricKind::Counter,
-    },
-    MetricSpec {
-        name: "elastisched_attr_dedicated_wait_seconds_total",
-        help: "Wait seconds attributed to dedicated-node contention.",
-        kind: MetricKind::Counter,
-    },
-    MetricSpec {
-        name: "elastisched_attr_ecc_wait_seconds_total",
-        help: "Wait seconds attributed to processors gained through ECCs.",
-        kind: MetricKind::Counter,
-    },
-    MetricSpec {
-        name: "elastisched_attr_policy_skip_wait_seconds_total",
-        help: "Wait seconds attributed to deliberate policy skips.",
-        kind: MetricKind::Counter,
-    },
-    MetricSpec {
-        name: "elastisched_attr_freeze_wait_seconds_total",
-        help: "Wait seconds attributed to freeze windows.",
-        kind: MetricKind::Counter,
-    },
-    MetricSpec {
-        name: "elastisched_attr_jobs_total",
-        help: "Jobs folded into attribution profiles.",
-        kind: MetricKind::Counter,
-    },
-    MetricSpec {
-        name: "elastisched_audit_attribution_violations_total",
-        help: "Audit failures: wait-attribution conservation.",
-        kind: MetricKind::Counter,
-    },
-    MetricSpec {
-        name: "elastisched_reconfig_grows_total",
-        help: "Scheduler-initiated grows applied to running malleable jobs.",
-        kind: MetricKind::Counter,
-    },
-    MetricSpec {
-        name: "elastisched_reconfig_shrinks_total",
-        help: "Scheduler-initiated shrinks applied to running malleable jobs.",
-        kind: MetricKind::Counter,
-    },
-    MetricSpec {
-        name: "elastisched_reconfig_procs_granted_total",
-        help: "Processors granted across all malleable grows.",
-        kind: MetricKind::Counter,
-    },
-    MetricSpec {
-        name: "elastisched_reconfig_procs_reclaimed_total",
-        help: "Processors reclaimed across all malleable shrinks.",
-        kind: MetricKind::Counter,
-    },
-    MetricSpec {
-        name: "elastisched_reconfig_cost_seconds_total",
-        help: "Reconfiguration cost charged to resized jobs, seconds.",
-        kind: MetricKind::Counter,
-    },
-    MetricSpec {
-        name: "elastisched_attr_malleable_wait_seconds_total",
-        help: "Wait seconds attributed to malleable-grow contention.",
-        kind: MetricKind::Counter,
-    },
-];
+standard_metrics! {
+    RUNS_TOTAL: Counter, "elastisched_runs_total", "Simulation runs completed.";
+    JOBS_TOTAL: Counter, "elastisched_jobs_total", "Jobs completed across all runs.";
+    ENGINE_EVENTS_TOTAL: Counter, "elastisched_engine_events_total", "Engine events processed.";
+    ENGINE_CYCLES_TOTAL: Counter, "elastisched_engine_cycles_total", "Scheduler cycles executed.";
+    EVENTS_COALESCED_TOTAL: Counter, "elastisched_engine_events_coalesced_total", "Same-instant events coalesced into one scheduler cycle.";
+    QUEUE_OPS_TOTAL: Counter, "elastisched_engine_queue_ops_total", "Event-queue push/pop operations.";
+    ENGINE_NANOS_TOTAL: Counter, "elastisched_engine_nanos_total", "Wall nanoseconds spent inside Engine::run.";
+    ECCS_APPLIED_TOTAL: Counter, "elastisched_eccs_applied_total", "Elasticity change commands applied.";
+    DP_CACHE_HITS_TOTAL: Counter, "elastisched_dp_cache_hits_total", "DP selection-cache hits.";
+    DP_CACHE_MISSES_TOTAL: Counter, "elastisched_dp_cache_misses_total", "DP selection-cache misses.";
+    DP_NANOS_TOTAL: Counter, "elastisched_dp_nanos_total", "Sampled wall nanoseconds spent in DP solves.";
+    HEAD_FORCE_STARTS_TOTAL: Counter, "elastisched_sched_head_force_starts_total", "Head-of-queue force starts across schedulers.";
+    HEAD_SKIPS_TOTAL: Counter, "elastisched_sched_head_skips_total", "Head-of-queue skips (delayed-LOS waiting decisions).";
+    DP_STARTS_TOTAL: Counter, "elastisched_sched_dp_starts_total", "Jobs started out of a DP selection.";
+    DEDICATED_PROMOTIONS_TOTAL: Counter, "elastisched_sched_dedicated_promotions_total", "Dedicated-node promotions.";
+    SWEEP_POINTS_TOTAL: Counter, "elastisched_sweep_points_total", "Sweep points completed.";
+    SWEEP_POINT_FAILURES_TOTAL: Counter, "elastisched_sweep_point_failures_total", "Sweep points that panicked and were skipped.";
+    PHASE_WORKLOAD_GEN_NANOS: Counter, "elastisched_phase_workload_gen_nanos_total", "Wall nanoseconds in workload generation.";
+    PHASE_DP_SOLVE_NANOS: Counter, "elastisched_phase_dp_solve_nanos_total", "Wall nanoseconds attributed to DP solves.";
+    PHASE_ENGINE_LOOP_NANOS: Counter, "elastisched_phase_engine_loop_nanos_total", "Wall nanoseconds attributed to the engine loop.";
+    PHASE_METRICS_DERIVATION_NANOS: Counter, "elastisched_phase_metrics_derivation_nanos_total", "Wall nanoseconds deriving RunMetrics from raw results.";
+    SWEEP_POINTS_PLANNED: Gauge, "elastisched_sweep_points_planned", "Points planned in the current sweep stage.";
+    SWEEP_POINTS_DONE: Gauge, "elastisched_sweep_points_done", "Points finished in the current sweep stage.";
+    SWEEP_ETA_SECONDS: Gauge, "elastisched_sweep_eta_seconds", "EWMA-estimated seconds until the current stage completes.";
+    SWEEP_POINTS_PER_SEC: Gauge, "elastisched_sweep_points_per_sec", "Smoothed sweep-point completion rate.";
+    JOBS_PER_SEC: Gauge, "elastisched_jobs_per_sec", "Cumulative simulated jobs per wall second.";
+    EVENTS_PER_SEC: Gauge, "elastisched_events_per_sec", "Cumulative engine events per wall second.";
+    POINT_MILLIS: Histogram, "elastisched_sweep_point_millis", "Wall milliseconds per completed sweep point.";
+    JOB_WAIT_TIME: Histogram, "elastisched_job_wait_time", "Per-job wait times in simulated time units, merged across runs.";
+    DP_INCREMENTAL_HITS_TOTAL: Counter, "elastisched_dp_incremental_hits_total", "DP cache misses answered by the cross-cycle incremental table.";
+    DP_INCREMENTAL_REBUILDS_TOTAL: Counter, "elastisched_dp_incremental_rebuilds_total", "DP cache misses that rebuilt the incremental table from row zero.";
+    ENGINE_PEAK_WAIT_VIEWS: Gauge, "elastisched_engine_peak_wait_views", "Last run's wait-view buffer high-water mark.";
+    ENGINE_PEAK_LIVE_JOBS: Gauge, "elastisched_engine_peak_live_jobs", "Last run's job-record slab high-water mark: its peak live jobs.";
+    AUDIT_CAPACITY_VIOLATIONS_TOTAL: Counter, "elastisched_audit_capacity_violations_total", "Audit failures: capacity conservation.";
+    AUDIT_CLOCK_VIOLATIONS_TOTAL: Counter, "elastisched_audit_clock_violations_total", "Audit failures: virtual-clock monotonicity.";
+    AUDIT_ECC_VIOLATIONS_TOTAL: Counter, "elastisched_audit_ecc_violations_total", "Audit failures: ECC / running-set accounting.";
+    AUDIT_SLAB_VIOLATIONS_TOTAL: Counter, "elastisched_audit_slab_violations_total", "Audit failures: reclamation slab consistency.";
+    AUDIT_FIFO_VIOLATIONS_TOTAL: Counter, "elastisched_audit_fifo_violations_total", "Audit failures: bucket-FIFO dispatch order.";
+    POSTMORTEM_DUMPS_TOTAL: Counter, "elastisched_postmortem_dumps_total", "Flight-recorder postmortem dumps written.";
+    TIMELINE_SAMPLES: Gauge, "elastisched_timeline_samples", "Samples retained in the last run's timeline.";
+    ATTR_CAPACITY_WAIT_SECONDS_TOTAL: Counter, "elastisched_attr_capacity_wait_seconds_total", "Wait seconds attributed to insufficient free capacity.";
+    ATTR_DEDICATED_WAIT_SECONDS_TOTAL: Counter, "elastisched_attr_dedicated_wait_seconds_total", "Wait seconds attributed to dedicated-node contention.";
+    ATTR_ECC_WAIT_SECONDS_TOTAL: Counter, "elastisched_attr_ecc_wait_seconds_total", "Wait seconds attributed to processors gained through ECCs.";
+    ATTR_POLICY_SKIP_WAIT_SECONDS_TOTAL: Counter, "elastisched_attr_policy_skip_wait_seconds_total", "Wait seconds attributed to deliberate policy skips.";
+    ATTR_FREEZE_WAIT_SECONDS_TOTAL: Counter, "elastisched_attr_freeze_wait_seconds_total", "Wait seconds attributed to freeze windows.";
+    ATTR_JOBS_TOTAL: Counter, "elastisched_attr_jobs_total", "Jobs folded into attribution profiles.";
+    AUDIT_ATTRIBUTION_VIOLATIONS_TOTAL: Counter, "elastisched_audit_attribution_violations_total", "Audit failures: wait-attribution conservation.";
+    RECONFIG_GROWS_TOTAL: Counter, "elastisched_reconfig_grows_total", "Scheduler-initiated grows applied to running malleable jobs.";
+    RECONFIG_SHRINKS_TOTAL: Counter, "elastisched_reconfig_shrinks_total", "Scheduler-initiated shrinks applied to running malleable jobs.";
+    RECONFIG_PROCS_GRANTED_TOTAL: Counter, "elastisched_reconfig_procs_granted_total", "Processors granted across all malleable grows.";
+    RECONFIG_PROCS_RECLAIMED_TOTAL: Counter, "elastisched_reconfig_procs_reclaimed_total", "Processors reclaimed across all malleable shrinks.";
+    RECONFIG_COST_SECONDS_TOTAL: Counter, "elastisched_reconfig_cost_seconds_total", "Reconfiguration cost charged to resized jobs, seconds.";
+    ATTR_MALLEABLE_WAIT_SECONDS_TOTAL: Counter, "elastisched_attr_malleable_wait_seconds_total", "Wait seconds attributed to malleable-grow contention.";
+}
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn standard_keys_align_with_specs() {
-        let ids = [
-            (keys::RUNS_TOTAL, "elastisched_runs_total"),
-            (keys::JOBS_TOTAL, "elastisched_jobs_total"),
-            (keys::ENGINE_EVENTS_TOTAL, "elastisched_engine_events_total"),
-            (keys::ENGINE_CYCLES_TOTAL, "elastisched_engine_cycles_total"),
-            (
-                keys::EVENTS_COALESCED_TOTAL,
-                "elastisched_engine_events_coalesced_total",
-            ),
-            (keys::QUEUE_OPS_TOTAL, "elastisched_engine_queue_ops_total"),
-            (keys::ENGINE_NANOS_TOTAL, "elastisched_engine_nanos_total"),
-            (keys::ECCS_APPLIED_TOTAL, "elastisched_eccs_applied_total"),
-            (keys::DP_CACHE_HITS_TOTAL, "elastisched_dp_cache_hits_total"),
-            (
-                keys::DP_CACHE_MISSES_TOTAL,
-                "elastisched_dp_cache_misses_total",
-            ),
-            (keys::DP_NANOS_TOTAL, "elastisched_dp_nanos_total"),
-            (
-                keys::HEAD_FORCE_STARTS_TOTAL,
-                "elastisched_sched_head_force_starts_total",
-            ),
-            (keys::HEAD_SKIPS_TOTAL, "elastisched_sched_head_skips_total"),
-            (keys::DP_STARTS_TOTAL, "elastisched_sched_dp_starts_total"),
-            (
-                keys::DEDICATED_PROMOTIONS_TOTAL,
-                "elastisched_sched_dedicated_promotions_total",
-            ),
-            (keys::SWEEP_POINTS_TOTAL, "elastisched_sweep_points_total"),
-            (
-                keys::SWEEP_POINT_FAILURES_TOTAL,
-                "elastisched_sweep_point_failures_total",
-            ),
-            (
-                keys::PHASE_WORKLOAD_GEN_NANOS,
-                "elastisched_phase_workload_gen_nanos_total",
-            ),
-            (
-                keys::PHASE_DP_SOLVE_NANOS,
-                "elastisched_phase_dp_solve_nanos_total",
-            ),
-            (
-                keys::PHASE_ENGINE_LOOP_NANOS,
-                "elastisched_phase_engine_loop_nanos_total",
-            ),
-            (
-                keys::PHASE_METRICS_DERIVATION_NANOS,
-                "elastisched_phase_metrics_derivation_nanos_total",
-            ),
-            (
-                keys::SWEEP_POINTS_PLANNED,
-                "elastisched_sweep_points_planned",
-            ),
-            (keys::SWEEP_POINTS_DONE, "elastisched_sweep_points_done"),
-            (keys::SWEEP_ETA_SECONDS, "elastisched_sweep_eta_seconds"),
-            (
-                keys::SWEEP_POINTS_PER_SEC,
-                "elastisched_sweep_points_per_sec",
-            ),
-            (keys::JOBS_PER_SEC, "elastisched_jobs_per_sec"),
-            (keys::EVENTS_PER_SEC, "elastisched_events_per_sec"),
-            (keys::POINT_MILLIS, "elastisched_sweep_point_millis"),
-            (keys::JOB_WAIT_TIME, "elastisched_job_wait_time"),
-            (
-                keys::DP_INCREMENTAL_HITS_TOTAL,
-                "elastisched_dp_incremental_hits_total",
-            ),
-            (
-                keys::DP_INCREMENTAL_REBUILDS_TOTAL,
-                "elastisched_dp_incremental_rebuilds_total",
-            ),
-            (
-                keys::ENGINE_PEAK_WAIT_VIEWS,
-                "elastisched_engine_peak_wait_views",
-            ),
-            (
-                keys::ENGINE_PEAK_LIVE_JOBS,
-                "elastisched_engine_peak_live_jobs",
-            ),
-            (
-                keys::AUDIT_CAPACITY_VIOLATIONS_TOTAL,
-                "elastisched_audit_capacity_violations_total",
-            ),
-            (
-                keys::AUDIT_CLOCK_VIOLATIONS_TOTAL,
-                "elastisched_audit_clock_violations_total",
-            ),
-            (
-                keys::AUDIT_ECC_VIOLATIONS_TOTAL,
-                "elastisched_audit_ecc_violations_total",
-            ),
-            (
-                keys::AUDIT_SLAB_VIOLATIONS_TOTAL,
-                "elastisched_audit_slab_violations_total",
-            ),
-            (
-                keys::AUDIT_FIFO_VIOLATIONS_TOTAL,
-                "elastisched_audit_fifo_violations_total",
-            ),
-            (
-                keys::POSTMORTEM_DUMPS_TOTAL,
-                "elastisched_postmortem_dumps_total",
-            ),
-            (keys::TIMELINE_SAMPLES, "elastisched_timeline_samples"),
-            (
-                keys::ATTR_CAPACITY_WAIT_SECONDS_TOTAL,
-                "elastisched_attr_capacity_wait_seconds_total",
-            ),
-            (
-                keys::ATTR_DEDICATED_WAIT_SECONDS_TOTAL,
-                "elastisched_attr_dedicated_wait_seconds_total",
-            ),
-            (
-                keys::ATTR_ECC_WAIT_SECONDS_TOTAL,
-                "elastisched_attr_ecc_wait_seconds_total",
-            ),
-            (
-                keys::ATTR_POLICY_SKIP_WAIT_SECONDS_TOTAL,
-                "elastisched_attr_policy_skip_wait_seconds_total",
-            ),
-            (
-                keys::ATTR_FREEZE_WAIT_SECONDS_TOTAL,
-                "elastisched_attr_freeze_wait_seconds_total",
-            ),
-            (keys::ATTR_JOBS_TOTAL, "elastisched_attr_jobs_total"),
-            (
-                keys::AUDIT_ATTRIBUTION_VIOLATIONS_TOTAL,
-                "elastisched_audit_attribution_violations_total",
-            ),
-            (
-                keys::RECONFIG_GROWS_TOTAL,
-                "elastisched_reconfig_grows_total",
-            ),
-            (
-                keys::RECONFIG_SHRINKS_TOTAL,
-                "elastisched_reconfig_shrinks_total",
-            ),
-            (
-                keys::RECONFIG_PROCS_GRANTED_TOTAL,
-                "elastisched_reconfig_procs_granted_total",
-            ),
-            (
-                keys::RECONFIG_PROCS_RECLAIMED_TOTAL,
-                "elastisched_reconfig_procs_reclaimed_total",
-            ),
-            (
-                keys::RECONFIG_COST_SECONDS_TOTAL,
-                "elastisched_reconfig_cost_seconds_total",
-            ),
-            (
-                keys::ATTR_MALLEABLE_WAIT_SECONDS_TOTAL,
-                "elastisched_attr_malleable_wait_seconds_total",
-            ),
-        ];
-        assert_eq!(ids.len(), STANDARD_SPECS.len(), "key list out of date");
-        for (id, name) in ids {
-            assert_eq!(STANDARD_SPECS[id.0].name, name);
-        }
-        // Names must be unique (Prometheus families may not repeat).
+    fn standard_table_names_are_unique_legal_and_suffixed_by_kind() {
         let mut names: Vec<_> = STANDARD_SPECS.iter().map(|s| s.name).collect();
         names.sort_unstable();
         names.dedup();
-        assert_eq!(names.len(), STANDARD_SPECS.len());
+        assert_eq!(names.len(), STANDARD_SPECS.len(), "Prometheus names repeat");
+        for spec in STANDARD_SPECS {
+            let name = spec.name;
+            let legal_first = |c: char| c.is_ascii_alphabetic() || c == '_' || c == ':';
+            assert!(
+                name.starts_with(legal_first)
+                    && name[1..]
+                        .chars()
+                        .all(|c| legal_first(c) || c.is_ascii_digit()),
+                "{name:?} is not a legal Prometheus name"
+            );
+            assert_eq!(
+                name.ends_with("_total"),
+                spec.kind == MetricKind::Counter,
+                "{name:?}: counters, and only counters, end in _total"
+            );
+            // `to_prometheus` writes the help text unescaped after `# HELP`.
+            assert!(
+                !spec.help.is_empty() && !spec.help.contains(['\n', '\r']),
+                "{name:?} needs a one-line help text"
+            );
+        }
     }
 
     #[test]

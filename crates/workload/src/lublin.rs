@@ -1,4 +1,4 @@
-//! The Lublin–Feitelson analytical workload model (paper §IV-D, ref [17]).
+//! The Lublin–Feitelson analytical workload model (paper §IV-D, ref \[17\]).
 //!
 //! Lublin & Feitelson fit distributions to real supercomputer logs and
 //! found that job runtimes and inter-arrival times are well modelled in

@@ -1,4 +1,4 @@
-//! The Standard Workload Format (SWF), ref [21] of the paper.
+//! The Standard Workload Format (SWF), ref \[21\] of the paper.
 //!
 //! SWF represents a workload as a text file: comment/header lines start
 //! with `;`, and each job is one line of 18 whitespace-separated integer

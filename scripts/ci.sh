@@ -73,6 +73,16 @@ if ! cargo test --offline --locked --quiet -p elastisched --test golden_planes; 
     exit 1
 fi
 
+echo "== golden metrics exposition fixture =="
+# Byte-for-byte pin of the standard metric set's /metrics text and
+# /status snapshot JSON (every name, help text, kind and order);
+# re-bless with \`ELASTISCHED_BLESS=1 cargo test -p elastisched --test
+# golden_exposition\` after an intentional change to the set.
+if ! cargo test --offline --locked --quiet -p elastisched --test golden_exposition; then
+    echo "golden metrics exposition drifted; rerun with \`ELASTISCHED_BLESS=1\` to re-bless (see above)" >&2
+    exit 1
+fi
+
 echo "== divergence-explain smoke (escli diff on the headline workload) =="
 # The headline acceptance for the attribution plane: diffing EASY vs
 # Delayed-LOS on the built-in 500-job workload must report a nonzero
@@ -164,6 +174,12 @@ cargo clippy --offline --locked --workspace --all-targets -- -D warnings
 echo "== rustfmt (check only) =="
 # Covers every workspace member; benchmark/ is its own workspace.
 cargo fmt --all -- --check
+
+echo "== rustdoc (deny warnings) =="
+# Broken intra-doc links, citation brackets such as [8] read as links,
+# and public docs linking private items fail here. The step also checks
+# the docs the standard metric table generates for each metrics key.
+RUSTDOCFLAGS="-D warnings" cargo doc --offline --locked --workspace --no-deps
 
 echo "== examples (each runs once) =="
 # clippy --all-targets compiles the examples; this runs them, so an
