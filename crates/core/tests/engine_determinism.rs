@@ -152,6 +152,43 @@ fn malleable_run_metrics_match_golden() {
     }
 }
 
+/// The event queue's traffic counters, pinned on two fixed runs.
+/// `RunMetrics` equality ignores them, so the goldens above would not
+/// notice if a queue change moved `EngineStats::{queue_ops,
+/// peak_queue_len}` — the counts behind the benchmark's
+/// `sim.queue_ops` / `sim.peak_queue_len` and the
+/// `elastisched_engine_queue_ops_total` series. Any queue that pops in
+/// time order, FIFO within an instant, must reproduce them exactly.
+#[test]
+fn queue_traffic_counters_are_pinned() {
+    let batch = generate(
+        &GeneratorConfig::paper_batch(0.5)
+            .with_paper_eccs()
+            .with_jobs(500)
+            .with_seed(42),
+    );
+    let malleable = generate(
+        &GeneratorConfig::paper_heterogeneous(0.5, 0.3)
+            .with_malleable(0.5)
+            .with_paper_eccs()
+            .with_jobs(500)
+            .with_seed(7),
+    );
+    let cases: [(StackSpec, &Workload, u64, u64); 2] = [
+        (Algorithm::DelayedLosE.into(), &batch, 1016, 5),
+        ("hybrid-los+m+e".parse().unwrap(), &malleable, 1364, 12),
+    ];
+    for (spec, w, queue_ops, peak_queue_len) in cases {
+        let name = spec.to_string();
+        let m = Experiment::new(spec).run(w).expect("run succeeds");
+        assert_eq!(
+            (m.queue_ops, m.peak_queue_len),
+            (queue_ops, peak_queue_len),
+            "{name}: (queue_ops, peak_queue_len) moved"
+        );
+    }
+}
+
 #[test]
 fn repeated_runs_are_bit_identical() {
     // Same seed → same metrics, twice over, for a representative spread
