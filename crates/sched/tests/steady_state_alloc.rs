@@ -155,16 +155,16 @@ fn steady_state_solves_do_not_allocate() {
 /// The whole-experiment allocation floor: one 500-job headline run —
 /// scheduler build, engine setup, workload clone-in, event loop, and
 /// metrics derivation — against the budgets the arena work established
-/// (PR 7: selection-cache keys share one arena, the calendar queue's
-/// slab is sized at load, metrics fold through a pre-sized
-/// accumulator; PR 10: cached selections share an answer arena like
-/// the keys, and the DP staging buffers / incremental tables / batch
-/// queue are pre-sized at construction, collapsing every mid-run
-/// doubling chain). Measured on this workload: build ≈ 16 (one-time
-/// pre-reserves), load ≈ 11 (five purpose tables + event-queue slab),
-/// metrics ≈ 2 (wait series + scheduler name), event loop ≈ 3, full
-/// run ≈ 33. The ceilings leave headroom for allocator rounding but
-/// fail loudly if a per-job or per-slot allocation creeps back in.
+/// (PR 7: selection-cache keys share one arena, metrics fold through a
+/// pre-sized accumulator; PR 10: cached selections share an answer
+/// arena like the keys, and the DP staging buffers / incremental
+/// tables / batch queue are pre-sized at construction, collapsing every
+/// mid-run doubling chain). Measured on this workload with the
+/// binary-heap event queue: build 16 (one-time pre-reserves), load 8,
+/// event loop 4 (the heap's few doublings among them), metrics 2 (wait
+/// series + scheduler name), full run 30. The ceilings leave headroom
+/// for allocator rounding but fail loudly if a per-job or per-slot
+/// allocation creeps back in.
 #[test]
 fn full_run_allocation_floor() {
     use elastisched_metrics::RunMetrics;

@@ -95,7 +95,7 @@ pub enum SimError {
     /// An always-on audit check (the `audit` cargo feature) caught an
     /// engine-state inconsistency: capacity conservation, clock
     /// monotonicity, ECC/running-set accounting, reclamation-slab
-    /// consistency, bucket-FIFO order, or wait-attribution
+    /// consistency, waiting-job FIFO order, or wait-attribution
     /// conservation. Never produced without the feature; when a flight
     /// recorder is armed the violation also dumps a postmortem (see
     /// [`Engine::enable_flight_recorder`]).
