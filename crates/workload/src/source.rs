@@ -26,10 +26,50 @@
 //! [`SwfSource::error`] / [`CwfSource::error`] after the run (the
 //! `JobSource` contract has no error channel because the hot path must
 //! stay a plain `Option`).
+//!
+//! ## Parsing ahead on a worker thread
+//!
+//! Parsing a row costs a few hundred nanoseconds that nothing in the
+//! engine has to wait for, so both file sources parse on a thread of
+//! their own and the engine thread only pops parsed items:
+//!
+//! * **Start.** The first `next_item` spawns one worker per source, so
+//!   settings made before it (`SwfSource::with_malleable_growth`) are
+//!   the worker's. The worker runs the whole parse: read a line, split
+//!   it, build the record, convert it to a job or ECC, and scan the SWF
+//!   header. A failed spawn panics with the OS error.
+//! * **Handoff.** The worker fills batches of 512 items and sends each
+//!   over a bounded channel that queues at most two. Items keep file
+//!   order, so a run, its schedule and every digest are what a parse on
+//!   the engine thread gives.
+//! * **Memory.** The engine thread makes the source's three batch
+//!   buffers (one it drains, one the worker fills, one in either hand
+//!   or queued) and hands each drained buffer back over a return
+//!   channel. The line buffer is sized before the spawn, so the worker
+//!   allocates nothing per row. A running source holds these buffers
+//!   (≈0.1 MiB), the worker's stack and the reader.
+//! * **End and errors.** The worker stops at the end of the text or at
+//!   the first malformed line and returns that line's error, which the
+//!   engine thread takes when it joins the worker. `next_item` yields
+//!   every item before the bad line, then `None` from then on, and
+//!   `error()` names the line from the first `None` on.
+//! * **Panics.** A panic on the worker (in the reader, say) is resumed
+//!   on the engine thread at the next refill, never seen as a stream
+//!   that ended early.
+//! * **Drop.** Dropping a source hangs up both channels and joins the
+//!   worker, which stops at its next send or receive: after the batch
+//!   it is filling, at most.
+//!
+//! The reader therefore moves to the worker: `JobSource` is implemented
+//! for `R: BufRead + Send + 'static`, while `new` and `error` ask only
+//! `R: BufRead`. `from_text` copies its text into an owned reader.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::io::BufRead;
+use std::io::{BufRead, Cursor};
+use std::panic::resume_unwind;
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
+use std::thread::JoinHandle;
 
 use crate::cwf::CwfRecord;
 use crate::gen::{GeneratorConfig, JobStream};
@@ -40,25 +80,27 @@ use elastisched_sim::{EccSpec, JobClass, JobId, JobSource, JobSpec, SimTime, Sou
 // SWF
 // ---------------------------------------------------------------------
 
-/// Streams batch jobs from SWF text, one line at a time.
+/// Streams batch jobs from SWF text, parsed ahead on a worker thread.
 ///
 /// Filtering matches `SwfFile::to_job_specs`: comment and blank lines
 /// are skipped, records missing a mandatory field (processors or any
 /// runtime) are silently dropped, and a malformed line stops the stream
 /// with the error retrievable from [`SwfSource::error`].
+///
+/// The first [`next_item`](JobSource::next_item) starts one worker
+/// thread that reads and parses the text and hands the jobs over in
+/// batches (see the [module docs](self) for the handoff, its memory,
+/// and what a panic or a drop does). The engine thread sees the same
+/// items in the same order as a parse on its own thread would give.
 pub struct SwfSource<R> {
-    lines: Lines<R>,
-    malleable: bool,
-    header: SwfHeader,
+    feed: ParseAhead<R, SwfRows>,
 }
 
 impl<R: BufRead> SwfSource<R> {
     /// Stream SWF records from a buffered reader.
     pub fn new(reader: R) -> Self {
         SwfSource {
-            lines: Lines::new(reader),
-            malleable: false,
-            header: SwfHeader::default(),
+            feed: ParseAhead::new(reader, SwfRows::default()),
         }
     }
 
@@ -69,31 +111,52 @@ impl<R: BufRead> SwfSource<R> {
     /// job. Yields exactly what
     /// [`SwfFile::to_job_specs_malleable`](crate::swf::SwfFile::to_job_specs_malleable)
     /// materializes.
+    ///
+    /// # Panics
+    ///
+    /// If the stream has started: the worker parses with the settings it
+    /// was started with.
     pub fn with_malleable_growth(mut self) -> Self {
-        self.malleable = true;
+        let Stage::Ready(_, rows) = &mut self.feed.stage else {
+            panic!("with_malleable_growth after the stream started");
+        };
+        rows.malleable = true;
         self
     }
 
-    /// The parse error that terminated the stream, if any.
+    /// The parse error that terminated the stream, if any. Set once
+    /// `next_item` has returned `None`.
     pub fn error(&self) -> Option<&ParseError> {
-        self.lines.err.as_ref()
+        self.feed.err.as_ref()
     }
 }
 
-impl<'a> SwfSource<&'a [u8]> {
-    /// Stream SWF records from in-memory text.
-    pub fn from_text(text: &'a str) -> Self {
-        SwfSource::new(text.as_bytes())
+impl SwfSource<Cursor<Vec<u8>>> {
+    /// Stream SWF records from a copy of in-memory text.
+    pub fn from_text(text: &str) -> Self {
+        SwfSource::new(Cursor::new(text.as_bytes().to_vec()))
     }
 }
 
-impl<R: BufRead> JobSource for SwfSource<R> {
+impl<R: BufRead + Send + 'static> JobSource for SwfSource<R> {
     fn next_item(&mut self) -> Option<SourceItem> {
-        let (header, malleable) = (&mut self.header, self.malleable);
-        self.lines.pull(|line| match line {
+        self.feed.next_item()
+    }
+}
+
+/// SWF rows to jobs, with the header ceiling for malleable growth.
+#[derive(Default)]
+struct SwfRows {
+    malleable: bool,
+    header: SwfHeader,
+}
+
+impl Rows for SwfRows {
+    fn item(&mut self, line: Line<'_>) -> Result<Option<SourceItem>, ParseError> {
+        match line {
             Line::Comment(c) => {
-                if malleable {
-                    header.scan(c);
+                if self.malleable {
+                    self.header.scan(c);
                 }
                 Ok(None)
             }
@@ -101,8 +164,8 @@ impl<R: BufRead> JobSource for SwfSource<R> {
             Line::Data(line, n) => Ok(Fields::split(line, n)
                 .swf_record()?
                 .to_job_spec()
-                .map(|spec| SourceItem::Job(grow_to(spec, header.machine_procs())))),
-        })
+                .map(|spec| SourceItem::Job(grow_to(spec, self.header.machine_procs())))),
+        }
     }
 }
 
@@ -110,8 +173,8 @@ impl<R: BufRead> JobSource for SwfSource<R> {
 // CWF
 // ---------------------------------------------------------------------
 
-/// Streams jobs *and* ECCs from CWF text, one line at a time, in file
-/// order.
+/// Streams jobs *and* ECCs from CWF text in file order, parsed ahead on
+/// a worker thread.
 ///
 /// The file must already be sorted by event time with submissions before
 /// ECCs at one instant (what [`CwfFile::sort_by_time`] produces;
@@ -119,35 +182,49 @@ impl<R: BufRead> JobSource for SwfSource<R> {
 /// out-of-order stream. Incomplete submissions and ECC rows with a
 /// missing amount are dropped, matching `CwfFile::to_workload`.
 ///
+/// Parsing runs on one worker thread from the first
+/// [`next_item`](JobSource::next_item) on, exactly as for [`SwfSource`]:
+/// see the [module docs](self).
+///
 /// [`CwfFile::sort_by_time`]: crate::cwf::CwfFile::sort_by_time
 pub struct CwfSource<R> {
-    lines: Lines<R>,
+    feed: ParseAhead<R, CwfRows>,
 }
 
 impl<R: BufRead> CwfSource<R> {
     /// Stream CWF rows from a buffered reader.
     pub fn new(reader: R) -> Self {
         CwfSource {
-            lines: Lines::new(reader),
+            feed: ParseAhead::new(reader, CwfRows),
         }
     }
 
-    /// The parse error that terminated the stream, if any.
+    /// The parse error that terminated the stream, if any. Set once
+    /// `next_item` has returned `None`.
     pub fn error(&self) -> Option<&ParseError> {
-        self.lines.err.as_ref()
+        self.feed.err.as_ref()
     }
 }
 
-impl<'a> CwfSource<&'a [u8]> {
-    /// Stream CWF rows from in-memory text.
-    pub fn from_text(text: &'a str) -> Self {
-        CwfSource::new(text.as_bytes())
+impl CwfSource<Cursor<Vec<u8>>> {
+    /// Stream CWF rows from a copy of in-memory text.
+    pub fn from_text(text: &str) -> Self {
+        CwfSource::new(Cursor::new(text.as_bytes().to_vec()))
     }
 }
 
-impl<R: BufRead> JobSource for CwfSource<R> {
+impl<R: BufRead + Send + 'static> JobSource for CwfSource<R> {
     fn next_item(&mut self) -> Option<SourceItem> {
-        self.lines.pull(|line| match line {
+        self.feed.next_item()
+    }
+}
+
+/// CWF rows to jobs and ECCs.
+struct CwfRows;
+
+impl Rows for CwfRows {
+    fn item(&mut self, line: Line<'_>) -> Result<Option<SourceItem>, ParseError> {
+        match line {
             Line::Comment(_) => Ok(None),
             Line::Data(line, n) => {
                 let rec = CwfRecord::from_fields(&Fields::split(line, n))?;
@@ -155,10 +232,170 @@ impl<R: BufRead> JobSource for CwfSource<R> {
                 let job = rec.to_job_spec().map(SourceItem::Job);
                 Ok(job.or_else(|| rec.to_ecc_spec().map(SourceItem::Ecc)))
             }
-        })
+        }
     }
 }
 
+// ---------------------------------------------------------------------
+// Parse-ahead worker
+// ---------------------------------------------------------------------
+
+/// Items per handoff from the parse worker to the engine thread.
+const BATCH: usize = 512;
+/// Batch buffers per source: one the engine thread drains, one the
+/// worker fills, and one in either hand or queued between them.
+const BUFFERS: usize = 3;
+/// Filled batches the worker may queue ahead of the engine thread.
+const DEPTH: usize = 2;
+
+/// How one file format turns a line into a stream item.
+trait Rows: Send + 'static {
+    /// The item `line` makes; `None` skips the line.
+    fn item(&mut self, line: Line<'_>) -> Result<Option<SourceItem>, ParseError>;
+}
+
+/// A file source's engine-thread side: the batch being handed out, and
+/// the worker that parses the rest.
+struct ParseAhead<R, P> {
+    stage: Stage<R, P>,
+    /// The batch being handed out; `batch[at]` is the next item.
+    batch: Vec<SourceItem>,
+    at: usize,
+    /// The error that ended the stream.
+    err: Option<ParseError>,
+}
+
+enum Stage<R, P> {
+    /// Not pulled yet: the reader and the format's row parser.
+    Ready(Lines<R>, P),
+    Running(Worker),
+    /// The worker has been joined.
+    Ended,
+}
+
+struct Worker {
+    /// Filled batches, in stream order.
+    batches: Receiver<Vec<SourceItem>>,
+    /// Drained batches, back to the worker for refilling.
+    spare: SyncSender<Vec<SourceItem>>,
+    /// Returns the error that ended the parse.
+    handle: JoinHandle<Option<ParseError>>,
+}
+
+impl Worker {
+    /// Hang up both channels and wait for the worker, which exits at its
+    /// next send or receive.
+    fn join(self) -> std::thread::Result<Option<ParseError>> {
+        drop((self.batches, self.spare));
+        self.handle.join()
+    }
+}
+
+impl<R: BufRead, P> ParseAhead<R, P> {
+    fn new(reader: R, rows: P) -> Self {
+        ParseAhead {
+            stage: Stage::Ready(Lines::new(reader), rows),
+            batch: Vec::new(),
+            at: 0,
+            err: None,
+        }
+    }
+}
+
+impl<R: BufRead + Send + 'static, P: Rows> ParseAhead<R, P> {
+    #[inline]
+    fn next_item(&mut self) -> Option<SourceItem> {
+        match self.batch.get(self.at) {
+            Some(&item) => {
+                self.at += 1;
+                Some(item)
+            }
+            None => self.refill(),
+        }
+    }
+
+    /// Hand the drained batch back and wait for the next one; at the end
+    /// of the stream, join the worker and keep its error.
+    #[cold]
+    fn refill(&mut self) -> Option<SourceItem> {
+        if matches!(self.stage, Stage::Ready(..)) {
+            self.start();
+        }
+        let Stage::Running(worker) = &self.stage else {
+            return None;
+        };
+        let mut drained = std::mem::take(&mut self.batch);
+        drained.clear();
+        // Fails only once the worker has finished, which the receive
+        // below then reports.
+        let _ = worker.spare.send(drained);
+        if let Ok(batch) = worker.batches.recv() {
+            self.batch = batch;
+            self.at = 1;
+            return Some(self.batch[0]);
+        }
+        let Stage::Running(worker) = std::mem::replace(&mut self.stage, Stage::Ended) else {
+            unreachable!("matched above");
+        };
+        self.err = worker.join().unwrap_or_else(|panic| resume_unwind(panic));
+        None
+    }
+
+    /// Spawn the worker with its batch buffers: all but the one the
+    /// engine thread holds start out as spares.
+    fn start(&mut self) {
+        let Stage::Ready(lines, rows) = std::mem::replace(&mut self.stage, Stage::Ended) else {
+            unreachable!("start runs once, from Ready");
+        };
+        let (batch_tx, batches) = sync_channel(DEPTH);
+        let (spare, spare_rx) = sync_channel(BUFFERS);
+        for _ in 1..BUFFERS {
+            spare
+                .send(Vec::with_capacity(BATCH))
+                .expect("the spare channel has room for every buffer");
+        }
+        self.batch = Vec::with_capacity(BATCH);
+        let handle = std::thread::Builder::new()
+            .name("trace-parse".into())
+            .spawn(move || parse_ahead(lines, rows, batch_tx, spare_rx))
+            .unwrap_or_else(|e| panic!("spawning the trace parse worker: {e}"));
+        self.stage = Stage::Running(Worker {
+            batches,
+            spare,
+            handle,
+        });
+    }
+}
+
+impl<R, P> Drop for ParseAhead<R, P> {
+    fn drop(&mut self) {
+        if let Stage::Running(worker) = std::mem::replace(&mut self.stage, Stage::Ended) {
+            // A panic must not escape a drop; the panic hook has already
+            // reported it on the worker.
+            let _ = worker.join();
+        }
+    }
+}
+
+/// The worker's loop: fill each spare buffer with up to `BATCH` items
+/// and send it on, until the text ends, a line fails to parse, or the
+/// engine thread hangs up. Returns the error that ended the parse.
+fn parse_ahead<R: BufRead>(
+    mut lines: Lines<R>,
+    mut rows: impl Rows,
+    batches: SyncSender<Vec<SourceItem>>,
+    spare: Receiver<Vec<SourceItem>>,
+) -> Option<ParseError> {
+    while let Ok(mut batch) = spare.recv() {
+        // Spares arrive empty with room for `BATCH` items: no allocation.
+        batch.extend(std::iter::from_fn(|| lines.pull(|line| rows.item(line))).take(BATCH));
+        let full = batch.len() == BATCH;
+        if batch.is_empty() || batches.send(batch).is_err() || !full {
+            break;
+        }
+    }
+    lines.err
+}
 // ---------------------------------------------------------------------
 // Lublin generator
 // ---------------------------------------------------------------------

@@ -416,6 +416,9 @@ pub(crate) enum Line<'a> {
     Data(&'a [u8], usize),
 }
 
+/// The line buffer's starting capacity; SWF and CWF rows are shorter.
+const LINE_BYTES: usize = 256;
+
 /// Reads SWF/CWF text one line at a time into one reused buffer.
 ///
 /// Data lines are handled as bytes and must be ASCII: a non-ASCII byte
@@ -434,7 +437,9 @@ impl<R: BufRead> Lines<R> {
     pub(crate) fn new(reader: R) -> Self {
         Lines {
             reader,
-            buf: Vec::new(),
+            // Room for an archive row, so a parse worker started after
+            // this does not allocate for the lines it reads.
+            buf: Vec::with_capacity(LINE_BYTES),
             lineno: 0,
             err: None,
         }

@@ -14,6 +14,7 @@ use elastisched_workload::{
     SwfRecord, SwfSource, Workload,
 };
 use proptest::prelude::*;
+use std::io::Cursor;
 
 // ---------------------------------------------------------------------
 // The reference parser
@@ -256,7 +257,7 @@ fn lines_before(text: &str, line: usize) -> String {
 /// `CwfFile::parse(text).to_workload()` in file order, and stops with the
 /// parser's error where it errs.
 fn check_cwf_source(text: &str, bytes: &[u8]) {
-    let mut src = CwfSource::new(bytes);
+    let mut src = CwfSource::new(Cursor::new(bytes.to_vec()));
     let items = drain(&mut src);
     let (w, err) = match CwfFile::parse(text) {
         Ok(f) => (f.to_workload(), None),
@@ -279,7 +280,7 @@ fn check_cwf_source(text: &str, bytes: &[u8]) {
 /// `SwfSource` over `bytes` yields `SwfFile::to_job_specs` (or its
 /// malleable variant), and stops with the parser's error where it errs.
 fn check_swf_source(text: &str, bytes: &[u8], malleable: bool) {
-    let mut src = SwfSource::new(bytes);
+    let mut src = SwfSource::new(Cursor::new(bytes.to_vec()));
     if malleable {
         src = src.with_malleable_growth();
     }
@@ -341,8 +342,8 @@ proptest! {
                 _ => b' ',
             })
             .collect();
-        drain(&mut CwfSource::new(&bytes[..]));
-        drain(&mut SwfSource::new(&bytes[..]).with_malleable_growth());
+        drain(&mut CwfSource::new(Cursor::new(bytes.clone())));
+        drain(&mut SwfSource::new(Cursor::new(bytes.clone())).with_malleable_growth());
         if let Ok(text) = std::str::from_utf8(&bytes) {
             check_cwf_source(text, &bytes);
             check_swf_source(text, &bytes, true);
@@ -359,9 +360,9 @@ const CWF_LINE: &str = "2 30 -1 600 96 -1 -1 96 600 -1 1 -1 -1 -1 -1 -1 -1 -1 -1
 
 /// The error each streaming reader stops with on `bytes`.
 fn stream_errors(bytes: &[u8]) -> [Option<ParseError>; 2] {
-    let mut cwf = CwfSource::new(bytes);
+    let mut cwf = CwfSource::new(Cursor::new(bytes.to_vec()));
     drain(&mut cwf);
-    let mut swf = SwfSource::new(bytes).with_malleable_growth();
+    let mut swf = SwfSource::new(Cursor::new(bytes.to_vec())).with_malleable_growth();
     drain(&mut swf);
     [cwf.error().cloned(), swf.error().cloned()]
 }

@@ -66,15 +66,6 @@ fn swf_items(text: &str, malleable: bool) -> Vec<SourceItem> {
     jobs.into_iter().map(SourceItem::Job).collect()
 }
 
-fn swf_source(text: &str, malleable: bool) -> SwfSource<impl BufRead + '_> {
-    let src = SwfSource::from_text(text);
-    if malleable {
-        src.with_malleable_growth()
-    } else {
-        src
-    }
-}
-
 /// `text` with the fourth field of its `record`th data record (1-based)
 /// made unparseable, the number of that line, and the text before it.
 fn garble(text: &str, record: usize) -> (String, usize, String) {
@@ -108,7 +99,10 @@ fn swf_parse_error_ends_the_stream_at_the_21st_record() {
     for malleable in [false, true] {
         let expected = swf_items(&before, malleable);
         assert_eq!(expected.len(), 20);
-        let mut src = swf_source(&text, malleable);
+        let mut src = SwfSource::from_text(&text);
+        if malleable {
+            src = src.with_malleable_growth();
+        }
         assert_eq!(drain(&mut src), expected);
         assert_eq!(src.next_item(), None, "the stream stays ended");
         assert_eq!(src.next_item(), None, "the stream stays ended");
@@ -171,7 +165,10 @@ fn streams_around_the_batch_size_match_the_file_parsers() {
         }
         .to_text();
         for malleable in [false, true] {
-            let mut src = swf_source(&swf, malleable);
+            let mut src = SwfSource::from_text(&swf);
+            if malleable {
+                src = src.with_malleable_growth();
+            }
             let items = drain(&mut src);
             assert!(src.error().is_none());
             assert_eq!(items.len(), rows);
