@@ -48,7 +48,7 @@
 //! request even when it straddles a unit boundary); `used_now` therefore
 //! reports *allocated* processors, i.e. chosen units × unit size.
 
-use elastisched_sim::{Duration, JobId, DP_NANOS_SAMPLE_EVERY};
+use elastisched_sim::{JobId, DP_NANOS_SAMPLE_EVERY};
 use std::ops::{BitAnd, BitOrAssign, Shl, Sub};
 use std::time::Instant;
 
@@ -990,12 +990,10 @@ impl DpSolver {
 pub struct DpWork {
     /// The memoizing bitset solver.
     pub solver: DpSolver,
-    /// Candidate job ids, parallel to `sizes` / `durs` / `items`.
+    /// Candidate job ids, parallel to `sizes` / `items`.
     pub ids: Vec<JobId>,
     /// Candidate processor requests (Basic_DP input).
     pub sizes: Vec<u32>,
-    /// Candidate durations (for freeze-extension checks).
-    pub durs: Vec<Duration>,
     /// Candidate items (Reservation_DP input).
     pub items: Vec<DpItem>,
     /// Candidate queue positions (indices into the wait-queue snapshot
@@ -1009,13 +1007,12 @@ impl Default for DpWork {
     fn default() -> Self {
         // Pre-size the staging buffers for a paper-scale candidate set
         // (the headline run peaks well under 64): the first cycles then
-        // fill existing capacity instead of replaying five separate
+        // fill existing capacity instead of replaying four separate
         // doubling chains.
         DpWork {
             solver: DpSolver::new(),
             ids: Vec::with_capacity(64),
             sizes: Vec::with_capacity(64),
-            durs: Vec::with_capacity(64),
             items: Vec::with_capacity(64),
             positions: Vec::with_capacity(64),
         }
@@ -1027,7 +1024,6 @@ impl DpWork {
     pub fn clear_candidates(&mut self) {
         self.ids.clear();
         self.sizes.clear();
-        self.durs.clear();
         self.items.clear();
         self.positions.clear();
     }
@@ -1798,17 +1794,17 @@ mod tests {
         let mut work = DpWork::default();
         work.ids.push(JobId(1));
         work.sizes.push(64);
-        work.durs.push(Duration::from_secs(10));
         work.items.push(DpItem {
             num: 64,
             extends: false,
         });
+        work.positions.push(0);
         // Over capacity, so the solve is a real miss rather than a
         // take-all answer (which counts as a hit).
         let _ = work.solver.basic(&[256, 256], 320, 32);
         work.clear_candidates();
         assert!(work.ids.is_empty() && work.sizes.is_empty());
-        assert!(work.durs.is_empty() && work.items.is_empty());
+        assert!(work.items.is_empty() && work.positions.is_empty());
         assert_eq!(work.stats().cache_misses, 1);
     }
 }
