@@ -166,7 +166,18 @@ echo "== trace-format parser oracle =="
 # with a reference built on the str rules (split_whitespace,
 # i64::from_str) on generated text, and both streaming readers must
 # yield what the file parsers materialize, or stop with the same error.
-cargo test --offline --locked --quiet -p elastisched-workload --test format_properties
+# source_stream pins the readers' stream contract around their parse
+# worker: where an error ends the stream, an early drop, a reader panic,
+# and streams around the batch size. Both suites run a second time on
+# one core, where the worker and the consuming thread take turns.
+cargo test --offline --locked --quiet -p elastisched-workload \
+    --test format_properties --test source_stream
+if command -v taskset >/dev/null; then
+    taskset -c 0 cargo test --offline --locked --quiet -p elastisched-workload \
+        --test format_properties --test source_stream
+else
+    echo "taskset not found: skipping the one-core run of the parser oracle"
+fi
 
 echo "== clippy (deny warnings) =="
 cargo clippy --offline --locked --workspace --all-targets -- -D warnings
