@@ -318,9 +318,10 @@ impl<R: BufRead + Send + 'static, P: Rows> ParseAhead<R, P> {
     /// of the stream, join the worker and keep its error.
     #[cold]
     fn refill(&mut self) -> Option<SourceItem> {
-        if matches!(self.stage, Stage::Ready(..)) {
-            self.start();
-        }
+        self.stage = match std::mem::replace(&mut self.stage, Stage::Ended) {
+            Stage::Ready(lines, rows) => Stage::Running(self.spawn(lines, rows)),
+            stage => stage,
+        };
         let Stage::Running(worker) = &self.stage else {
             return None;
         };
@@ -334,19 +335,15 @@ impl<R: BufRead + Send + 'static, P: Rows> ParseAhead<R, P> {
             self.at = 1;
             return Some(self.batch[0]);
         }
-        let Stage::Running(worker) = std::mem::replace(&mut self.stage, Stage::Ended) else {
-            unreachable!("matched above");
-        };
-        self.err = worker.join().unwrap_or_else(|panic| resume_unwind(panic));
+        if let Stage::Running(worker) = std::mem::replace(&mut self.stage, Stage::Ended) {
+            self.err = worker.join().unwrap_or_else(|panic| resume_unwind(panic));
+        }
         None
     }
 
-    /// Spawn the worker with its batch buffers: all but the one the
-    /// engine thread holds start out as spares.
-    fn start(&mut self) {
-        let Stage::Ready(lines, rows) = std::mem::replace(&mut self.stage, Stage::Ended) else {
-            unreachable!("start runs once, from Ready");
-        };
+    /// Start the worker on `lines`, with the batch buffers: all but the
+    /// one the engine thread holds start out as spares.
+    fn spawn(&mut self, lines: Lines<R>, rows: P) -> Worker {
         let (batch_tx, batches) = sync_channel(DEPTH);
         let (spare, spare_rx) = sync_channel(BUFFERS);
         for _ in 1..BUFFERS {
@@ -359,11 +356,11 @@ impl<R: BufRead + Send + 'static, P: Rows> ParseAhead<R, P> {
             .name("trace-parse".into())
             .spawn(move || parse_ahead(lines, rows, batch_tx, spare_rx))
             .unwrap_or_else(|e| panic!("spawning the trace parse worker: {e}"));
-        self.stage = Stage::Running(Worker {
+        Worker {
             batches,
             spare,
             handle,
-        });
+        }
     }
 }
 
@@ -396,6 +393,7 @@ fn parse_ahead<R: BufRead>(
     }
     lines.err
 }
+
 // ---------------------------------------------------------------------
 // Lublin generator
 // ---------------------------------------------------------------------
