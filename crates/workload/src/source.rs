@@ -47,7 +47,9 @@
 //!   or queued) and hands each drained buffer back over a return
 //!   channel. The line buffer is sized before the spawn, so the worker
 //!   allocates nothing per row. A running source holds these buffers
-//!   (≈0.1 MiB), the worker's stack and the reader.
+//!   (≈0.1 MiB), the worker's stack and the reader; with the thread's
+//!   own cost (the libc pages it faults in, its allocator arena) it
+//!   added ≈0.4 MiB of peak RSS to the benchmark's archive replay.
 //! * **End and errors.** The worker stops at the end of the text or at
 //!   the first malformed line and returns that line's error, which the
 //!   engine thread takes when it joins the worker. `next_item` yields
