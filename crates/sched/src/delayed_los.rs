@@ -13,15 +13,13 @@
 //! * head does not fit → freeze for the head, Reservation_DP over the
 //!   queue (lines 12–20).
 
-use crate::dp::{DpItem, DpWork};
 use crate::freeze::{batch_head_freeze, Freeze};
-use crate::los::DEFAULT_LOOKAHEAD;
+use crate::los::{dp_pass, DEFAULT_LOOKAHEAD};
 use crate::queue::BatchQueue;
 use crate::stack::{
     debug_assert_unconstrained, BatchOnly, BatchPolicy, DedicatedClaim, PolicyShared, PolicyStack,
 };
-use crate::telemetry::Telemetry;
-use elastisched_sim::{trace_event, DpKernel, SchedContext, TraceEvent};
+use elastisched_sim::{trace_event, SchedContext, TraceEvent};
 
 /// Default maximum skip count. The paper's Fig. 5 finds the sweet spot at
 /// `C_s ≈ 7–8` for `P_S = 0.5`.
@@ -35,11 +33,9 @@ pub(crate) fn delayed_los_cycle(
     ctx: &mut dyn SchedContext,
     cs: u32,
     lookahead: usize,
-    telemetry: &mut Telemetry,
-    work: &mut DpWork,
+    shared: &mut PolicyShared,
 ) {
     let now = ctx.now();
-    let unit = ctx.unit();
     let mut dp_done = false;
     // `free` is maintained locally: every start removes exactly the
     // started job's `num` from the machine's free pool, so one context
@@ -65,79 +61,16 @@ pub(crate) fn delayed_los_cycle(
             ctx.start(head_id).expect("head fit was checked");
             free -= head_num;
             queue.pop_head();
-            telemetry.head_force_starts += 1;
+            shared.telemetry.head_force_starts += 1;
             continue;
         }
         if dp_done {
             return;
         }
         if head_num <= free {
-            // Lines 6–11: Basic_DP over the waiting queue. Queue
-            // positions are staged alongside the candidates so chosen
-            // jobs are removed by index instead of an O(Q) id scan.
-            work.clear_candidates();
-            for (pos, w) in queue.iter().enumerate() {
-                if w.view.num > free {
-                    continue;
-                }
-                work.ids.push(w.view.id);
-                work.sizes.push(w.view.num);
-                work.positions.push(pos as u32);
-                if work.ids.len() == lookahead {
-                    break;
-                }
-            }
-            let tracing = ctx.trace().is_some();
-            let hits_before = work.solver.stats().cache_hits;
-            let candidates = work.ids.len() as u32;
-            let sel = work.solver.basic(&work.sizes, free, unit);
-            telemetry.basic_dp_calls += 1;
-            // Built only when tracing: the selection borrow ends before
-            // the cache-hit counters can be re-read, so the ids are
-            // staged here and the event emitted after the starts.
-            let mut chosen_trace: Vec<u64> = Vec::new();
-            if tracing {
-                chosen_trace.extend(sel.chosen.iter().map(|&i| work.ids[i].0));
-            }
-            let head_selected = sel.chosen.iter().any(|&i| work.ids[i] == head_id);
-            if !head_selected {
-                queue.head_mut().expect("still non-empty").scount += 1;
-                telemetry.head_skips += 1;
-                if let Some(notes) = ctx.attribution() {
-                    notes.note_skip(head_id);
-                }
-                trace_event!(
-                    ctx.trace(),
-                    TraceEvent::HeadSkip {
-                        job: head_id.0,
-                        at: now.as_secs(),
-                        scount: head_scount + 1,
-                    }
-                );
-            }
-            for &i in &sel.chosen {
-                ctx.start(work.ids[i]).expect("DP selection fits");
-                free -= work.sizes[i];
-                telemetry.dp_starts += 1;
-            }
-            // Chosen indices ascend, so staged positions do too: remove
-            // back-to-front so earlier positions stay valid.
-            for &i in sel.chosen.iter().rev() {
-                queue.remove_at(work.positions[i] as usize);
-            }
-            if tracing {
-                let cache_hit = work.solver.stats().cache_hits > hits_before;
-                trace_event!(
-                    ctx.trace(),
-                    TraceEvent::DpSelect {
-                        at: now.as_secs(),
-                        kernel: DpKernel::Basic,
-                        candidates,
-                        chosen: chosen_trace,
-                        cache_hit,
-                    }
-                );
-            }
+            // Lines 6–11: Basic_DP over the waiting queue, the head
+            // included; a head the selection passes over is skipped.
+            free -= dp_pass(queue, ctx, shared, None, 0, lookahead, free, true);
             dp_done = true;
             continue;
         }
@@ -145,56 +78,7 @@ pub(crate) fn delayed_los_cycle(
         let Some(freeze) = batch_head_freeze(ctx.running(), now, ctx.total(), head_num) else {
             return; // head larger than the machine; engine validation forbids this
         };
-        if let Some(notes) = ctx.attribution() {
-            notes.note_freeze();
-        }
-        work.clear_candidates();
-        for (pos, w) in queue.iter().enumerate().skip(1) {
-            if w.view.num > free {
-                continue;
-            }
-            work.ids.push(w.view.id);
-            work.items.push(DpItem {
-                num: w.view.num,
-                extends: freeze.extends(now, w.view.dur),
-            });
-            work.positions.push(pos as u32);
-            if work.ids.len() == lookahead {
-                break;
-            }
-        }
-        let tracing = ctx.trace().is_some();
-        let hits_before = work.solver.stats().cache_hits;
-        let candidates = work.ids.len() as u32;
-        let sel = work
-            .solver
-            .reservation(&work.items, free, freeze.frec, unit);
-        telemetry.reservation_dp_calls += 1;
-        let mut chosen_trace: Vec<u64> = Vec::new();
-        if tracing {
-            chosen_trace.extend(sel.chosen.iter().map(|&i| work.ids[i].0));
-        }
-        for &i in &sel.chosen {
-            ctx.start(work.ids[i]).expect("DP selection fits");
-            free -= work.items[i].num;
-            telemetry.dp_starts += 1;
-        }
-        for &i in sel.chosen.iter().rev() {
-            queue.remove_at(work.positions[i] as usize);
-        }
-        if tracing {
-            let cache_hit = work.solver.stats().cache_hits > hits_before;
-            trace_event!(
-                ctx.trace(),
-                TraceEvent::DpSelect {
-                    at: now.as_secs(),
-                    kernel: DpKernel::Reservation,
-                    candidates,
-                    chosen: chosen_trace,
-                    cache_hit,
-                }
-            );
-        }
+        free -= dp_pass(queue, ctx, shared, Some(freeze), 1, lookahead, free, false);
         dp_done = true;
     }
 }
@@ -250,14 +134,7 @@ impl BatchPolicy for DelayedLosCore {
         // Delayed-LOS is only ever driven unconstrained: under a
         // dedicated claim the interleaved drive calls `dedicated_cycle`.
         debug_assert_unconstrained(&ded);
-        delayed_los_cycle(
-            queue,
-            ctx,
-            self.cs,
-            self.lookahead,
-            &mut shared.telemetry,
-            &mut shared.work,
-        );
+        delayed_los_cycle(queue, ctx, self.cs, self.lookahead, shared);
     }
 
     /// Hybrid-LOS's dedicated-freeze Reservation_DP pass (Algorithm 2
@@ -272,80 +149,20 @@ impl BatchPolicy for DelayedLosCore {
         bump_scount: bool,
         shared: &mut PolicyShared,
     ) {
-        let now = ctx.now();
         let free = ctx.free();
         let Some(freeze) = claim.freeze(ctx) else {
             return; // dedicated bundle larger than the machine
         };
-        if let Some(notes) = ctx.attribution() {
-            notes.note_freeze();
-        }
-        let head_id = queue.head().expect("batch non-empty").view.id;
-        shared.work.clear_candidates();
-        for (pos, w) in queue.iter().enumerate() {
-            if w.view.num > free {
-                continue;
-            }
-            shared.work.ids.push(w.view.id);
-            shared.work.items.push(DpItem {
-                num: w.view.num,
-                extends: freeze.extends(now, w.view.dur),
-            });
-            shared.work.positions.push(pos as u32);
-            if shared.work.ids.len() == self.lookahead {
-                break;
-            }
-        }
-        let tracing = ctx.trace().is_some();
-        let hits_before = shared.work.solver.stats().cache_hits;
-        let candidates = shared.work.ids.len() as u32;
-        let sel = shared
-            .work
-            .solver
-            .reservation(&shared.work.items, free, freeze.frec, ctx.unit());
-        let mut chosen_trace: Vec<u64> = Vec::new();
-        if tracing {
-            chosen_trace.extend(sel.chosen.iter().map(|&i| shared.work.ids[i].0));
-        }
-        shared.telemetry.reservation_dp_calls += 1;
-        let head_selected = sel.chosen.iter().any(|&i| shared.work.ids[i] == head_id);
-        if bump_scount && !head_selected {
-            let head = queue.head_mut().expect("batch non-empty");
-            head.scount += 1;
-            let scount = head.scount;
-            shared.telemetry.head_skips += 1;
-            if let Some(notes) = ctx.attribution() {
-                notes.note_skip(head_id);
-            }
-            trace_event!(
-                ctx.trace(),
-                TraceEvent::HeadSkip {
-                    job: head_id.0,
-                    at: now.as_secs(),
-                    scount,
-                }
-            );
-        }
-        for &i in &sel.chosen {
-            ctx.start(shared.work.ids[i]).expect("DP selection fits");
-            shared.telemetry.dp_starts += 1;
-        }
-        for &i in sel.chosen.iter().rev() {
-            queue.remove_at(shared.work.positions[i] as usize);
-        }
-        if tracing {
-            let cache_hit = shared.work.solver.stats().cache_hits > hits_before;
-            trace_event!(
-                ctx.trace(),
-                TraceEvent::DpSelect {
-                    at: now.as_secs(),
-                    kernel: DpKernel::Reservation,
-                    candidates,
-                    chosen: chosen_trace,
-                    cache_hit,
-                }
-            );
-        }
+        dp_pass(
+            queue,
+            ctx,
+            shared,
+            Some(freeze),
+            0,
+            self.lookahead,
+            free,
+            bump_scount,
+        );
     }
 }
 

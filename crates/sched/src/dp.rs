@@ -39,8 +39,12 @@
 //! direct-mapped [`SelectionCache`] keyed by the full problem instance
 //! `(kernel, unit, capacities, sizes, extends)`: queue churn between
 //! events is low, so consecutive cycles frequently re-solve the exact
-//! same instance and hit the cache. The pre-bitset scalar kernels are
-//! retained as differential-testing oracles behind
+//! same instance and hit the cache. The schedulers pose their instances
+//! through [`DpWork::select`], whose one sweep over the wait queue stages
+//! the candidates (with their unit widths), the cache key, the take-all
+//! sums and the key's fingerprint; [`DpSolver::basic`] and
+//! [`DpSolver::reservation`] pose slices to the same back end. The
+//! pre-bitset scalar kernels are retained as differential-testing oracles behind
 //! `#[cfg(any(test, feature = "reference-kernels"))]`.
 //!
 //! Capacities are rounded **down** to whole units (a partial unit cannot
@@ -48,7 +52,9 @@
 //! request even when it straddles a unit boundary); `used_now` therefore
 //! reports *allocated* processors, i.e. chosen units × unit size.
 
-use elastisched_sim::{JobId, DP_NANOS_SAMPLE_EVERY};
+use crate::freeze::Freeze;
+use crate::queue::BatchQueue;
+use elastisched_sim::{Duration, JobId, SimTime, DP_NANOS_SAMPLE_EVERY};
 use std::ops::{BitAnd, BitOrAssign, Shl, Sub};
 use std::time::Instant;
 
@@ -113,14 +119,36 @@ impl DpItem {
     }
 }
 
-/// A kernel input. Basic_DP's bare processor counts are items that never
-/// extend past the freeze end time, which makes Basic_DP the
-/// `c2max = 0` case of the Reservation_DP kernel.
-trait Candidate: Copy {
-    fn item(self) -> DpItem;
+/// One candidate as [`DpWork`]'s staging sweep found it: a queued job
+/// that fits the free capacity, with the unit widths the kernels read.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct DpCandidate {
+    /// The job.
+    pub id: JobId,
+    /// Its position in the queue the sweep read (0 = head).
+    pub pos: u32,
+    /// The kernel item: its size and whether it extends past the freeze.
+    pub item: DpItem,
+    /// Units now (`w`) and past the freeze end time (`f`). `u32` holds
+    /// any unit count, since a job's units never exceed its processors.
+    w: u32,
+    f: u32,
 }
 
-impl Candidate for u32 {
+/// A kernel input: a staged candidate or a slice item. Basic_DP's bare
+/// processor counts are items that never extend past the freeze end
+/// time, which makes Basic_DP the `c2max = 0` case of the Reservation_DP
+/// kernel.
+trait KernelItem: Copy {
+    fn item(self) -> DpItem;
+
+    /// `(w, f)` at machine unit `unit`.
+    fn units(self, unit: u32) -> (usize, usize) {
+        self.item().units(unit)
+    }
+}
+
+impl KernelItem for u32 {
     fn item(self) -> DpItem {
         DpItem {
             num: self,
@@ -129,9 +157,19 @@ impl Candidate for u32 {
     }
 }
 
-impl Candidate for DpItem {
+impl KernelItem for DpItem {
     fn item(self) -> DpItem {
         self
+    }
+}
+
+impl KernelItem for DpCandidate {
+    fn item(self) -> DpItem {
+        self.item
+    }
+
+    fn units(self, _unit: u32) -> (usize, usize) {
+        (self.w as usize, self.f as usize)
     }
 }
 
@@ -382,7 +420,7 @@ impl Layout {
     /// `0 ..= from` must already hold the table for that item prefix at
     /// this layout). Shared by the from-scratch solve (`from = 0`) and
     /// the incremental replay.
-    fn build<T: Candidate>(&self, bits: &mut [u64], items: &[T], unit: u32, from: usize) {
+    fn build<T: KernelItem>(&self, bits: &mut [u64], items: &[T], unit: u32, from: usize) {
         match self.rows {
             Rows::Packed { base, full } if full >> 64 == 0 => {
                 self.build_packed(bits, base as u64, full as u64, items, unit, from)
@@ -391,7 +429,7 @@ impl Layout {
             Rows::Words { words, mask } => {
                 let layer = self.layer;
                 for (i, it) in items.iter().enumerate().skip(from) {
-                    let (w, f) = it.item().units(unit);
+                    let (w, f) = it.units(unit);
                     let (head, tail) = bits.split_at_mut((i + 1) * layer);
                     let prev = &head[i * layer..];
                     let cur = &mut tail[..layer];
@@ -409,7 +447,7 @@ impl Layout {
     }
 
     /// [`Layout::build`] on a packed layer, in an `R` register.
-    fn build_packed<R: LayerReg, T: Candidate>(
+    fn build_packed<R: LayerReg, T: KernelItem>(
         &self,
         bits: &mut [u64],
         base: R,
@@ -421,7 +459,7 @@ impl Layout {
         let s = self.c1max + 1;
         let mut cur = R::load(bits, from);
         for (i, it) in items.iter().enumerate().skip(from) {
-            let (w, f) = it.item().units(unit);
+            let (w, f) = it.units(unit);
             if w > 0 && w <= self.c1max && f <= self.c2max {
                 // `M_w` keeps each row's low `S − w` bits, so the `w`
                 // shift stays inside its row; the `f·S` part moves row
@@ -445,7 +483,7 @@ impl Layout {
     /// table built at exactly the query — and the reconstruction below
     /// only ever visits such positions, keeping the selections
     /// byte-identical.
-    fn extract<T: Candidate>(
+    fn extract<T: KernelItem>(
         &self,
         bits: &[u64],
         c1q: usize,
@@ -474,7 +512,7 @@ impl Layout {
             if bit_get(&bits[i * self.layer..], at) {
                 continue; // exclude item i
             }
-            let (w, f) = items[i].item().units(unit);
+            let (w, f) = items[i].units(unit);
             debug_assert!(w > 0 && at >= f * self.stride + w);
             out.chosen.push(i);
             at -= f * self.stride + w;
@@ -485,7 +523,7 @@ impl Layout {
 
 /// Reservation_DP (Basic_DP when `cap_freeze` is 0 and no item extends)
 /// from scratch, writing the answer into `out`.
-fn solve<T: Candidate>(
+fn solve<T: KernelItem>(
     scratch: &mut DpScratch,
     items: &[T],
     cap_now: u32,
@@ -614,7 +652,7 @@ impl IncrementalTable {
 /// cross-cycle table: replay from the first changed item, then extract
 /// at the query capacities. Selections are byte-identical to [`solve`].
 #[allow(clippy::too_many_arguments)]
-fn solve_incremental<T: Candidate>(
+fn solve_incremental<T: KernelItem>(
     table: &mut IncrementalTable,
     packed: &[u64],
     items: &[T],
@@ -780,13 +818,14 @@ impl SelectionCache {
     }
 }
 
-fn fingerprint(key: &[u64]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &w in key {
-        h ^= w;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// FNV-1a over `words`, continuing the hash `h` (`FNV_OFFSET` starts a
+/// key's fingerprint, whose value `% CACHE_SLOTS` picks the key's slot).
+fn fnv(h: u64, words: &[u64]) -> u64 {
+    words
+        .iter()
+        .fold(h, |h, &w| (h ^ w).wrapping_mul(0x0000_0100_0000_01b3))
 }
 
 const TAG_BASIC: u64 = 1;
@@ -857,7 +896,7 @@ impl DpSolver {
 
     /// **Basic_DP** through the cache: see [`basic_dp`] for semantics.
     pub fn basic(&mut self, sizes: &[u32], capacity: u32, unit: u32) -> &Selection {
-        self.solve(TAG_BASIC, sizes, capacity, 0, unit)
+        self.solve_slice(TAG_BASIC, sizes, capacity, 0, unit)
     }
 
     /// **Reservation_DP** through the cache: see [`reservation_dp`] for
@@ -869,10 +908,13 @@ impl DpSolver {
         cap_freeze: u32,
         unit: u32,
     ) -> &Selection {
-        self.solve(TAG_RESERVATION, items, cap_now, cap_freeze, unit)
+        self.solve_slice(TAG_RESERVATION, items, cap_now, cap_freeze, unit)
     }
 
-    fn solve<T: Candidate>(
+    /// The slice front end of [`DpSolver::finish`]: the key and the
+    /// take-all sums, then, when the sums rule take-all out, the key's
+    /// fingerprint.
+    fn solve_slice<T: KernelItem>(
         &mut self,
         tag: u64,
         items: &[T],
@@ -880,42 +922,23 @@ impl DpSolver {
         cap_freeze: u32,
         unit: u32,
     ) -> &Selection {
-        if !self.cache_enabled {
-            let t0 = self.timed.then(Instant::now);
-            solve(
-                &mut self.scratch,
-                items,
-                cap_now,
-                cap_freeze,
-                unit,
-                &mut self.result,
-            );
-            self.stats.cache_misses += 1;
-            if let Some(t0) = t0 {
-                self.stats.nanos += t0.elapsed().as_nanos() as u64;
-            }
-            return &self.result;
-        }
-        // Take-all fast path: when every candidate a kernel could choose
-        // (every non-empty one) fits under both capacities, the unique
-        // utilization maximum is all of them, so the answer needs no
-        // kernel, no cache slot, and no key build. Counted as a cache
-        // hit ("answered without running a kernel").
+        self.start_key(tag, cap_now, cap_freeze, unit);
         let (mut tot_w, mut tot_f) = (0usize, 0usize);
         for it in items {
-            let (w, f) = it.item().units(unit);
-            tot_w += w;
-            tot_f += f;
+            let (w, f) = it.units(unit);
+            (tot_w, tot_f) = (tot_w + w, tot_f + f);
+            self.keybuf.push(it.item().packed());
         }
-        if tot_w <= units_floor(cap_now, unit) && tot_f <= units_floor(cap_freeze, unit) {
-            let out = &mut self.result;
-            out.chosen.clear();
-            out.chosen
-                .extend((0..items.len()).filter(|&i| items[i].item().num > 0));
-            out.used_now = (tot_w * unit as usize) as u32;
-            self.stats.cache_hits += 1;
-            return &self.result;
-        }
+        let take_all =
+            tot_w <= units_floor(cap_now, unit) && tot_f <= units_floor(cap_freeze, unit);
+        let hash = (!take_all).then(|| fnv(FNV_OFFSET, &self.keybuf));
+        self.finish(tag, items, cap_now, cap_freeze, unit, tot_w, hash);
+        &self.result
+    }
+
+    /// Start the cache key with its header, `(tag, unit, cap_now,
+    /// cap_freeze)`; one packed word per item follows.
+    fn start_key(&mut self, tag: u64, cap_now: u32, cap_freeze: u32, unit: u32) {
         self.keybuf.clear();
         self.keybuf.extend_from_slice(&[
             tag,
@@ -923,9 +946,49 @@ impl DpSolver {
             u64::from(cap_now),
             u64::from(cap_freeze),
         ]);
-        self.keybuf
-            .extend(items.iter().map(|it| it.item().packed()));
-        let idx = (fingerprint(&self.keybuf) % CACHE_SLOTS as u64) as usize;
+    }
+
+    /// The back end every solve shares, whichever front end staged it:
+    /// take-all, cache compare, incremental replay and store, answering
+    /// into `result`. `hash` is `None` when the items' unit sums fit both
+    /// capacities, `tot_w` being the units they take together; otherwise
+    /// `keybuf` holds the instance's key and `hash` its FNV-1a hash.
+    #[allow(clippy::too_many_arguments)]
+    fn finish<T: KernelItem>(
+        &mut self,
+        tag: u64,
+        items: &[T],
+        cap_now: u32,
+        cap_freeze: u32,
+        unit: u32,
+        tot_w: usize,
+        hash: Option<u64>,
+    ) {
+        if !self.cache_enabled {
+            let t0 = self.timed.then(Instant::now);
+            let (scratch, result) = (&mut self.scratch, &mut self.result);
+            solve(scratch, items, cap_now, cap_freeze, unit, result);
+            self.stats.cache_misses += 1;
+            if let Some(t0) = t0 {
+                self.stats.nanos += t0.elapsed().as_nanos() as u64;
+            }
+            return;
+        }
+        // Take-all: when every candidate a kernel could choose (every
+        // non-empty one) fits under both capacities, the unique
+        // utilization maximum is all of them, so the answer needs no
+        // kernel, no cache slot, and no key. Counted as a cache hit
+        // ("answered without running a kernel").
+        let Some(hash) = hash else {
+            let out = &mut self.result;
+            out.chosen.clear();
+            out.chosen
+                .extend((0..items.len()).filter(|&i| items[i].units(unit).0 > 0));
+            out.used_now = (tot_w * unit as usize) as u32;
+            self.stats.cache_hits += 1;
+            return;
+        };
+        let idx = (hash % CACHE_SLOTS as u64) as usize;
         let timed = self.timed;
         let incremental = self.incremental_enabled;
         let DpSolver {
@@ -977,60 +1040,137 @@ impl DpSolver {
                 stats.nanos += t0.elapsed().as_nanos() as u64 * DP_NANOS_SAMPLE_EVERY;
             }
         }
-        &self.result
     }
 }
 
 /// Per-scheduler working set for the DP path: the solver plus the
-/// candidate staging buffers every cycle refills.
+/// candidates every DP call stages.
 ///
-/// Owning these across cycles (instead of collecting fresh `Vec`s) is
-/// what makes a steady-state scheduling cycle allocation-free.
+/// [`DpWork::select`] solves straight from the wait queue. One sweep
+/// from queue position `skip` finds the jobs that fit the free capacity
+/// (a branch-free bit mask per 64 jobs, since fits and misfits
+/// interleave at random) and, for each of the first `lookahead`, builds
+/// everything the solver's back end reads:
+///
+/// * the [`DpCandidate`] record: id, queue position, item and unit
+///   widths, so the kernels never round a size again;
+/// * the packed cache-key word;
+/// * the take-all sums;
+/// * once those sums exceed a capacity (they only grow, so take-all is
+///   then out for good), the key's FNV-1a fingerprint: a catch-up over
+///   the words so far, then one step per word.
+///
+/// A take-all answer therefore never pays for a hash, and a keyed one
+/// never re-reads its key. The cache sees exactly the keys and slots the
+/// slice API ([`DpSolver::basic`], [`DpSolver::reservation`]) would give
+/// it for the same items. Owning the buffers across cycles keeps a
+/// steady-state scheduling cycle allocation-free.
 #[derive(Debug)]
 pub struct DpWork {
     /// The memoizing bitset solver.
     pub solver: DpSolver,
-    /// Candidate job ids, parallel to `sizes` / `items`.
-    pub ids: Vec<JobId>,
-    /// Candidate processor requests (Basic_DP input).
-    pub sizes: Vec<u32>,
-    /// Candidate items (Reservation_DP input).
-    pub items: Vec<DpItem>,
-    /// Candidate queue positions (indices into the wait-queue snapshot
-    /// the candidates were staged from), letting a scheduler remove the
-    /// chosen jobs by position — in descending order, so earlier
-    /// positions stay valid — instead of re-scanning the queue by id.
-    pub positions: Vec<u32>,
+    /// The last call's candidates, in queue order.
+    candidates: Vec<DpCandidate>,
 }
 
 impl Default for DpWork {
     fn default() -> Self {
-        // Pre-size the staging buffers for a paper-scale candidate set
-        // (the headline run peaks well under 64): the first cycles then
-        // fill existing capacity instead of replaying four separate
-        // doubling chains.
+        // Pre-size for a paper-scale candidate set (the headline run
+        // peaks well under 64), so the first cycles fill existing
+        // capacity instead of walking a doubling chain.
         DpWork {
             solver: DpSolver::new(),
-            ids: Vec::with_capacity(64),
-            sizes: Vec::with_capacity(64),
-            items: Vec::with_capacity(64),
-            positions: Vec::with_capacity(64),
+            candidates: Vec::with_capacity(64),
         }
     }
 }
 
 impl DpWork {
-    /// Empty the candidate staging buffers, retaining their capacity.
-    pub fn clear_candidates(&mut self) {
-        self.ids.clear();
-        self.sizes.clear();
-        self.items.clear();
-        self.positions.clear();
-    }
-
-    /// Counters accumulated by the solver so far.
-    pub fn stats(&self) -> DpStats {
-        self.solver.stats()
+    /// One DP over `queue`: **Basic_DP** when `freeze` is `None`, else
+    /// **Reservation_DP** against `freeze`, a candidate extending when,
+    /// started at `now`, it would still run at the freeze end time. The
+    /// candidates are the jobs from position `skip` on with `num ≤ free`,
+    /// at most `lookahead` (≥ 1) of them; the selection's indices point
+    /// into the returned candidates. See the type docs for the sweep.
+    #[allow(clippy::too_many_arguments)]
+    pub fn select(
+        &mut self,
+        queue: &BatchQueue,
+        skip: usize,
+        lookahead: usize,
+        free: u32,
+        freeze: Option<Freeze>,
+        now: SimTime,
+        unit: u32,
+    ) -> (&Selection, &[DpCandidate]) {
+        debug_assert!(lookahead > 0);
+        // A job extends when it runs at least until the freeze end time
+        // (`now + dur ≥ fret`); under Basic_DP none does.
+        let (tag, cap_freeze, reserve, horizon) = match freeze {
+            None => (TAG_BASIC, 0, false, Duration::ZERO),
+            Some(fr) => (
+                TAG_RESERVATION,
+                fr.frec,
+                true,
+                fr.fret.saturating_since(now),
+            ),
+        };
+        let (c1max, c2max) = (units_floor(free, unit), units_floor(cap_freeze, unit));
+        self.solver.start_key(tag, free, cap_freeze, unit);
+        let DpWork {
+            solver,
+            candidates: cands,
+        } = self;
+        let key = &mut solver.keybuf;
+        cands.clear();
+        let (mut tot_w, mut tot_f) = (0usize, 0usize);
+        let (mut h, mut hashing) = (FNV_OFFSET, false);
+        let mut base = skip;
+        'sweep: for part in queue.slices_from(skip) {
+            for chunk in part.chunks(64) {
+                // Which jobs fit, as a bit mask built without branches: a
+                // fit test per job mispredicts whenever fits and misfits
+                // interleave, and they interleave at random.
+                let mut fits = chunk
+                    .iter()
+                    .enumerate()
+                    .fold(0u64, |m, (j, w)| m | u64::from(w.view.num <= free) << j);
+                while fits != 0 {
+                    let j = fits.trailing_zeros() as usize;
+                    fits &= fits - 1;
+                    let job = &chunk[j].view;
+                    let item = DpItem {
+                        num: job.num,
+                        extends: reserve && job.dur >= horizon,
+                    };
+                    let (w, f) = item.units(unit);
+                    cands.push(DpCandidate {
+                        id: job.id,
+                        pos: (base + j) as u32,
+                        item,
+                        w: w as u32,
+                        f: f as u32,
+                    });
+                    let word = item.packed();
+                    key.push(word);
+                    tot_w += w;
+                    tot_f += f;
+                    if hashing {
+                        h = fnv(h, &[word]);
+                    } else if tot_w > c1max || tot_f > c2max {
+                        hashing = true;
+                        h = fnv(FNV_OFFSET, key);
+                    }
+                    if cands.len() == lookahead {
+                        break 'sweep;
+                    }
+                }
+                base += chunk.len();
+            }
+        }
+        let hash = hashing.then_some(h);
+        solver.finish(tag, cands, free, cap_freeze, unit, tot_w, hash);
+        (&solver.result, cands)
     }
 }
 
@@ -1094,14 +1234,8 @@ thread_local! {
 pub fn reservation_dp(items: &[DpItem], cap_now: u32, cap_freeze: u32, unit: u32) -> Selection {
     let mut out = Selection::default();
     FREE_FN_SCRATCH.with(|s| {
-        solve(
-            &mut s.borrow_mut(),
-            items,
-            cap_now,
-            cap_freeze,
-            unit,
-            &mut out,
-        )
+        let scratch = &mut s.borrow_mut();
+        solve(scratch, items, cap_now, cap_freeze, unit, &mut out)
     });
     out
 }
@@ -1787,24 +1921,5 @@ mod tests {
         }
         assert_eq!(solver.stats().cache_hits, 0);
         assert_eq!(solver.stats().nanos, 0);
-    }
-
-    #[test]
-    fn dp_work_clears_candidates_but_keeps_solver_state() {
-        let mut work = DpWork::default();
-        work.ids.push(JobId(1));
-        work.sizes.push(64);
-        work.items.push(DpItem {
-            num: 64,
-            extends: false,
-        });
-        work.positions.push(0);
-        // Over capacity, so the solve is a real miss rather than a
-        // take-all answer (which counts as a hit).
-        let _ = work.solver.basic(&[256, 256], 320, 32);
-        work.clear_candidates();
-        assert!(work.ids.is_empty() && work.sizes.is_empty());
-        assert!(work.items.is_empty() && work.positions.is_empty());
-        assert_eq!(work.stats().cache_misses, 1);
     }
 }

@@ -10,7 +10,6 @@
 //! it: when a dedicated freeze is present it *replaces* the batch-head
 //! shadow, exactly as in Hybrid-LOS's structure.
 
-use crate::dp::{DpItem, DpWork};
 use crate::freeze::{batch_head_freeze, Freeze};
 use crate::queue::BatchQueue;
 use crate::stack::{ded_allows, ded_commit, BatchOnly, BatchPolicy, PolicyShared, PolicyStack};
@@ -19,15 +18,98 @@ use elastisched_sim::{trace_event, DpKernel, SchedContext, TraceEvent};
 /// Default lookahead window: the LOS paper shows 50 jobs suffice.
 pub const DEFAULT_LOOKAHEAD: usize = 50;
 
+/// The LOS family's DP pass (LOS, Delayed-LOS, Hybrid-LOS): a
+/// [`DpWork::select`](crate::dp::DpWork::select) over `queue`, whose
+/// selection is started and removed from the queue by staged position.
+/// Counts the call and its starts, notes a freeze for attribution, and
+/// traces one `DpSelect`. With `bump_head`, a head the selection passed
+/// over is skipped (`scount` bumped and traced before the starts).
+/// Returns the processors started.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn dp_pass(
+    queue: &mut BatchQueue,
+    ctx: &mut dyn SchedContext,
+    shared: &mut PolicyShared,
+    freeze: Option<Freeze>,
+    skip: usize,
+    lookahead: usize,
+    free: u32,
+    bump_head: bool,
+) -> u32 {
+    let (now, unit) = (ctx.now(), ctx.unit());
+    let PolicyShared { telemetry, work } = shared;
+    let kernel = if freeze.is_some() {
+        if let Some(notes) = ctx.attribution() {
+            notes.note_freeze();
+        }
+        telemetry.reservation_dp_calls += 1;
+        DpKernel::Reservation
+    } else {
+        telemetry.basic_dp_calls += 1;
+        DpKernel::Basic
+    };
+    let tracing = ctx.trace().is_some();
+    let hits_before = work.solver.stats().cache_hits;
+    let (sel, cands) = work.select(queue, skip, lookahead, free, freeze, now, unit);
+    // Gathered only when tracing: the event goes out after the starts.
+    let mut chosen_ids: Vec<u64> = Vec::new();
+    if tracing {
+        chosen_ids.extend(sel.chosen.iter().map(|&i| cands[i].id.0));
+    }
+    let candidates = cands.len() as u32;
+    // Chosen indices ascend, and so do their staged positions.
+    let head_selected = sel.chosen.first().is_some_and(|&i| cands[i].pos == 0);
+    if bump_head && !head_selected {
+        let head = queue.head_mut().expect("a head to skip");
+        head.scount += 1;
+        let (job, scount) = (head.view.id, head.scount);
+        telemetry.head_skips += 1;
+        if let Some(notes) = ctx.attribution() {
+            notes.note_skip(job);
+        }
+        trace_event!(
+            ctx.trace(),
+            TraceEvent::HeadSkip {
+                job: job.0,
+                at: now.as_secs(),
+                scount,
+            }
+        );
+    }
+    let mut started = 0;
+    for &i in &sel.chosen {
+        ctx.start(cands[i].id).expect("DP selection fits");
+        started += cands[i].item.num;
+    }
+    telemetry.dp_starts += sel.chosen.len() as u64;
+    // Back to front, so the earlier positions stay valid.
+    for &i in sel.chosen.iter().rev() {
+        queue.remove_at(cands[i].pos as usize);
+    }
+    if tracing {
+        let cache_hit = work.solver.stats().cache_hits > hits_before;
+        trace_event!(
+            ctx.trace(),
+            TraceEvent::DpSelect {
+                at: now.as_secs(),
+                kernel,
+                candidates,
+                chosen: chosen_ids,
+                cache_hit,
+            }
+        );
+    }
+    started
+}
+
 /// One LOS scheduling cycle: start heads eagerly, then a single
-/// Reservation_DP pass against the binding freeze. `work` holds the
-/// scheduler's reusable solver and candidate buffers.
+/// Reservation_DP pass against the binding freeze.
 pub(crate) fn los_cycle(
     queue: &mut BatchQueue,
     ctx: &mut dyn SchedContext,
     lookahead: usize,
     ded: Option<Freeze>,
-    work: &mut DpWork,
+    shared: &mut PolicyShared,
 ) {
     let now = ctx.now();
     let mut ded = ded;
@@ -54,51 +136,17 @@ pub(crate) fn los_cycle(
         },
     };
     let skip_head = ded.is_none(); // plain LOS: the head holds the reservation
-    if let Some(notes) = ctx.attribution() {
-        notes.note_freeze();
-    }
     let free = ctx.free();
-    work.clear_candidates();
-    for w in queue
-        .iter()
-        .skip(usize::from(skip_head))
-        .filter(|w| w.view.num <= free)
-        .take(lookahead)
-    {
-        work.ids.push(w.view.id);
-        work.items.push(DpItem {
-            num: w.view.num,
-            extends: freeze.extends(now, w.view.dur),
-        });
-    }
-    let tracing = ctx.trace().is_some();
-    let hits_before = work.solver.stats().cache_hits;
-    let candidates = work.ids.len() as u32;
-    let sel = work
-        .solver
-        .reservation(&work.items, free, freeze.frec, ctx.unit());
-    let mut chosen_trace: Vec<u64> = Vec::new();
-    if tracing {
-        chosen_trace.extend(sel.chosen.iter().map(|&i| work.ids[i].0));
-    }
-    for &i in &sel.chosen {
-        let id = work.ids[i];
-        ctx.start(id).expect("DP selection fits");
-        queue.remove(id);
-    }
-    if tracing {
-        let cache_hit = work.solver.stats().cache_hits > hits_before;
-        trace_event!(
-            ctx.trace(),
-            TraceEvent::DpSelect {
-                at: now.as_secs(),
-                kernel: DpKernel::Reservation,
-                candidates,
-                chosen: chosen_trace,
-                cache_hit,
-            }
-        );
-    }
+    dp_pass(
+        queue,
+        ctx,
+        shared,
+        Some(freeze),
+        usize::from(skip_head),
+        lookahead,
+        free,
+        false,
+    );
 }
 
 /// The LOS policy core: eager head starts plus one Reservation_DP pass
@@ -140,7 +188,7 @@ impl BatchPolicy for LosCore {
         ded: Option<Freeze>,
         shared: &mut PolicyShared,
     ) {
-        los_cycle(queue, ctx, self.lookahead, ded, &mut shared.work);
+        los_cycle(queue, ctx, self.lookahead, ded, shared);
     }
 }
 

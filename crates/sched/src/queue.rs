@@ -127,6 +127,17 @@ impl BatchQueue {
         self.jobs.iter()
     }
 
+    /// The jobs from position `skip` on (0 = head; past the tail,
+    /// nothing) as the ring buffer's two slices, in FIFO order. A walk
+    /// over plain slices keeps its loop state in registers.
+    pub(crate) fn slices_from(&self, skip: usize) -> [&[WaitingJob]; 2] {
+        let (a, b) = self.jobs.as_slices();
+        match a.get(skip..) {
+            Some(a) => [a, b],
+            None => [b.get(skip - a.len()..).unwrap_or_default(), &[]],
+        }
+    }
+
     /// The job at position `i` (0 = head), if any. With [`Self::remove_at`]
     /// this supports cursor-style queue walks that start jobs in place
     /// without first collecting candidates into a scratch vector.

@@ -682,7 +682,7 @@ impl<L: StackLayer> Scheduler for PolicyStack<L> {
     fn cycle(&mut self, ctx: &mut dyn SchedContext) {
         self.state.shared.telemetry.cycles += 1;
         self.layer.drive(ctx, &mut self.state);
-        let dp = self.state.shared.work.stats();
+        let dp = self.state.shared.work.solver.stats();
         self.state.shared.telemetry.record_dp(dp);
     }
 
@@ -695,7 +695,7 @@ impl<L: StackLayer> Scheduler for PolicyStack<L> {
     }
 
     fn stats(&self) -> SchedStats {
-        let mut stats: SchedStats = self.state.shared.work.stats().into();
+        let mut stats: SchedStats = self.state.shared.work.solver.stats().into();
         self.state.shared.telemetry.fill_sched_stats(&mut stats);
         stats
     }

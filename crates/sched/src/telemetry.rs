@@ -1,10 +1,11 @@
 //! Decision telemetry for the LOS scheduler family.
 //!
-//! Counters updated by Delayed-LOS and Hybrid-LOS as they run, making
-//! the algorithms' internal behaviour observable: how often the head was
-//! forced through by the skip budget, how often each DP kernel ran, how
-//! many dedicated promotions happened. Used by tests to pin behavioural
-//! contracts and by analyses of the `C_s` trade-off.
+//! Counters updated by the LOS family (LOS, Delayed-LOS, Hybrid-LOS and
+//! the -D stacks) as they run, making their internal behaviour
+//! observable: how often the head was forced through by the skip budget
+//! (Delayed-LOS and Hybrid-LOS only), how often each DP kernel ran and
+//! started jobs, how many dedicated promotions happened. Used by tests
+//! to pin behavioural contracts and by analyses of the `C_s` trade-off.
 
 use crate::dp::DpStats;
 use serde::{Deserialize, Serialize};

@@ -1,6 +1,7 @@
 //! Proof of the scratch-arena contract: after warm-up, a [`DpSolver`]
 //! performs **zero heap allocations per solve** — hit path, miss path,
-//! Basic_DP and Reservation_DP alike.
+//! Basic_DP and Reservation_DP alike, through the slice API and through
+//! [`DpWork`]'s staging sweep over a [`BatchQueue`].
 //!
 //! A counting `#[global_allocator]` wraps the system allocator; the test
 //! warms the solver on every instance it will see, snapshots the
@@ -11,7 +12,8 @@
 //! flake; counting only the current thread's traffic makes the assertion
 //! deterministic regardless of what runs alongside.
 
-use elastisched_sched::{DpItem, DpSolver};
+use elastisched_sched::{BatchQueue, DpItem, DpSolver, DpWork, Freeze};
+use elastisched_sim::{Duration, JobClass, JobId, JobView, SimTime};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -152,6 +154,70 @@ fn steady_state_solves_do_not_allocate() {
     assert_eq!(solver.stats().cache_hits, 0);
 }
 
+/// A batch queue of `items`: an extending item runs 100 s, the rest
+/// 10 s, so against a freeze at t = 50 the items extend as given.
+fn queue_of(items: &[DpItem]) -> BatchQueue {
+    let mut q = BatchQueue::new();
+    for (i, it) in items.iter().enumerate() {
+        q.push_back(JobView {
+            id: JobId(i as u64 + 1),
+            num: it.num,
+            dur: Duration::from_secs(if it.extends { 100 } else { 10 }),
+            submit: SimTime::ZERO,
+            class: JobClass::Batch,
+        });
+    }
+    q
+}
+
+#[test]
+fn staged_solves_do_not_allocate() {
+    let (_, paper) = instances(10, 32);
+    let (_, unit1) = instances(40, 1);
+    let mut machines = Vec::new();
+    for items in &paper {
+        machines.push((queue_of(items), 320, 160, 32));
+    }
+    for items in &unit1 {
+        machines.push((queue_of(items), 128, 64, 1));
+    }
+    // Both kernels, `skip` 0 and 1, and lookaheads from one candidate to
+    // the whole queue, on both machines.
+    let pass = |work: &mut DpWork| {
+        let mut checksum = 0u64;
+        for (q, cap, frec, unit) in &machines {
+            let freeze = Freeze {
+                fret: SimTime::from_secs(50),
+                frec: *frec,
+            };
+            for skip in [0, 1] {
+                for lookahead in [1, 5, 50] {
+                    let (sel, _) =
+                        work.select(q, skip, lookahead, *cap, None, SimTime::ZERO, *unit);
+                    checksum += u64::from(sel.used_now);
+                    let (sel, _) =
+                        work.select(q, skip, lookahead, *cap, Some(freeze), SimTime::ZERO, *unit);
+                    checksum += u64::from(sel.used_now);
+                }
+            }
+        }
+        checksum
+    };
+    let mut work = DpWork::default();
+    let mut checksum = pass(&mut work);
+    let before = allocations();
+    for _ in 0..100 {
+        checksum += pass(&mut work);
+    }
+    assert_eq!(
+        allocations() - before,
+        0,
+        "staged solves allocated after warm-up (checksum {checksum})"
+    );
+    let s = work.solver.stats();
+    assert!(s.cache_hits > 0 && s.cache_misses > 0);
+}
+
 /// The whole-experiment allocation floor: one 500-job headline run —
 /// scheduler build, engine setup, workload clone-in, event loop, and
 /// metrics derivation — against the budgets the arena work established
@@ -159,10 +225,12 @@ fn steady_state_solves_do_not_allocate() {
 /// pre-sized accumulator; PR 10: cached selections share an answer
 /// arena like the keys, and the DP staging buffers / incremental
 /// tables / batch queue are pre-sized at construction, collapsing every
-/// mid-run doubling chain). Measured on this workload with the
-/// binary-heap event queue: build 16 (one-time pre-reserves), load 8,
-/// event loop 4 (the heap's few doublings among them), metrics 2 (wait
-/// series + scheduler name), full run 30. The ceilings leave headroom
+/// mid-run doubling chain; the DP staging buffers are one candidate
+/// vector since the staging sweep replaced four parallel ones).
+/// Measured on this workload with the binary-heap event queue: build 12
+/// (one-time pre-reserves; 15 with four staging vectors), load 8, event
+/// loop 4 (the heap's few doublings among them), metrics 2 (the wait
+/// series and the scheduler name), full run 26. The ceilings leave headroom
 /// for allocator rounding but fail loudly if a per-job or per-slot
 /// allocation creeps back in.
 #[test]

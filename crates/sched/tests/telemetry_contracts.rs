@@ -1,6 +1,6 @@
 //! Behavioural contracts of the LOS family, pinned via telemetry.
 
-use elastisched_sched::{DelayedLos, HybridLos};
+use elastisched_sched::{DelayedLos, HybridLos, Los, LosD};
 use elastisched_sim::{EccPolicy, Engine, JobSpec, Machine};
 
 fn run_delayed(jobs: &[JobSpec], cs: u32) -> elastisched_sched::Telemetry {
@@ -112,4 +112,37 @@ fn mut_ref_scheduler_runs_through_engine() {
     engine.load(&jobs, &[]).unwrap();
     let r = engine.run().unwrap();
     assert_eq!(r.outcomes.len(), 1);
+}
+
+#[test]
+fn los_counts_its_dp_calls_and_starts() {
+    // The blocked head (job 2) holds a reservation at t = 100; LOS's
+    // Reservation_DP packs {96, 32} of the 128 free processors at t = 1
+    // (the LOS unit test `dp_packs_queue_behind_blocked_head`). Every
+    // other start is an eager head start, which no DP counter sees.
+    let jobs = vec![
+        JobSpec::batch(1, 0, 192, 100),
+        JobSpec::batch(2, 1, 320, 100),
+        JobSpec::batch(3, 1, 64, 50),
+        JobSpec::batch(4, 1, 96, 50),
+        JobSpec::batch(5, 1, 32, 50),
+    ];
+    let mut sched = Los::new();
+    let mut engine = Engine::new(Machine::bluegene_p(), &mut sched, EccPolicy::disabled());
+    engine.load(&jobs, &[]).unwrap();
+    let r = engine.run().unwrap();
+    let t = *sched.telemetry();
+    assert!(t.reservation_dp_calls >= 1, "Reservation_DP must have run");
+    assert_eq!(t.basic_dp_calls, 0, "LOS never runs Basic_DP");
+    assert_eq!(t.dp_starts, 2, "jobs 4 and 5 start out of the DP");
+    // The count reaches the engine's stats, hence the metrics plane.
+    assert_eq!(r.sched_stats.dp_starts, 2);
+
+    // LOS-D counts through the same pass.
+    let mut sched = LosD::new();
+    let mut engine = Engine::new(Machine::bluegene_p(), &mut sched, EccPolicy::disabled());
+    engine.load(&jobs, &[]).unwrap();
+    let r = engine.run().unwrap();
+    assert_eq!(sched.telemetry().dp_starts, 2);
+    assert_eq!(r.sched_stats.dp_starts, 2);
 }

@@ -112,7 +112,7 @@ cargo test --offline --locked --quiet -p elastisched-sim --features audit
 cargo test --offline --locked --quiet -p elastisched --features elastisched-sim/audit \
     --test golden_planes --test attribution_properties --test streaming_differential
 
-echo "== scheduler oracles (pinned stack schedules, reference DP kernels, resource profile, fresh Conservative and ordered cores) =="
+echo "== scheduler oracles (pinned stack schedules, reference DP kernels, DP staging, resource profile, fresh Conservative and ordered cores) =="
 # legacy_differential pins the metrics and per-job schedule of every
 # registry algorithm on the six fixed cases of the retired pre-stack
 # scheduler oracle, frozen from its answers; re-bless with
@@ -143,6 +143,12 @@ cargo test --offline --locked --quiet -p elastisched-sched --lib dp::
 cargo test --offline --locked --quiet -p elastisched-sched --test legacy_differential
 cargo test --offline --locked --quiet -p elastisched-sched --test registry_properties
 cargo test --offline --locked --quiet -p elastisched-sched --test dp_properties
+# dp_staging pits DpWork's staging sweep (candidates, cache key, take-all
+# sums and fingerprint built in one pass over the wait queue) against the
+# slice API fed the same candidates: same selections as the reference
+# kernels and the same cache and incremental counters, on unit-32 and
+# unit-1 machines.
+cargo test --offline --locked --quiet -p elastisched-sched --test dp_staging
 cargo test --offline --locked --quiet -p elastisched-sched --test profile_oracle
 cargo test --offline --locked --quiet -p elastisched-sched --test conservative_fresh_oracle
 cargo test --offline --locked --quiet -p elastisched-sched --test ordered_fresh_oracle
