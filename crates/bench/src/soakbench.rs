@@ -10,7 +10,7 @@
 //! the engine pulls it through the streaming path with the bounded
 //! accumulator — no materialized `Vec<JobSpec>`, no retained outcomes,
 //! per-job state reclaimed at completion. Peak memory tracks *live*
-//! jobs rather than trace length, so a wait-view or slab leak shows as
+//! jobs rather than trace length, so a record-slab leak shows as
 //! peak-RSS growth, read from `/proc/self/status` (`VmHWM`).
 
 use elastisched_metrics::RunAccumulator;

@@ -682,8 +682,6 @@ impl<L: StackLayer> Scheduler for PolicyStack<L> {
     fn cycle(&mut self, ctx: &mut dyn SchedContext) {
         self.state.shared.telemetry.cycles += 1;
         self.layer.drive(ctx, &mut self.state);
-        let dp = self.state.shared.work.solver.stats();
-        self.state.shared.telemetry.record_dp(dp);
     }
 
     fn waiting_len(&self) -> usize {

@@ -7,7 +7,6 @@
 //! started jobs, how many dedicated promotions happened. Used by tests
 //! to pin behavioural contracts and by analyses of the `C_s` trade-off.
 
-use crate::dp::DpStats;
 use serde::{Deserialize, Serialize};
 
 /// Counters for one scheduler instance's lifetime.
@@ -29,26 +28,6 @@ pub struct Telemetry {
     pub dedicated_promotions: u64,
     /// Scheduling cycles observed.
     pub cycles: u64,
-    /// DP solves answered from the selection cache.
-    #[serde(default)]
-    pub dp_cache_hits: u64,
-    /// DP solves that actually ran a kernel.
-    #[serde(default)]
-    pub dp_cache_misses: u64,
-    /// *Estimated* wall-clock nanoseconds spent in the DP solver. Since
-    /// PR 2 the solver reads the clock on only 1-in-
-    /// [`elastisched_sim::DP_NANOS_SAMPLE_EVERY`] kernel runs and
-    /// multiplies the measured span back up, so this is an extrapolated
-    /// estimate (statistically accurate over a run, not an exact sum).
-    #[serde(default)]
-    pub dp_nanos: u64,
-    /// Cache misses answered by extending/replaying the solver's
-    /// retained cross-cycle reachability table.
-    #[serde(default)]
-    pub dp_incremental_hits: u64,
-    /// Cache misses where the retained table was rebuilt from row zero.
-    #[serde(default)]
-    pub dp_incremental_rebuilds: u64,
 }
 
 impl Telemetry {
@@ -57,21 +36,11 @@ impl Telemetry {
         self.head_force_starts + self.dp_starts
     }
 
-    /// Mirror the solver's cumulative counters into the telemetry.
-    /// [`DpStats`] is already lifetime-cumulative, so this overwrites
-    /// rather than adds.
-    pub fn record_dp(&mut self, stats: DpStats) {
-        self.dp_cache_hits = stats.cache_hits;
-        self.dp_cache_misses = stats.cache_misses;
-        self.dp_nanos = stats.nanos;
-        self.dp_incremental_hits = stats.incremental_hits;
-        self.dp_incremental_rebuilds = stats.incremental_rebuilds;
-    }
-
     /// Project the decision counters onto the engine-facing
     /// [`elastisched_sim::SchedStats`], so they ride `SimResult` out of
     /// a run and land in the metrics registry. Overwrites (these are
-    /// lifetime-cumulative, like [`Telemetry::record_dp`]).
+    /// lifetime-cumulative). The DP cache and incremental counters come
+    /// from the solver itself ([`crate::DpSolver::stats`]).
     pub fn fill_sched_stats(&self, stats: &mut elastisched_sim::SchedStats) {
         stats.head_force_starts = self.head_force_starts;
         stats.head_skips = self.head_skips;
@@ -111,11 +80,6 @@ mod tests {
             dp_starts: 5,
             dedicated_promotions: 6,
             cycles: 7,
-            dp_cache_hits: 8,
-            dp_cache_misses: 9,
-            dp_nanos: 10,
-            dp_incremental_hits: 11,
-            dp_incremental_rebuilds: 12,
         };
         let text = serde_json::to_string(&t).unwrap();
         let back: Telemetry = serde_json::from_str(&text).unwrap();
@@ -124,18 +88,21 @@ mod tests {
 
     #[test]
     fn serde_tolerates_missing_and_unknown_fields() {
-        // A fixture from before the cache counters existed, plus a field
-        // from some future version: both must deserialize cleanly.
+        // An object from when the telemetry mirrored the solver's DP
+        // counters (the `dp_cache_*`, `dp_nanos` and `dp_incremental_*`
+        // keys, now read from the solver alone), plus a field from some
+        // future version: the keys this struct no longer has are ignored.
         let text = r#"{
             "head_force_starts": 2, "basic_dp_calls": 0,
             "reservation_dp_calls": 0, "head_skips": 1, "dp_starts": 3,
             "dedicated_promotions": 0, "cycles": 9,
+            "dp_cache_hits": 8, "dp_cache_misses": 9, "dp_nanos": 10,
+            "dp_incremental_hits": 11, "dp_incremental_rebuilds": 12,
             "some_future_counter": 123
         }"#;
         let t: Telemetry = serde_json::from_str(text).unwrap();
         assert_eq!(t.head_force_starts, 2);
+        assert_eq!(t.dp_starts, 3);
         assert_eq!(t.cycles, 9);
-        assert_eq!(t.dp_cache_hits, 0, "missing field takes its default");
-        assert_eq!(t.dp_nanos, 0);
     }
 }

@@ -10,7 +10,7 @@
 use crate::attribution::{AttrNotes, AttrState, AttributionProfile, Headroom};
 use crate::ecc::{EccKind, EccPolicy, EccSpec};
 use crate::event::{Event, EventQueue};
-use crate::job::{JobId, JobOutcome, JobRecord, JobSpec, JobState};
+use crate::job::{JobId, JobOutcome, JobRecord, JobSpec, JobState, NO_SLOT};
 use crate::machine::Machine;
 use crate::reconfig::{ReconfigCost, ReconfigStats};
 use crate::running::{RunningJob, RunningSet};
@@ -196,12 +196,9 @@ pub struct EngineStats {
     /// memory is proportional to.
     #[serde(default)]
     pub peak_live_jobs: u64,
-    /// High-water mark of the wait-view buffer, dead views included.
-    /// Bounded by ~2× the peak waiting count (past a 1024-view floor):
-    /// the start-time compaction keeps dead views from outnumbering live
-    /// ones, so a value near the trace length flags a compaction
-    /// regression (on a streamed soak this buffer would otherwise grow
-    /// with the trace).
+    /// Peak number of simultaneously waiting jobs: the high-water mark
+    /// of the engine's waiting list. (The name predates the list; it
+    /// once counted a buffer of waiting-job views.)
     #[serde(default)]
     pub peak_wait_views: u64,
 }
@@ -354,27 +351,17 @@ struct EngineState {
     makespan: SimTime,
     /// The last completion key drawn (see [`EngineState::schedule_completion`]).
     last_completion_key: u64,
-    /// Arrival-ordered views of the waiting jobs, read by the timeline
-    /// sampler, the audit and the postmortem. Arrivals append; a start of
-    /// the view at `wait_head` just advances the cursor (the common FIFO
-    /// case); a start from the middle leaves a dead view and bumps
-    /// `wait_stale` for the next compaction. Queued ECCs edit their view
-    /// in place.
-    wait_views: Vec<JobView>,
-    /// Record-slab slot of each view in `wait_views` (same indexing,
-    /// mutated in lockstep). A view is live exactly when its record is
-    /// waiting and points back at the view's position
-    /// (`JobRecord::wait_pos`; see [`EngineState::view_live`]).
-    wait_recs: Vec<u32>,
-    wait_head: usize,
-    wait_stale: usize,
-    /// Where the timeline sampler last found the oldest live view. Every
-    /// view before it is dead and views only die or get appended, so the
-    /// next sample resumes the scan here; each compaction resets it.
-    oldest_live: usize,
-    /// High-water mark of `wait_views.len()` (see
+    /// Slots of the oldest and newest waiting records (`NO_SLOT` when
+    /// none waits). The waiting records form one arrival-ordered list
+    /// through the links in their [`JobState::Waiting`] state, read by
+    /// the timeline sampler, the audit and the postmortem: an arrival
+    /// appends and a start unlinks, each O(1).
+    wait_first: u32,
+    wait_last: u32,
+    /// Length of that list, and its high-water mark (see
     /// [`EngineStats::peak_wait_views`]).
-    peak_wait_views: usize,
+    waiting: usize,
+    peak_waiting: usize,
     /// Free record-slab slots. A completed job's slot is recycled for a
     /// later arrival, so the slab tracks peak *live* jobs, not trace
     /// length.
@@ -431,53 +418,27 @@ impl EngineState {
         self.queue.push(at, Event::Completion { slot, key });
     }
 
-    /// Whether the view at position `r` is live: its record is waiting
-    /// and points back at `r`. A view left by an out-of-order start fails
-    /// this whatever later holds its slot, since a waiting record has
-    /// exactly one view, at its `wait_pos`.
-    fn view_live(&self, r: usize) -> bool {
-        let rec = &self.records[self.wait_recs[r] as usize];
-        rec.state == JobState::Waiting && rec.wait_pos as usize == r
+    /// The `(prev, next)` links of the waiting record in `slot`. Those
+    /// of `NO_SLOT` are the list's ends, `(wait_last, wait_first)`, as if
+    /// the list closed into a ring through one empty slot.
+    fn links(&mut self, slot: u32) -> (&mut u32, &mut u32) {
+        if slot == NO_SLOT {
+            return (&mut self.wait_last, &mut self.wait_first);
+        }
+        match &mut self.records[slot as usize].state {
+            JobState::Waiting { prev, next } => (prev, next),
+            JobState::Running { .. } => unreachable!("a waiting job's neighbour waits"),
+        }
     }
 
-    /// Drop the dead views. Head starts were already absorbed by the
-    /// cursor; only an out-of-order start (`wait_stale`) forces a
-    /// compaction pass, and a long dead prefix is reclaimed so the buffer
-    /// does not grow without bound.
-    fn sync_wait_views(&mut self) {
-        if self.wait_stale > 0 {
-            // One in-place pass; every surviving view writes its new
-            // position back into its record. A slot's dead views precede
-            // its live one (they belong to earlier holders), so each
-            // liveness check reads a position not yet rewritten.
-            let mut w = 0;
-            for r in 0..self.wait_views.len() {
-                if self.view_live(r) {
-                    let slot = self.wait_recs[r];
-                    self.records[slot as usize].wait_pos = w as u32;
-                    self.wait_views[w] = self.wait_views[r];
-                    self.wait_recs[w] = slot;
-                    w += 1;
-                }
-            }
-            self.wait_views.truncate(w);
-            self.wait_recs.truncate(w);
-            self.wait_head = 0;
-            self.wait_stale = 0;
-            self.oldest_live = 0;
-        } else if self.wait_head > 32 && self.wait_head * 2 > self.wait_views.len() {
-            let head = self.wait_head;
-            // With no stale entries every view past the cursor is live;
-            // they all shift left by `head`, and so do their recorded
-            // positions.
-            for r in head..self.wait_views.len() {
-                self.records[self.wait_recs[r] as usize].wait_pos -= head as u32;
-            }
-            self.wait_views.drain(..head);
-            self.wait_recs.drain(..head);
-            self.wait_head = 0;
-            self.oldest_live = 0;
-        }
+    /// The waiting records with their slots, oldest arrival first.
+    fn waiting_list(&self) -> impl Iterator<Item = (u32, &JobRecord)> {
+        let first = (self.wait_first != NO_SLOT).then_some(self.wait_first);
+        std::iter::successors(first, |&slot| match self.records[slot as usize].state {
+            JobState::Waiting { next, .. } => (next != NO_SLOT).then_some(next),
+            JobState::Running { .. } => None,
+        })
+        .map(|slot| (slot, &self.records[slot as usize]))
     }
 }
 
@@ -506,9 +467,9 @@ impl SchedContext for EngineState {
         let now = self.now;
         let &idx = self.id_map.get(&id).ok_or(StartError::UnknownJob(id))?;
         let rec = &self.records[idx];
-        if rec.state != JobState::Waiting {
+        let JobState::Waiting { prev, next } = rec.state else {
             return Err(StartError::NotWaiting(id));
-        }
+        };
         // Final attribution charge: the job stops waiting this instant,
         // so the interval since its last charge goes to its pending
         // cause and the buckets telescope to exactly the job's wait.
@@ -518,7 +479,6 @@ impl SchedContext for EngineState {
         let alloc = rec.alloc;
         let kill_by = now + rec.est_dur;
         let completes = now + rec.actual_dur.min(rec.est_dur);
-        let at_head = rec.wait_pos as usize == self.wait_head;
         // Allocate before mutating state so a machine refusal leaves the
         // job safely in the queue.
         self.machine.allocate(alloc, now)?;
@@ -534,24 +494,9 @@ impl SchedContext for EngineState {
             finish: kill_by,
         });
         self.schedule_completion(idx, completes);
-        // View upkeep: starting the view at the cursor (the
-        // FIFO-discipline common case) is a cursor bump; anything else
-        // leaves a dead view for a later compaction.
-        if at_head {
-            self.wait_head += 1;
-        } else {
-            self.wait_stale += 1;
-        }
-        // Left alone, dead views would pile up for the whole run — O(trace)
-        // memory on a streamed soak. Compact once dead entries outnumber
-        // live ones: each pass at least halves the buffer, so the cost
-        // stays amortized O(1) per start. The floor is high enough that a
-        // bench-scale run never pays for a pass it does not need — the
-        // buffer is only ever large on archive-scale runs.
-        let dead = self.wait_head + self.wait_stale;
-        if dead > 1024 && dead * 2 > self.wait_views.len() {
-            self.sync_wait_views();
-        }
+        *self.links(prev).1 = next;
+        *self.links(next).0 = prev;
+        self.waiting -= 1;
         trace_event!(
             self.trace.as_deref_mut(),
             TraceEvent::Start {
@@ -565,11 +510,7 @@ impl SchedContext for EngineState {
 
     fn waiting_dur(&self, id: JobId) -> Option<Duration> {
         let rec = self.record(id)?;
-        if rec.state == JobState::Waiting {
-            Some(rec.est_dur)
-        } else {
-            None
-        }
+        rec.is_waiting().then_some(rec.est_dur)
     }
 
     fn request_wakeup(&mut self, at: SimTime) {
@@ -764,12 +705,10 @@ impl<S: Scheduler> Engine<S> {
                 reconfig: ReconfigStats::default(),
                 makespan: SimTime::ZERO,
                 last_completion_key: 0,
-                wait_views: Vec::new(),
-                wait_recs: Vec::new(),
-                wait_head: 0,
-                wait_stale: 0,
-                oldest_live: 0,
-                peak_wait_views: 0,
+                wait_first: NO_SLOT,
+                wait_last: NO_SLOT,
+                waiting: 0,
+                peak_waiting: 0,
                 free_slots: Vec::new(),
                 trace: None,
                 attr: None,
@@ -857,8 +796,6 @@ impl<S: Scheduler> Engine<S> {
         self.state.records.reserve(jobs.len());
         self.state.free_slots.reserve(jobs.len());
         self.state.id_map.reserve(jobs.len());
-        self.state.wait_views.reserve(jobs.len());
-        self.state.wait_recs.reserve(jobs.len());
         self.loaded_jobs.extend_from_slice(jobs);
         self.loaded_eccs.extend_from_slice(eccs);
         self.validate_loaded()?;
@@ -936,8 +873,8 @@ impl<S: Scheduler> Engine<S> {
     /// instead of retaining it.
     ///
     /// [`Engine::run`] drives the same loop: each job is enrolled when the
-    /// clock reaches its arrival, and its record, id-map entry and
-    /// wait-view are reclaimed at completion, so peak memory tracks
+    /// clock reaches its arrival, and its record and id-map entry are
+    /// reclaimed at completion, so peak memory tracks
     /// *live* jobs, not trace length. [`SimResult::outcomes`] comes back
     /// empty; the aggregate fields are unaffected.
     ///
@@ -1136,7 +1073,7 @@ impl<S: Scheduler> Engine<S> {
         // time comparison when enabled but not yet due.
         if let Some(sampler) = self.timeline.as_deref_mut() {
             if sampler.due(t) {
-                sampler.push(Self::take_sample(&mut self.state, &self.scheduler, t));
+                sampler.push(Self::take_sample(&self.state, &self.scheduler, t));
             }
         }
         // Wait attribution: same one-branch-per-cycle discipline.
@@ -1169,25 +1106,15 @@ impl<S: Scheduler> Engine<S> {
     /// Capture one timeline point from post-cycle engine state. An
     /// associated function over disjoint borrows so the sampler itself
     /// can be held mutably by the caller.
-    fn take_sample(state: &mut EngineState, scheduler: &S, at: SimTime) -> TimelineSample {
+    fn take_sample(state: &EngineState, scheduler: &S, at: SimTime) -> TimelineSample {
         let total = state.machine.total();
         let used = state.machine.used();
-        // Views are arrival-ordered, so the first *live* one is the
-        // oldest waiting job. Dead (already-started) views are skipped
-        // the same way compaction classifies them, resuming where the
-        // last sample stopped: views before that point were dead then
-        // and stay dead, so each dead view is passed over once.
-        let head = state.wait_head;
-        let mut i = state.oldest_live.max(head);
-        let mut oldest_wait_secs = 0u64;
-        while i < state.wait_views.len() {
-            if state.view_live(i) {
-                oldest_wait_secs = at.saturating_since(state.wait_views[i].submit).as_secs();
-                break;
-            }
-            i += 1;
-        }
-        state.oldest_live = i;
+        // The waiting list is arrival-ordered: its first record is the
+        // oldest waiting job.
+        let oldest_wait_secs = state
+            .waiting_list()
+            .next()
+            .map_or(0, |(_, rec)| at.saturating_since(rec.spec.submit).as_secs());
         let st = scheduler.stats();
         TimelineSample {
             at,
@@ -1202,7 +1129,6 @@ impl<S: Scheduler> Engine<S> {
             queue_depth: scheduler.waiting_len() as u32,
             oldest_wait_secs,
             running: state.running.len() as u32,
-            live_wait_views: (state.wait_views.len() - head) as u32,
             event_queue_len: state.queue.len() as u32,
             eccs_applied: state.ecc_stats.applied(),
             reconfigs: state.reconfig.total(),
@@ -1262,18 +1188,17 @@ impl<S: Scheduler> Engine<S> {
         }
         rec.dumped = true;
         let path = rec.path.clone();
-        let st = &self.state;
-        let queue_heads: Vec<String> = (st.wait_head..st.wait_views.len())
-            .filter(|&r| st.view_live(r))
+        let queue_heads: Vec<String> = self
+            .state
+            .waiting_list()
             .take(8)
-            .map(|r| {
-                let v = &st.wait_views[r];
+            .map(|(_, rec)| {
                 format!(
                     "job {} ({} procs, {}s est, submitted t={}s)",
-                    v.id.0,
-                    v.num,
-                    v.dur.as_secs(),
-                    v.submit.as_secs()
+                    rec.spec.id.0,
+                    rec.alloc,
+                    rec.est_dur.as_secs(),
+                    rec.spec.submit.as_secs()
                 )
             })
             .collect();
@@ -1418,45 +1343,36 @@ impl<S: Scheduler> Engine<S> {
                 ),
             ));
         }
-        // View identity, which view liveness rests on: every waiting
-        // record's `wait_pos` names a view past the cursor that names the
-        // record's own slot.
-        let head = self.state.wait_head;
-        for (slot, rec) in self.state.records.iter().enumerate() {
-            let pos = rec.wait_pos as usize;
-            if rec.state == JobState::Waiting
-                && (pos < head || self.state.wait_recs.get(pos) != Some(&(slot as u32)))
-            {
-                return Err(Self::audit_fail(
-                    "slab",
-                    format!(
-                        "waiting job {} in slot {slot} does not own view {pos}",
-                        rec.spec.id.0
-                    ),
-                ));
+        // The waiting list: the walk from its first slot visits each
+        // waiting record once, every back-link names the record before
+        // it, and submit times never decrease (arrivals append in clock
+        // order). Its length is the engine's count of it and the
+        // scheduler's queue length.
+        let fail = |detail: String| Self::audit_fail("fifo", detail);
+        let waiting_recs = self.state.records.iter().filter(|r| r.is_waiting()).count();
+        let (mut len, mut before, mut submitted) = (0, NO_SLOT, SimTime::ZERO);
+        for (slot, rec) in self.state.waiting_list().take(waiting_recs + 1) {
+            let JobState::Waiting { prev, .. } = rec.state else {
+                return Err(fail(format!("running slot {slot} is on the waiting list")));
+            };
+            if prev != before || rec.spec.submit < submitted {
+                return Err(fail(format!(
+                    "waiting job {} in slot {slot} (submitted at {}s, back-link {prev}) \
+                     follows slot {before} (submitted at {}s)",
+                    rec.spec.id.0,
+                    rec.spec.submit.as_secs(),
+                    submitted.as_secs()
+                )));
             }
+            (len, before, submitted) = (len + 1, slot, rec.spec.submit);
         }
-        // Bucket-FIFO dispatch order: live wait views are appended at
-        // arrival and compaction preserves order, so their submit times
-        // must be non-decreasing.
-        let mut prev = SimTime::ZERO;
-        for r in head..self.state.wait_views.len() {
-            if !self.state.view_live(r) {
-                continue; // dead view awaiting compaction
-            }
-            let v = &self.state.wait_views[r];
-            if v.submit < prev {
-                return Err(Self::audit_fail(
-                    "fifo",
-                    format!(
-                        "waiting job {} submitted at {}s ordered after {}s",
-                        v.id.0,
-                        v.submit.as_secs(),
-                        prev.as_secs()
-                    ),
-                ));
-            }
-            prev = v.submit;
+        let (queued, last) = (self.scheduler.waiting_len(), self.state.wait_last);
+        let counted = self.state.waiting;
+        if len != waiting_recs || len != queued || len != counted || before != last {
+            return Err(fail(format!(
+                "waiting list walks {len} records to slot {before} (last {last}, {counted} \
+                 counted), but {waiting_recs} records wait and the scheduler queues {queued}"
+            )));
         }
         Ok(())
     }
@@ -1489,7 +1405,7 @@ impl<S: Scheduler> Engine<S> {
         engine_stats.queue_ops = self.state.queue.ops();
         engine_stats.peak_queue_len = self.state.queue.peak_len() as u64;
         engine_stats.peak_live_jobs = self.state.records.len() as u64;
-        engine_stats.peak_wait_views = self.state.peak_wait_views as u64;
+        engine_stats.peak_wait_views = self.state.peak_waiting as u64;
         engine_stats.engine_nanos = wall.elapsed().as_nanos() as u64;
         // Close the timeline with a forced end-of-run sample (replacing
         // the last one if the final cycle already sampled this instant),
@@ -1497,7 +1413,7 @@ impl<S: Scheduler> Engine<S> {
         let timeline = match self.timeline.take() {
             Some(mut sampler) => {
                 let at = self.state.makespan.max(self.state.now);
-                sampler.push(Self::take_sample(&mut self.state, &self.scheduler, at));
+                sampler.push(Self::take_sample(&self.state, &self.scheduler, at));
                 sampler.into_timeline()
             }
             None => RunTimeline::default(),
@@ -1617,9 +1533,17 @@ impl<S: Scheduler> Engine<S> {
     /// Queue the job just enrolled in slot `idx`.
     fn handle_arrival(&mut self, idx: usize) {
         let now = self.state.now;
-        let wait_pos = self.state.wait_views.len() as u32;
+        // Append the job to the waiting list.
+        let last = self.state.wait_last;
+        *self.state.links(last).1 = idx as u32;
+        self.state.wait_last = idx as u32;
+        self.state.waiting += 1;
+        self.state.peak_waiting = self.state.peak_waiting.max(self.state.waiting);
         let rec = &mut self.state.records[idx];
-        rec.wait_pos = wait_pos;
+        rec.state = JobState::Waiting {
+            prev: last,
+            next: NO_SLOT,
+        };
         let id = rec.spec.id;
         let view = JobView {
             id,
@@ -1636,11 +1560,6 @@ impl<S: Scheduler> Engine<S> {
                 self.state.queue.push(start, Event::Wakeup);
             }
         }
-        // Appending a live view needs no compaction: arrival bursts stay
-        // O(1) per job.
-        self.state.wait_views.push(view);
-        self.state.wait_recs.push(idx as u32);
-        self.state.peak_wait_views = self.state.peak_wait_views.max(self.state.wait_views.len());
         // Per-job attribution accumulator, slab-parallel to the record
         // (and recycled with its slot).
         if let Some(attr) = self.state.attr.as_deref_mut() {
@@ -1788,7 +1707,7 @@ impl<S: Scheduler> Engine<S> {
             JobState::Running { started, finish } => {
                 self.apply_running_ecc(ecc, idx, started, finish, now, unit)
             }
-            JobState::Waiting => {
+            JobState::Waiting { .. } => {
                 let amount = Duration::from_secs(ecc.amount);
                 match ecc.kind {
                     EccKind::ExtendTime => {
@@ -1821,7 +1740,6 @@ impl<S: Scheduler> Engine<S> {
                 }
                 rec.ecc_count += 1;
                 let (id, num, dur) = (ecc.job, rec.alloc, rec.est_dur);
-                let pos = rec.wait_pos as usize;
                 self.state.ecc_stats.applied_queued += 1;
                 trace_event!(
                     self.state.trace.as_deref_mut(),
@@ -1834,13 +1752,6 @@ impl<S: Scheduler> Engine<S> {
                         queued: true,
                     }
                 );
-                // The record knows its view's position (maintained by every
-                // compaction), so the in-place edit is O(1) instead of a
-                // scan of the view buffer — the scan was quadratic over a
-                // long trace whose jobs mostly wait.
-                let v = &mut self.state.wait_views[pos];
-                v.num = num;
-                v.dur = dur;
                 // A width change moves the job to another attribution
                 // class.
                 if let Some(attr) = self.state.attr.as_deref_mut() {
@@ -2482,10 +2393,10 @@ mod tests {
         }
 
         #[test]
-        fn wait_view_buffer_stays_bounded_without_snapshot_borrows() {
-            // A LIFO policy starts almost every job out of order, leaving
-            // one dead view per job; the start-time compaction must keep
-            // the buffer proportional to the live backlog instead.
+        fn lifo_peak_wait_count_is_the_live_backlog() {
+            // A LIFO policy starts almost every job from the tail of the
+            // waiting list, never its head; the peak count must still be
+            // the live backlog, not a count of past arrivals.
             struct TestLifo {
                 queue: Vec<JobView>,
             }
@@ -2510,10 +2421,9 @@ mod tests {
                     "TestLifo"
                 }
             }
-            // 1667 bursts of three full-machine jobs: the backlog never
-            // exceeds three, but a dead view accrues per start — enough
-            // of them to cross the start-time compaction floor several
-            // times over.
+            // 1667 bursts of three full-machine jobs, each burst started
+            // before the next arrives: three jobs wait at once, never
+            // more.
             let jobs: Vec<JobSpec> = (0..5001)
                 .map(|i| JobSpec::batch(i + 1, (i / 3) * 6, 320, 2))
                 .collect();
@@ -2526,14 +2436,7 @@ mod tests {
             )
             .unwrap();
             assert_eq!(r.outcomes.len(), 5001);
-            // The pass fires once dead views pass the 1024 floor and
-            // outnumber live ones, so the buffer tops out near the floor
-            // — not near the 5001-view trace.
-            assert!(
-                r.engine.peak_wait_views < 2200,
-                "wait-view buffer grew to {} for a backlog of 3",
-                r.engine.peak_wait_views
-            );
+            assert_eq!(r.engine.peak_wait_views, 3);
         }
 
         #[test]

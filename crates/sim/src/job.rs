@@ -163,13 +163,19 @@ impl JobSpec {
     }
 }
 
+/// Marks the end of the engine's waiting list: no neighbour there.
+pub(crate) const NO_SLOT: u32 = u32::MAX;
+
 /// Lifecycle state of a job inside the engine. A completed job has no
 /// state: its record slot is reclaimed at completion.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 #[allow(missing_docs)] // field names are self-describing
 pub enum JobState {
     /// In a waiting queue: the state a record is born in, at arrival.
-    Waiting,
+    /// `prev` and `next` are the record-slab slots of this job's
+    /// neighbours in the engine's arrival-ordered waiting list
+    /// (`u32::MAX` at either end); they exist only while the job waits.
+    Waiting { prev: u32, next: u32 },
     /// Running since `started`, will complete at `finish` unless an ECC
     /// moves the kill-by time.
     Running { started: SimTime, finish: SimTime },
@@ -203,11 +209,6 @@ pub struct JobRecord {
     /// resize or the slot's reuse by a later job makes it stale. `0`
     /// (no event) until the job starts.
     pub(crate) completion_key: u64,
-    /// Position of this job's view in the engine's wait-view buffer,
-    /// maintained by every compaction. Meaningful only while `state` is
-    /// [`JobState::Waiting`]; then a view is this job's exactly when it
-    /// sits at `wait_pos` and names this record's slot.
-    pub(crate) wait_pos: u32,
 }
 
 impl JobRecord {
@@ -218,15 +219,23 @@ impl JobRecord {
         let alloc = spec.num;
         JobRecord {
             spec,
-            state: JobState::Waiting,
+            state: JobState::Waiting {
+                prev: NO_SLOT,
+                next: NO_SLOT,
+            },
             est_dur,
             actual_dur,
             alloc,
             ecc_count: 0,
             mal_gain: 0,
             completion_key: 0,
-            wait_pos: u32::MAX,
         }
+    }
+
+    /// True if the job is waiting.
+    #[inline]
+    pub fn is_waiting(&self) -> bool {
+        matches!(self.state, JobState::Waiting { .. })
     }
 
     /// True if the job is currently running.
@@ -371,6 +380,21 @@ mod tests {
         assert_eq!(r.actual_dur, Duration::from_secs(1234));
         assert_eq!(r.alloc, 96);
         assert_eq!(r.ecc_count, 0);
-        assert_eq!(r.state, JobState::Waiting);
+        assert_eq!(
+            r.state,
+            JobState::Waiting {
+                prev: NO_SLOT,
+                next: NO_SLOT
+            }
+        );
+    }
+
+    /// The waiting-list links live inside `JobState::Waiting`, in the
+    /// room the running variant's two times already take, so they add
+    /// nothing to the record.
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    fn record_keeps_its_128_byte_layout() {
+        assert_eq!(std::mem::size_of::<JobRecord>(), 128);
     }
 }

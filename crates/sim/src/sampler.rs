@@ -19,12 +19,9 @@
 //! the oldest waiting job. The processors held by dedicated and by
 //! ECC'd jobs are running counters the engine updates at every start,
 //! completion, resize and running ECC, so a sample does not walk the
-//! running set. The oldest-wait search walks the engine's
-//! arrival-ordered wait views past dead (already started) ones, but it
-//! resumes where the previous sample found the oldest live view, so
-//! each dead view is passed over at most once between two compactions
-//! of the view buffer — amortized O(1) per start, not O(dead views) per
-//! sample. Between due points a cycle costs one time comparison.
+//! running set. The oldest waiting job is the head of the engine's
+//! arrival-ordered waiting list, an O(1) read. Between due points a
+//! cycle costs one time comparison.
 //! Decimation is an in-place retain over at most `budget` samples and
 //! runs O(log(makespan/stride)) times per run. On 40 seeded 2,000-job
 //! hybrid-los+e runs at load 1.0 (one process, off and on runs
@@ -94,10 +91,6 @@ pub struct TimelineSample {
     pub oldest_wait_secs: u64,
     /// Running jobs.
     pub running: u32,
-    /// Entries in the engine's wait-view buffer (live views
-    /// plus not-yet-compacted dead ones) — the quantity
-    /// [`crate::EngineStats::peak_wait_views`] tracks the peak of.
-    pub live_wait_views: u32,
     /// Pending engine events: completions and scheduler wakeups.
     /// Arrivals and ECCs never enter the event queue; the engine admits
     /// them straight from the workload.
@@ -177,12 +170,12 @@ impl RunTimeline {
         let mut out = String::with_capacity(64 + self.samples.len() * 96);
         out.push_str(
             "at,util,free,dedicated_procs,ecc_procs,queue_depth,oldest_wait_secs,\
-             running,live_wait_views,event_queue_len,eccs_applied,reconfigs,\
+             running,event_queue_len,eccs_applied,reconfigs,\
              dp_cache_hits,dp_cache_misses,dp_incremental_hits,dp_incremental_rebuilds\n",
         );
         for s in &self.samples {
             out.push_str(&format!(
-                "{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{}\n",
+                "{},{},{},{},{},{},{},{},{},{},{},{},{},{},{}\n",
                 s.at.as_secs(),
                 s.util,
                 s.free,
@@ -191,7 +184,6 @@ impl RunTimeline {
                 s.queue_depth,
                 s.oldest_wait_secs,
                 s.running,
-                s.live_wait_views,
                 s.event_queue_len,
                 s.eccs_applied,
                 s.reconfigs,
@@ -445,6 +437,18 @@ mod tests {
     fn from_jsonl_rejects_garbage() {
         assert!(RunTimeline::from_jsonl("not json\n").is_err());
         assert!(RunTimeline::from_jsonl("").unwrap().is_empty());
+    }
+
+    #[test]
+    fn sample_with_the_retired_live_wait_views_key_still_parses() {
+        // A line written while samples carried the engine's wait-view
+        // buffer size: the key is ignored, every other field is read.
+        let line = r#"{"at":2000,"util":1.0,"free":0,"dedicated_procs":0,"ecc_procs":0,"queue_depth":18,"oldest_wait_secs":1700,"running":1,"live_wait_views":18,"event_queue_len":1,"eccs_applied":0,"reconfigs":0,"dp_cache_hits":1,"dp_cache_misses":5,"dp_incremental_hits":4,"dp_incremental_rebuilds":1}"#;
+        let s: TimelineSample = serde_json::from_str(line).unwrap();
+        assert_eq!(s.at, SimTime::from_secs(2000));
+        assert_eq!((s.queue_depth, s.oldest_wait_secs), (18, 1700));
+        assert_eq!((s.running, s.event_queue_len), (1, 1));
+        assert_eq!(s.dp_incremental_rebuilds, 1);
     }
 
     mod properties {

@@ -525,7 +525,7 @@ standard_metrics! {
     JOB_WAIT_TIME: Histogram, "elastisched_job_wait_time", "Per-job wait times in simulated time units, merged across runs.";
     DP_INCREMENTAL_HITS_TOTAL: Counter, "elastisched_dp_incremental_hits_total", "DP cache misses answered by the cross-cycle incremental table.";
     DP_INCREMENTAL_REBUILDS_TOTAL: Counter, "elastisched_dp_incremental_rebuilds_total", "DP cache misses that rebuilt the incremental table from row zero.";
-    ENGINE_PEAK_WAIT_VIEWS: Gauge, "elastisched_engine_peak_wait_views", "Last run's wait-view buffer high-water mark.";
+    ENGINE_PEAK_WAIT_VIEWS: Gauge, "elastisched_engine_peak_wait_views", "Last run's peak number of simultaneously waiting jobs.";
     ENGINE_PEAK_LIVE_JOBS: Gauge, "elastisched_engine_peak_live_jobs", "Last run's job-record slab high-water mark: its peak live jobs.";
     AUDIT_CAPACITY_VIOLATIONS_TOTAL: Counter, "elastisched_audit_capacity_violations_total", "Audit failures: capacity conservation.";
     AUDIT_CLOCK_VIOLATIONS_TOTAL: Counter, "elastisched_audit_clock_violations_total", "Audit failures: virtual-clock monotonicity.";

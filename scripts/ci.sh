@@ -106,7 +106,8 @@ echo "== audit layer (always-on schedule checks + postmortem dump) =="
 cargo test --offline --locked --quiet -p elastisched-sim --features audit
 # The plane suites and the engine-mode parity proptest under the same
 # feature: the audit's cross-checks of the engine's running-set
-# aggregates and of each waiting job's wait-view identity then cover all
+# aggregates and of its waiting list (each waiting record once, its
+# back-links, submit order, length against the scheduler) then cover all
 # 19 registry algorithms and both resizing stacks (hybrid-los+m+e,
 # easy+d+m+e), on random workloads too.
 cargo test --offline --locked --quiet -p elastisched --features elastisched-sim/audit \
@@ -211,7 +212,7 @@ echo "== soak smoke (50k-job streamed Lublin replay, bounded RSS) =="
 # A bounded end-to-end pass through the streaming pipeline: source ->
 # lazy admission -> reclaim -> folded metrics. Fails if the run's
 # peak-RSS growth exceeds a fixed budget or its telemetry timeline is
-# empty or over its point budget, so a wait-view/slab leak shows up
+# empty or over its point budget, so a record-slab leak shows up
 # here. It prints events/s but checks no timing: that is the perf gate's.
 ./target/release/repro soak --smoke
 
